@@ -9,8 +9,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import MigrationError
 from .frontend import ast_nodes as A
-from .frontend.lexer import DottedAccess, ExprToken, SlashDim, Token, NAME, INT, PUNCT
-from .model import ProjectModel, SegmentDefinition, UnitSummary
+from .frontend.lexer import (
+    DottedAccess, ExprToken, SlashDim, Token, NAME, PUNCT, split_top_commas, stream_names,
+)
+from .model import ProjectModel, SegmentDefinition
 
 # --- implicit typing --------------------------------------------------------
 
@@ -41,7 +43,7 @@ def implicit_rule_table(unit: A.ProgramUnitAst) -> Dict[str, str]:
             for type_name, letters in node.rules:
                 m = re.match(r"character\s*\*\s*(\d+)", type_name)
                 if m:
-                    type_name = f"character(len={m.group(1)})"
+                    type_name = format_type("character", m.group(1))
                 for letter in _expand_letters(letters):
                     table[letter] = type_name
     return table
@@ -71,7 +73,7 @@ def declared_types(unit: A.ProgramUnitAst) -> Dict[str, str]:
                 if node.base_type is None:
                     dims_only.add(ent.name)
                     continue
-                types[ent.name] = _format_type(node.base_type, node.char_len)
+                types[ent.name] = format_type(node.base_type, node.char_len)
     for node in unit.body:
         if isinstance(node, A.PointerDeclNode):
             for pname, seg in node.entries:
@@ -81,25 +83,44 @@ def declared_types(unit: A.ProgramUnitAst) -> Dict[str, str]:
     return types
 
 
-def _format_type(base: str, char_len) -> str:
+def format_type(base: str, char_len) -> str:
+    """Free-form spelling of a type; a CHARACTER without length has length 1."""
     if base == "character":
-        if char_len is None:
-            return "character(len=1)"
-        length = "*" if char_len == "*" else str(char_len)
-        return f"character(len={length})"
+        return f"character(len={1 if char_len is None else char_len})"
     return base
 
 
-def infer_implicit_types(unit: A.ProgramUnitAst, model: ProjectModel) -> List[TypeAssignment]:
+def pointer_segments(unit: A.ProgramUnitAst) -> Dict[str, str]:
+    """POINTEUR declarations of the unit: pointer name to segment name."""
+    return {
+        p: seg
+        for node in unit.body
+        if isinstance(node, A.PointerDeclNode)
+        for p, seg in node.entries
+    }
+
+
+def segments_in_scope(unit: A.ProgramUnitAst, model: ProjectModel) -> List[SegmentDefinition]:
+    """Segments the unit sees: its own definitions, then included ones."""
+    return [model.segments[n] for n in model.units[unit.name].segments_in_scope
+            if n in model.segments]
+
+
+def infer_implicit_types(
+    unit: A.ProgramUnitAst,
+    model: ProjectModel,
+    pointers: Dict[str, str],
+    scope: Sequence[SegmentDefinition],
+    declared: Dict[str, str],
+    table: Dict[str, str],
+) -> List[TypeAssignment]:
     """Give every referenced symbol of the unit exactly one type."""
-    table = implicit_rule_table(unit)
-    declared = declared_types(unit)
     called = {e.callee for e in model.calls_from(unit.name)}
 
     referenced = A.referenced_symbols(unit) | set(unit.params)
-    segs_in_scope = _segments_in_scope(unit, model)
+    segment_names = {seg.name for seg in scope}
     field_owner: Dict[str, str] = {}
-    for seg in segs_in_scope:
+    for seg in scope:
         for f in seg.fields:
             field_owner.setdefault(f.name, seg.name)
 
@@ -117,7 +138,7 @@ def infer_implicit_types(unit: A.ProgramUnitAst, model: ProjectModel) -> List[Ty
                     f"symbol {sym!r} used as both variable and called routine in {unit.name}"
                 )
             continue  # plain subroutine reference, not a variable
-        if _is_pointer(sym, unit):
+        if sym in pointers:
             out.append(TypeAssignment(sym, declared[sym], POINTEUR_DECL))
         elif sym in declared and declared[sym]:
             out.append(TypeAssignment(sym, declared[sym], DECLARED))
@@ -128,34 +149,12 @@ def infer_implicit_types(unit: A.ProgramUnitAst, model: ProjectModel) -> List[Ty
             u = model.functions()[sym]
             rt = u.return_type or table[sym[0]]
             out.append(TypeAssignment(sym, rt, FUNCTION_RETURN))
-        elif sym in segs_names(segs_in_scope) or sym in field_owner:
+        elif sym in segment_names or sym in field_owner:
             # segment default pointer or bare field access; typed by rewrite
             continue
         else:
             out.append(TypeAssignment(sym, table[sym[0]], IMPLICIT_RULE))
     return out
-
-
-def segs_names(segs: Sequence[SegmentDefinition]) -> Set[str]:
-    return {s.name for s in segs}
-
-
-def _is_pointer(sym: str, unit: A.ProgramUnitAst) -> bool:
-    for node in unit.body:
-        if isinstance(node, A.PointerDeclNode):
-            if any(p == sym for p, _ in node.entries):
-                return True
-    return False
-
-
-def _segments_in_scope(unit: A.ProgramUnitAst, model: ProjectModel) -> List[SegmentDefinition]:
-    names = [s.name for s in A.segment_definitions(unit)]
-    names += [n for n in unit.extra_segments_in_scope if n not in names]
-    if unit.name in model.units:
-        for n in model.units[unit.name].segments_in_scope:
-            if n not in names:
-                names.append(n)
-    return [model.segments[n] for n in names if n in model.segments]
 
 
 # --- external-name classification ------------------------------------------
@@ -198,11 +197,7 @@ def invoked_names(unit: A.ProgramUnitAst) -> Set[str]:
 
 
 def assigned_names(unit: A.ProgramUnitAst) -> Set[str]:
-    names: Set[str] = set()
-    for name, kind in _unit_events(unit, model=None):
-        if kind == "w":
-            names.add(name)
-    return names
+    return {ev[1] for ev in _unit_events(unit, model=None) if ev[0] == "w"}
 
 
 def classify_external_names(unit: A.ProgramUnitAst, model: ProjectModel) -> Dict[str, str]:
@@ -244,6 +239,37 @@ def classify_external_names(unit: A.ProgramUnitAst, model: ProjectModel) -> Dict
         else:
             out[name] = PLAIN_VARIABLE_DECL
     return out
+
+
+# --- facts of one unit ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UnitFacts:
+    """What the rewriter knows about one unit, each fact computed once.
+
+    Built per unit and dropped with that unit's rewrite context; never held
+    for the whole project.
+    """
+
+    pointers: Dict[str, str]  # POINTEUR name -> segment name
+    scope: List[SegmentDefinition]
+    declared: Dict[str, str]
+    implicit_table: Dict[str, str]
+    types: List[TypeAssignment]
+    classification: Dict[str, str]
+
+
+def unit_facts(unit: A.ProgramUnitAst, model: ProjectModel) -> UnitFacts:
+    """Compute every fact of the record, each from its one definition."""
+    pointers = pointer_segments(unit)
+    scope = segments_in_scope(unit, model)
+    declared = declared_types(unit)
+    table = implicit_rule_table(unit)
+    # classification first: its errors were reported before typing errors
+    classification = classify_external_names(unit, model)
+    types = infer_implicit_types(unit, model, pointers, scope, declared, table)
+    return UnitFacts(pointers, scope, declared, table, types, classification)
 
 
 # --- parameter intent inference --------------------------------------------
@@ -348,60 +374,51 @@ def infer_intents(model: ProjectModel, units: Sequence[A.ProgramUnitAst]) -> Int
 
 def routine_events(unit: A.ProgramUnitAst, model: Optional[ProjectModel]) -> List[Tuple]:
     """Read/write/forward events of one routine, in textual order."""
-    events: List[Tuple] = []
-    for name, kind in _unit_events(unit, model):
-        events.append((kind, name) if kind in ("r", "w") else name)
-    return events
+    return list(_unit_events(unit, model))
 
 
 def _unit_events(unit: A.ProgramUnitAst, model: Optional[ProjectModel]):
-    """Yield ('name', 'r'|'w') pairs, or (('f', callee, pos, name), 'f')."""
-    seg_by_pointer = _pointer_segments(unit, model)
+    """Yield ('r', name), ('w', name) or ('f', callee, position, name)."""
+    seg_by_pointer = pointer_segments(unit)
     for node in unit.body:
         yield from _statement_events(node, unit, model, seg_by_pointer)
 
 
-def _pointer_segments(unit, model) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for node in unit.body:
-        if isinstance(node, A.PointerDeclNode):
-            for p, s in node.entries:
-                out[p] = s
-    return out
+def _reads(stream: Sequence[ExprToken]):
+    """A read event for each name of the stream, intrinsics left out."""
+    for n in stream_names(stream):
+        if n not in A.INTRINSIC_FUNCTIONS:
+            yield ("r", n)
 
 
 def _statement_events(node, unit, model, seg_by_pointer):
-    def reads(stream):
-        for n in _ordered_names(stream):
-            yield (n, "r")
-
     if isinstance(node, A.TypeDeclNode):
         # adjustable-array bounds are read on entry
         for ent in node.entities:
             for dim in ent.dims:
-                yield from reads(dim)
+                yield from _reads(dim)
     elif isinstance(node, A.AssignmentNode):
         if node.guard:
-            yield from reads(node.guard)
-        yield from reads(node.rhs)
+            yield from _reads(node.guard)
+        yield from _reads(node.rhs)
         head, rest = (node.lhs[0], node.lhs[1:]) if node.lhs else (None, [])
-        yield from reads(rest)
+        yield from _reads(rest)
         if isinstance(head, Token) and head.kind == NAME:
             if head.value != unit.name:  # function-result assignment is not a param
-                yield (head.value, "w")
+                yield ("w", head.value)
         elif isinstance(head, DottedAccess):
             for sub in head.subscripts:
-                yield from reads(sub)
+                yield from _reads(sub)
             if head.pointer:
-                yield (head.pointer, "r")  # writing a field reads the pointer
+                yield ("r", head.pointer)  # writing a field reads the pointer
     elif isinstance(node, A.CallNode):
         if node.guard:
-            yield from reads(node.guard)
+            yield from _reads(node.guard)
         for i, arg in enumerate(node.args):
             if len(arg) == 1 and isinstance(arg[0], Token) and arg[0].kind == NAME:
-                yield (("f", node.callee, i, arg[0].value), "f")
+                yield ("f", node.callee, i, arg[0].value)
             else:
-                yield from reads(arg)
+                yield from _reads(arg)
     elif isinstance(node, A.EsopeCommandNode):
         seg = None
         if model is not None and seg_by_pointer.get(node.target) in model.segments:
@@ -409,25 +426,25 @@ def _statement_events(node, unit, model, seg_by_pointer):
         dim_vars = seg.dimensioning_vars if seg else []
         if node.kind == A.SEGINI:
             for v in dim_vars:
-                yield (v, "r")
-            yield (node.target, "w")
+                yield ("r", v)
+            yield ("w", node.target)
         elif node.kind == A.SEGINI_COPY:
-            yield (node.source, "r")
-            yield (node.target, "w")
+            yield ("r", node.source)
+            yield ("w", node.target)
         elif node.kind == A.SEGACT_MOVE:
-            yield (node.source, "r")
-            yield (node.target, "r")
-            yield (node.target, "w")
+            yield ("r", node.source)
+            yield ("r", node.target)
+            yield ("w", node.target)
         elif node.kind == A.SEGADJ:
             for v in dim_vars:
-                yield (v, "r")
-            yield (node.target, "r")
-            yield (node.target, "w")
+                yield ("r", v)
+            yield ("r", node.target)
+            yield ("w", node.target)
         elif node.kind == A.SEGSUP:
-            yield (node.target, "r")
-            yield (node.target, "w")
+            yield ("r", node.target)
+            yield ("w", node.target)
         else:  # segprt, segact, segdes
-            yield (node.target, "r")
+            yield ("r", node.target)
     elif isinstance(node, A.OpaqueNode):
         yield from _opaque_events(node.tokens)
 
@@ -435,23 +452,19 @@ def _statement_events(node, unit, model, seg_by_pointer):
 def _opaque_events(tokens: List[ExprToken]):
     head = tokens[0] if tokens else None
     if not (isinstance(head, Token) and head.kind == NAME):
-        for n in _ordered_names(tokens):
-            yield (n, "r")
+        yield from _reads(tokens)
         return
     kw = head.value
     if kw in ("write", "print"):
-        for n in _ordered_names(tokens[1:]):
-            yield (n, "r")
+        yield from _reads(tokens[1:])
     elif kw == "read":
         control, rest = _split_control(tokens[1:])
-        for n in _ordered_names(control):
-            yield (n, "r")
-        for item in _split_items(rest):
+        yield from _reads(control)
+        for item in split_top_commas(rest):
             base = item[0] if item else None
-            for n in _ordered_names(item[1:]):
-                yield (n, "r")
+            yield from _reads(item[1:])
             if isinstance(base, Token) and base.kind == NAME:
-                yield (base.value, "w")
+                yield ("w", base.value)
     elif kw == "do":
         k = next(
             (
@@ -463,17 +476,15 @@ def _opaque_events(tokens: List[ExprToken]):
         )
         if k is not None and k >= 1:
             var = tokens[k - 1]
-            for n in _ordered_names(tokens[k + 1 :]):
-                yield (n, "r")
+            yield from _reads(tokens[k + 1 :])
             if isinstance(var, Token) and var.kind == NAME:
-                yield (var.value, "w")
+                yield ("w", var.value)
         else:
-            for n in _ordered_names(tokens[1:]):
-                yield (n, "r")
+            yield from _reads(tokens[1:])
     else:
-        for n in _ordered_names(tokens):
-            if n not in A.STATEMENT_KEYWORDS:
-                yield (n, "r")
+        for ev in _reads(tokens):
+            if ev[1] not in A.STATEMENT_KEYWORDS:
+                yield ev
 
 
 def _split_control(tokens):
@@ -487,37 +498,6 @@ def _split_control(tokens):
                 if depth == 0:
                     return tokens[1:i], tokens[i + 1 :]
     return [], tokens
-
-
-def _split_items(tokens):
-    parts, depth = [[]], 0
-    for t in tokens:
-        if isinstance(t, Token):
-            if t == Token(PUNCT, "("):
-                depth += 1
-            elif t == Token(PUNCT, ")"):
-                depth -= 1
-        if depth == 0 and isinstance(t, Token) and t == Token(PUNCT, ","):
-            parts.append([])
-        else:
-            parts[-1].append(t)
-    return [p for p in parts if p]
-
-
-def _ordered_names(stream) -> List[str]:
-    out: List[str] = []
-    for t in stream:
-        if isinstance(t, Token):
-            if t.kind == NAME and t.value not in A.INTRINSIC_FUNCTIONS:
-                out.append(t.value)
-        elif isinstance(t, DottedAccess):
-            if t.pointer:
-                out.append(t.pointer)
-            for sub in t.subscripts:
-                out.extend(_ordered_names(sub))
-        elif isinstance(t, SlashDim):
-            out.extend(_ordered_names([t.base]))
-    return out
 
 
 # --- module imports ---------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -13,7 +13,7 @@ from .emit import RenderConfig, write_tree
 from .errors import ConfigError, MigrationError
 from .frontend import ast_nodes as A
 from .frontend.includes import build_fragment_cache, resolve_includes
-from .frontend.lexer import split_logical_lines
+from .frontend.lexer import read_source, split_logical_lines
 from .frontend.parser import parse_units
 from .model import ProjectModel, build_project_model, dump_model, register_segment
 from .transform import migrate_project, negative_pointer_uses
@@ -32,7 +32,6 @@ class RunConfig:
     intent_catalog: Optional[Path] = None
     indent_width: int = 2
     max_line_length: int = 132
-    keyword_case: str = "lower"
     verbose: bool = False
 
     def validated_for_migrate(self) -> "RunConfig":
@@ -49,7 +48,6 @@ class RunConfig:
             return RenderConfig(
                 indent_width=self.indent_width,
                 max_line_length=self.max_line_length,
-                keyword_case=self.keyword_case,
             )
         except MigrationError as exc:
             raise ConfigError(str(exc))
@@ -57,7 +55,7 @@ class RunConfig:
 
 _CONFIG_KEYS = {
     "src", "out", "include_path", "intent_catalog",
-    "indent_width", "max_line_length", "keyword_case", "verbose",
+    "indent_width", "max_line_length", "verbose",
 }
 
 
@@ -83,10 +81,8 @@ def parse_config_file(text: str, base: Path) -> Dict[str, object]:
                 values[key] = int(value)
             except ValueError:
                 raise ConfigError(f"config line {lineno}: {key} must be an integer")
-        elif key == "verbose":
+        else:  # verbose
             values[key] = value.lower() in ("1", "true", "yes", "on")
-        else:
-            values[key] = value
     if include_paths:
         values["include_paths"] = tuple(include_paths)
     return values
@@ -133,7 +129,7 @@ def load_units(cfg: RunConfig) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
     raw_units: List[A.ProgramUnitAst] = []
     include_paths: List[str] = []
     for path in sources:
-        lines = split_logical_lines(path.read_text(), str(path))
+        lines = split_logical_lines(read_source(path), str(path))
         for unit in parse_units(lines, str(path)):
             raw_units.append(unit)
             for node in unit.body:
@@ -166,7 +162,7 @@ def load_units(cfg: RunConfig) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
     if cfg.intent_catalog:
         if not cfg.intent_catalog.is_file():
             raise ConfigError(f"intent catalog not found: {cfg.intent_catalog}")
-        model.intent_catalog = analysis.load_intent_catalog(cfg.intent_catalog.read_text())
+        model.intent_catalog = analysis.load_intent_catalog(read_source(cfg.intent_catalog))
     return units, model
 
 

@@ -3,31 +3,24 @@
 from __future__ import annotations
 
 import os
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import MigrationError
 from . import target as T
-
-_PLACEHOLDER_RE = re.compile(r"\{(\d+)\}")
 
 
 @dataclass(frozen=True)
 class RenderConfig:
     indent_width: int = 2
     max_line_length: int = 132
-    keyword_case: str = "lower"
-    continuation_marker: str = "&"
 
     def __post_init__(self):
         if not (1 <= self.indent_width <= 8):
             raise MigrationError(f"indent_width out of range: {self.indent_width}")
         if not (72 <= self.max_line_length <= 132):
             raise MigrationError(f"max_line_length out of range: {self.max_line_length}")
-        if self.keyword_case not in ("lower", "upper"):
-            raise MigrationError(f"bad keyword_case: {self.keyword_case!r}")
 
 
 def render_unit(tree: T.OutputNode, cfg: RenderConfig = RenderConfig()) -> str:
@@ -54,7 +47,7 @@ def _render(node: T.OutputNode, depth: int, cfg: RenderConfig, out: List[str]) -
         out.append(node.text)  # cpp lines stay in column 1
         return
     if node.kind == T.CONTAINS:
-        out.append(" " * (cfg.indent_width * max(depth - 1, 0)) + _case(cfg, "contains"))
+        out.append(" " * (cfg.indent_width * max(depth - 1, 0)) + "contains")
         return
     if node.is_block:
         out.extend(_wrap(pad + node.text, depth, cfg))
@@ -70,28 +63,14 @@ def _comment_body(text: str) -> str:
     return text if text.startswith(" ") else " " + text
 
 
-def _case(cfg: RenderConfig, word: str) -> str:
-    return word.upper() if cfg.keyword_case == "upper" else word
-
-
 def expand_template(node: T.TemplateNode, depth: int, cfg: RenderConfig) -> List[str]:
-    """Substitute placeholders and re-indent the template relative to depth.
+    """Re-indent the template's text relative to depth.
 
-    The template's own leading whitespace is relative indentation; expansion
+    The text's own leading whitespace is relative indentation; expansion
     at depth d+1 equals expansion at depth d with every line shifted one
     indent step.
     """
-
-    def substitute(m: re.Match) -> str:
-        key = m.group(1)
-        if key not in node.bindings:
-            raise MigrationError(
-                f"unbound placeholder {{{key}}} in template: {node.template.strip().splitlines()[0]!r}"
-            )
-        return node.bindings[key]
-
-    text = _PLACEHOLDER_RE.sub(substitute, node.template)
-    raw_lines = text.splitlines()
+    raw_lines = node.text.splitlines()
     nonempty = [l for l in raw_lines if l.strip()]
     base = min((len(l) - len(l.lstrip()) for l in nonempty), default=0)
     pad = " " * (cfg.indent_width * depth)
@@ -110,7 +89,7 @@ def _wrap(line: str, depth: int, cfg: RenderConfig) -> List[str]:
     if len(line) <= limit:
         return [line]
     cont_pad = " " * (cfg.indent_width * (depth + 2))
-    marker = " " + cfg.continuation_marker
+    marker = " &"
     out: List[str] = []
     rest = line
     first = True

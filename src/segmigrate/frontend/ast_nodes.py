@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SourceSpan
-from .lexer import DottedAccess, ExprToken, IncludeDirective, SlashDim, Token, NAME, INT, PUNCT
+from .lexer import DottedAccess, ExprToken, IncludeDirective, SlashDim, Token, NAME, stream_names
 
 if TYPE_CHECKING:
     from ..model import SegmentDefinition
@@ -59,12 +59,6 @@ SEGADJ = "segadj"
 SEGSUP = "segsup"
 SEGPRT = "segprt"
 SEGDES = "segdes"
-
-COMMAND_KINDS = (SEGINI, SEGINI_COPY, SEGACT, SEGACT_MOVE, SEGADJ, SEGSUP, SEGPRT, SEGDES)
-ESOPE_KEYWORDS = (
-    "segment", "pointeur",
-    "segini", "segact", "segadj", "segsup", "segprt", "segdes", "segcop", "segmov",
-)
 
 
 @dataclass
@@ -115,14 +109,6 @@ class AssignmentNode(Node):
     rhs: List[ExprToken] = field(default_factory=list)
     guard: Optional[List[ExprToken]] = None  # condition of a logical IF
 
-    def lhs_name(self) -> Optional[str]:
-        head = self.lhs[0] if self.lhs else None
-        if isinstance(head, Token) and head.kind == NAME:
-            return head.value
-        if isinstance(head, DottedAccess) and head.pointer:
-            return head.pointer
-        return None
-
 
 @dataclass
 class OpaqueNode(Node):
@@ -145,29 +131,8 @@ class ProgramUnitAst:
 # --- traversal helpers ------------------------------------------------------
 
 
-def walk_statements(unit: ProgramUnitAst):
-    yield from unit.body
-
-
 def segment_definitions(unit: ProgramUnitAst) -> List["SegmentDefinition"]:
     return [n.definition for n in unit.body if isinstance(n, SegmentDefNode)]
-
-
-def token_names(stream: Sequence[ExprToken]) -> Set[str]:
-    """All identifier names occurring in a folded token stream."""
-    names: Set[str] = set()
-    for t in stream:
-        if isinstance(t, Token):
-            if t.kind == NAME:
-                names.add(t.value)
-        elif isinstance(t, DottedAccess):
-            if t.pointer:
-                names.add(t.pointer)
-            for sub in t.subscripts:
-                names |= token_names(sub)
-        elif isinstance(t, SlashDim):
-            names |= token_names([t.base])
-    return names
 
 
 #: statement keywords that must not be mistaken for symbol references
@@ -194,16 +159,16 @@ INTRINSIC_FUNCTIONS = {
 def statement_reference_names(node: Node) -> Set[str]:
     """Names a statement references, with statement keywords filtered out."""
     if isinstance(node, AssignmentNode):
-        names = token_names(node.lhs) | token_names(node.rhs)
+        names = set(stream_names(node.lhs)) | set(stream_names(node.rhs))
         if node.guard:
-            names |= token_names(node.guard)
+            names |= set(stream_names(node.guard))
         return names - INTRINSIC_FUNCTIONS
     if isinstance(node, CallNode):
         names = set()
         for arg in node.args:
-            names |= token_names(arg)
+            names.update(stream_names(arg))
         if node.guard:
-            names |= token_names(node.guard)
+            names.update(stream_names(node.guard))
         return names - INTRINSIC_FUNCTIONS
     if isinstance(node, OpaqueNode):
         return _opaque_reference_names(node.tokens)
@@ -211,13 +176,13 @@ def statement_reference_names(node: Node) -> Set[str]:
         names = set()
         for ent in node.entities:
             for dim in ent.dims:
-                names |= token_names(dim)
+                names.update(stream_names(dim))
         return names - INTRINSIC_FUNCTIONS
     return set()
 
 
 def _opaque_reference_names(tokens: Sequence[ExprToken]) -> Set[str]:
-    names = token_names(tokens)
+    names = set(stream_names(tokens))
     skip = set()
     for idx, t in enumerate(tokens):
         if not (isinstance(t, Token) and t.kind == NAME):

@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence
 from ..errors import MigrationError
 from ..model import SegmentDefinition
 from . import ast_nodes as A
-from .lexer import split_logical_lines
+from .lexer import read_source, split_logical_lines
 from .parser import parse_fragment
 
 BEGIN_MARK = '[seg-migrate] begin include "{path}"'
@@ -48,7 +48,6 @@ def find_include_file(path: str, search_paths: Sequence[Path]) -> Path:
 def build_fragment_cache(
     include_paths: Sequence[str],
     search_paths: Sequence[Path],
-    encoding: str = "utf-8",
 ) -> FragmentCache:
     """Sequential prepass: load and flatten every included file first.
 
@@ -56,18 +55,18 @@ def build_fragment_cache(
     """
     cache: FragmentCache = {}
     for path in include_paths:
-        _load_fragment(path, search_paths, encoding, cache, stack=[])
+        _load_fragment(path, search_paths, cache, stack=[])
     return cache
 
 
-def _load_fragment(path, search_paths, encoding, cache, stack) -> Fragment:
+def _load_fragment(path, search_paths, cache, stack) -> Fragment:
     if path in cache:
         return cache[path]
     if path in stack:
         cycle = " -> ".join(stack + [path])
         raise MigrationError(f"include cycle: {cycle}")
     resolved = find_include_file(path, search_paths)
-    lines = split_logical_lines(resolved.read_text(encoding=encoding), str(resolved))
+    lines = split_logical_lines(read_source(resolved), str(resolved))
     raw = parse_fragment(lines, str(resolved))
 
     frag = Fragment(path=path, resolved=resolved)
@@ -79,7 +78,7 @@ def _load_fragment(path, search_paths, encoding, cache, stack) -> Fragment:
             continue
         if isinstance(node, A.IncludeNode):
             nested = _load_fragment(
-                node.directive.path, search_paths, encoding, cache, stack + [path]
+                node.directive.path, search_paths, cache, stack + [path]
             )
             frag.includes.append(nested.path)
             frag.statements.append(
@@ -113,7 +112,7 @@ def resolve_includes(
         path = node.directive.path
         if path not in cache:
             # tolerate a cache miss by loading on demand (still cycle-safe)
-            _load_fragment(path, search_paths, "utf-8", cache, stack=[])
+            _load_fragment(path, search_paths, cache, stack=[])
         frag = cache[path]
         body.append(A.CommentNode(span=node.span, text=BEGIN_MARK.format(path=path)))
         body.extend(copy.deepcopy(frag.statements))

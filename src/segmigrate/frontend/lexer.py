@@ -8,8 +8,9 @@ before the rules apply.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import MigrationError, SourceSpan
 
@@ -26,6 +27,21 @@ FLAVOR_DASH = "esope-dash-inc"
 _HASH_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+["<]([^">]+)[">]\s*$', re.IGNORECASE)
 _FORTRAN_INCLUDE_RE = re.compile(r"^include\s+['\"]([^'\"]+)['\"]\s*$", re.IGNORECASE)
 _ESOPE_INCLUDE_RE = re.compile(r"^[%-]inc\s+['\"]?([^'\"\s]+)['\"]?\s*$", re.IGNORECASE)
+
+#: every input file (program sources, included files, the intent catalog)
+#: is read in this encoding, whatever the locale says
+SOURCE_ENCODING = "utf-8"
+
+
+def read_source(path: Path) -> str:
+    """Text of one input file; undecodable bytes are a migration error
+    naming the file."""
+    try:
+        return path.read_text(encoding=SOURCE_ENCODING)
+    except UnicodeDecodeError as exc:
+        raise MigrationError(
+            f"{path}: not valid {SOURCE_ENCODING} (byte {exc.start}: {exc.reason})"
+        )
 
 
 @dataclass(frozen=True)
@@ -178,6 +194,29 @@ class SlashDim:
 
 
 ExprToken = Union[Token, DottedAccess, SlashDim]
+
+
+def walk_tokens(stream: Sequence[ExprToken]) -> Iterator[ExprToken]:
+    """Pre-order walk of a folded token stream: each token, then the tokens
+    nested in it (a dotted access's subscripts, a slash-dim's base)."""
+    for t in stream:
+        yield t
+        if isinstance(t, DottedAccess):
+            for sub in t.subscripts:
+                yield from walk_tokens(sub)
+        elif isinstance(t, SlashDim):
+            yield from walk_tokens((t.base,))
+
+
+def stream_names(stream: Sequence[ExprToken]) -> Iterator[str]:
+    """Identifier names of a folded token stream in textual order.  A dotted
+    access contributes its explicit pointer, never its field name."""
+    for t in walk_tokens(stream):
+        if isinstance(t, Token):
+            if t.kind == NAME:
+                yield t.value
+        elif isinstance(t, DottedAccess) and t.pointer:
+            yield t.pointer
 
 
 def tokenize(text: str, span: Optional[SourceSpan] = None) -> List[Token]:
@@ -339,7 +378,7 @@ def _fold_paren_suffix(access: DottedAccess, toks: List[Token], i: int, span):
             raise MigrationError("malformed slash-dim", span)
         return SlashDim(access, int(toks[i + 2].value)), i + 4
     inner, j = _collect_group(toks, i, span)
-    subs = tuple(tuple(scan_expression(part, span)) for part in _split_top_commas(inner))
+    subs = tuple(tuple(scan_expression(part, span)) for part in split_top_commas(inner))
     return DottedAccess(access.pointer, access.field, subs), j
 
 
@@ -365,8 +404,9 @@ def _collect_group(toks: List[Token], i: int, span) -> Tuple[List[Token], int]:
     raise MigrationError("unbalanced parentheses", span)
 
 
-def _split_top_commas(toks: List[Token]) -> List[List[Token]]:
-    parts: List[List[Token]] = [[]]
+def split_top_commas(toks: Sequence[ExprToken]) -> List[List[ExprToken]]:
+    """Split at commas outside parentheses; an empty stream has no parts."""
+    parts: List[List[ExprToken]] = [[]]
     depth = 0
     for t in toks:
         if t == Token(PUNCT, "("):

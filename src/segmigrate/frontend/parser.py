@@ -22,9 +22,10 @@ from .lexer import (
     detect_include,
     scan_expression,
     split_logical_lines,
+    split_top_commas,
+    stream_names,
     tokenize,
     _collect_group,
-    _split_top_commas,
 )
 
 _PROGRAM_RE = re.compile(r"^program\s+([a-z][a-z0-9_]*)\s*$", re.IGNORECASE)
@@ -264,7 +265,7 @@ def _classify_if_body(rest: List[ExprToken], span, label):
             args: List[List[ExprToken]] = []
             if len(rest) >= 3 and rest[2] == Token(PUNCT, "("):
                 inner, _ = _collect_group(rest, 2, span)
-                args = [list(p) for p in _split_expr_commas(inner)]
+                args = split_top_commas(inner)
             return A.CallNode(span=span, label=label, callee=rest[1].value, args=args)
         return None
     k = _top_level_assign_index(rest)
@@ -294,26 +295,8 @@ def _make_call(m, span, label) -> A.CallNode:
     args: List[List[ExprToken]] = []
     if m.group(2):
         inner_toks = tokenize(m.group(2)[1:-1], span)
-        args = [list(scan_expression(p, span)) for p in _split_top_commas(inner_toks)]
+        args = [list(scan_expression(p, span)) for p in split_top_commas(inner_toks)]
     return A.CallNode(span=span, label=label, callee=callee, args=args)
-
-
-def _split_expr_commas(tokens: List[ExprToken]) -> List[List[ExprToken]]:
-    parts: List[List[ExprToken]] = [[]]
-    depth = 0
-    for t in tokens:
-        if isinstance(t, Token):
-            if t == Token(PUNCT, "("):
-                depth += 1
-            elif t == Token(PUNCT, ")"):
-                depth -= 1
-        if depth == 0 and isinstance(t, Token) and t == Token(PUNCT, ","):
-            parts.append([])
-        else:
-            parts[-1].append(t)
-    if parts == [[]]:
-        return []
-    return parts
 
 
 def _parse_pointer_list(raw: str, span) -> List[Tuple[str, str]]:
@@ -348,7 +331,7 @@ def _parse_implicit(rest: str, original: str, span, label) -> A.ImplicitDeclNode
 def _parse_decl_entities(raw: str, span) -> List[A.DeclEntity]:
     tokens = tokenize(raw, span)
     entities: List[A.DeclEntity] = []
-    for part in _split_top_commas(tokens):
+    for part in split_top_commas(tokens):
         if not part or part[0].kind != NAME:
             raise MigrationError(f"malformed declaration entity in {raw!r}", span)
         name = part[0].value
@@ -359,7 +342,7 @@ def _parse_decl_entities(raw: str, span) -> List[A.DeclEntity]:
             inner, j = _collect_group(part, 1, span)
             if j != len(part):
                 raise MigrationError(f"trailing junk after declaration entity {name!r}", span)
-            dims = tuple(tuple(scan_expression(p, span)) for p in _split_top_commas(inner))
+            dims = tuple(tuple(scan_expression(p, span)) for p in split_top_commas(inner))
         entities.append(A.DeclEntity(name=name, dims=dims))
     return entities
 
@@ -410,13 +393,13 @@ def parse_segment_definition(lines: List[LogicalLine]) -> SegmentDefinition:
     dim_vars: List[str] = []
     for fname, base, char_len, dims, seg in raw_fields:
         for dim in dims:
-            for sym in _names_in_order(dim):
+            for sym in stream_names(dim):
                 if sym not in seen and sym not in dim_vars:
                     dim_vars.append(sym)
 
     fields = []
     for fname, base, char_len, dims, seg in raw_fields:
-        dynamic = any(s in dim_vars for dim in dims for s in _names_in_order(dim))
+        dynamic = any(s in dim_vars for dim in dims for s in stream_names(dim))
         fields.append(
             FieldDef(
                 name=fname, base_type=base, char_len=char_len, dims=dims,
@@ -427,21 +410,3 @@ def parse_segment_definition(lines: List[LogicalLine]) -> SegmentDefinition:
         name=name, fields=fields, dimensioning_vars=dim_vars,
         file_id=stmts[0].span.file_id, comments=comments,
     )
-
-
-def _names_in_order(stream) -> List[str]:
-    from .lexer import DottedAccess, SlashDim
-
-    names: List[str] = []
-    for t in stream:
-        if isinstance(t, Token):
-            if t.kind == NAME:
-                names.append(t.value)
-        elif isinstance(t, DottedAccess):
-            if t.pointer:
-                names.append(t.pointer)
-            for sub in t.subscripts:
-                names.extend(_names_in_order(sub))
-        elif isinstance(t, SlashDim):
-            names.extend(_names_in_order([t.base]))
-    return names

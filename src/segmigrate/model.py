@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import MigrationError
-from .frontend.lexer import ExprToken, Token, NAME
+from .frontend.lexer import ExprToken
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def build_project_model(units: Sequence[object]) -> ProjectModel:
         summary.referenced = A.referenced_symbols(unit)
         summary.defined = A.defined_symbols(unit)
         summary.esope_statements = [
-            node.kind for node in A.walk_statements(unit) if isinstance(node, A.EsopeCommandNode)
+            node.kind for node in unit.body if isinstance(node, A.EsopeCommandNode)
         ]
 
     for unit in units:
@@ -142,7 +142,7 @@ def _call_sites(unit) -> List[Tuple[str, int]]:
     from .frontend import ast_nodes as A
 
     sites = []
-    for node in A.walk_statements(unit):
+    for node in unit.body:
         if isinstance(node, A.CallNode):
             sites.append((node.callee, len(node.args)))
     return sites

@@ -1,14 +1,14 @@
-"""Fortran 2008 output tree: typed nodes plus role-tagged string templates.
+"""Fortran 2008 output tree: typed nodes plus blocks of preformatted text.
 
 Large generated bodies (the per-segment command implementations) are
-template nodes; a template may stand anywhere a typed node of its role
-could appear.
+template nodes: finished Fortran text whose relative indentation the
+renderer keeps while shifting it to the depth where the node stands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import List, Union
 
 # typed node kinds
 FILE = "file"
@@ -25,12 +25,6 @@ CONTAINS = "contains"
 DIRECTIVE = "directive"
 
 _BLOCK_KINDS = {FILE, MODULE, PROGRAM, PROCEDURE, DERIVED_TYPE, INTERFACE}
-
-# template roles
-ROLE_STATEMENT = "statement"
-ROLE_DECLARATION = "declaration"
-ROLE_PROCEDURE = "procedure"
-ROLE_PROGRAM_UNIT = "programUnit"
 
 
 @dataclass
@@ -51,9 +45,7 @@ class TargetNode:
 
 @dataclass
 class TemplateNode:
-    role: str
-    template: str
-    bindings: Dict[str, str] = field(default_factory=dict)
+    text: str
 
 
 OutputNode = Union[TargetNode, TemplateNode]
@@ -85,7 +77,3 @@ def module_node(name: str) -> TargetNode:
 
 def program_node(name: str) -> TargetNode:
     return TargetNode(PROGRAM, f"program {name}", footer=f"end program {name}")
-
-
-def procedure_node(header: str, footer: str) -> TargetNode:
-    return TargetNode(PROCEDURE, header, footer=footer)

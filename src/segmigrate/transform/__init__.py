@@ -2,7 +2,7 @@
 
 from .project import FileStats, MigrationResult, migrate_project, negative_pointer_uses, output_name
 from .segments import generate_support_modules, migrate_segment, synthesize_command_bodies
-from .tokens import render_tokens, rewrite_expression
+from .tokens import render_tokens
 from .units import RewriteContext, compute_unit_uses, make_context, rewrite_statement, wrap_in_module
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "negative_pointer_uses",
     "output_name",
     "render_tokens",
-    "rewrite_expression",
     "rewrite_statement",
     "synthesize_command_bodies",
     "wrap_in_module",

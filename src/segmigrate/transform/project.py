@@ -7,11 +7,12 @@ from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import analysis
 from .. import target as T
 from ..emit import RenderConfig, render_unit
 from ..errors import MigrationError
 from ..frontend import ast_nodes as A
-from ..frontend.lexer import NAME, INT, OP, DottedAccess, ExprToken, SlashDim, Token
+from ..frontend.lexer import NAME, INT, OP, DottedAccess, ExprToken, Token, walk_tokens
 from ..model import ProjectModel
 from .segments import generate_support_modules, migrate_segment
 from .units import make_context, wrap_in_module
@@ -121,18 +122,20 @@ def negative_pointer_uses(unit: A.ProgramUnitAst, model: ProjectModel) -> List[s
     Legacy code used negative integers as sentinel pointer values; those
     comparisons and assignments cannot survive the move to typed pointers.
     """
-    pointers = {p for node in unit.body if isinstance(node, A.PointerDeclNode)
-                for p, _ in node.entries}
-    scope = [s for s in unit.extra_segments_in_scope]
-    scope += [n.definition.name for n in unit.body if isinstance(n, A.SegmentDefNode)]
-    pointers |= {s for s in scope if s in model.segments}
+    pointers = set(analysis.pointer_segments(unit))
+    pointers |= {seg.name for seg in analysis.segments_in_scope(unit, model)}
     if not pointers:
         return []
 
     warnings: List[str] = []
     for node in unit.body:
         for stream in _streams_of(node):
-            flat = _flatten(stream)
+            # a dotted access stands for its pointer; slash-dims for their base
+            flat = [
+                Token(NAME, t.pointer) if isinstance(t, DottedAccess) else t
+                for t in walk_tokens(stream)
+                if isinstance(t, Token) or isinstance(t, DottedAccess) and t.pointer
+            ]
             for hit in _scan_negative(flat, pointers):
                 warnings.append(f"{node.span.label()}: pointer {hit!r} used with a negative literal")
     return warnings
@@ -149,21 +152,6 @@ def _streams_of(node: A.Node) -> List[Sequence[ExprToken]]:
     if isinstance(node, A.OpaqueNode):
         return [node.tokens]
     return []
-
-
-def _flatten(stream: Sequence[ExprToken]) -> List[Token]:
-    out: List[Token] = []
-    for t in stream:
-        if isinstance(t, Token):
-            out.append(t)
-        elif isinstance(t, DottedAccess):
-            if t.pointer:
-                out.append(Token(NAME, t.pointer))
-            for sub in t.subscripts:
-                out.extend(_flatten(sub))
-        elif isinstance(t, SlashDim):
-            out.extend(_flatten([t.base]))
-    return out
 
 
 def _scan_negative(toks: List[Token], pointers) -> List[str]:

@@ -2,20 +2,20 @@
 
 Each segment becomes a module holding the derived type, one private
 dimensioning-expression function per dynamic array dimension, and the full
-command set.  The command bodies are string templates: large, similar
-chunks of code with only the segment name and field lists varying.
+command set.  The command bodies are formatted straight to Fortran text
+(template nodes): large, similar chunks of code with only the segment name
+and field lists varying.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .. import target as T
+from ..analysis import format_type
 from ..errors import MigrationError
 from ..model import FieldDef, SegmentDefinition
 from .tokens import render_tokens
-
-MARK = "[seg-migrate]"
 
 ABSTRACT_MODULE = "segment_mod"
 REGISTRY_MODULE = "segment_registry_mod"
@@ -36,12 +36,9 @@ def zero_value(f: FieldDef) -> str:
 
 
 def field_type(f: FieldDef) -> str:
-    if f.base_type == "character":
-        length = "*" if f.char_len == "*" else str(f.char_len or 1)
-        return f"character(len={length})"
     if f.base_type == "pointer":
         return f"type({f.segment})"
-    return f.base_type
+    return format_type(f.base_type, f.char_len)
 
 
 def extent_function_name(seg: SegmentDefinition, f: FieldDef, dim_index: int) -> str:
@@ -70,13 +67,7 @@ def migrate_segment(seg: SegmentDefinition) -> T.TargetNode:
     mod.add(_derived_type(seg))
     mod.add(T.blank())
     for generic, specific in _generic_map(seg):
-        mod.add(
-            T.TemplateNode(
-                T.ROLE_DECLARATION,
-                "interface {1}\n  module procedure {2}\nend interface",
-                {"1": generic, "2": specific},
-            )
-        )
+        mod.add(T.TemplateNode(f"interface {generic}\n  module procedure {specific}\nend interface"))
     mod.add(T.TargetNode(T.CONTAINS))
     mod.add(T.blank())
     for body in synthesize_command_bodies(seg):
@@ -110,13 +101,7 @@ def _derived_type(seg: SegmentDefinition) -> T.TargetNode:
         node.add(T.declaration(_field_decl(seg, f)))
     node.add(T.TargetNode(T.CONTAINS))
     for binding in ("segsup", "segcop", "segmov", "segprt", "seg_store", "seg_type"):
-        node.add(
-            T.TemplateNode(
-                T.ROLE_DECLARATION,
-                "procedure :: " + binding + " => {1}_" + binding,
-                {"1": seg.name},
-            )
-        )
+        node.add(T.declaration(f"procedure :: {binding} => {seg.name}_{binding}"))
     return node
 
 
@@ -148,14 +133,6 @@ def synthesize_command_bodies(seg: SegmentDefinition) -> List[T.OutputNode]:
     return out
 
 
-def _tmpl(text: str, **bindings: str) -> T.TemplateNode:
-    numbered = {str(i + 1): v for i, (_, v) in enumerate(sorted(bindings.items()))}
-    # rewrite {name} markers to the numeric placeholders used by templates
-    for i, (key, _) in enumerate(sorted(bindings.items())):
-        text = text.replace("{" + key + "}", "{" + str(i + 1) + "}")
-    return T.TemplateNode(T.ROLE_PROCEDURE, text, numbered)
-
-
 def _dimvar_param_decl(seg: SegmentDefinition, indent: str = "  ") -> str:
     if not seg.dimensioning_vars:
         return ""
@@ -181,7 +158,7 @@ def _extent_functions(seg: SegmentDefinition) -> List[T.OutputNode]:
                 + "  end if\n"
                 + f"end function {name}"
             )
-            out.append(T.TemplateNode(T.ROLE_PROCEDURE, text, {}))
+            out.append(T.TemplateNode(text))
     return out
 
 
@@ -195,8 +172,8 @@ def _segini(seg: SegmentDefinition) -> T.OutputNode:
     args = dim_args(seg)
     arglist = f"p, {args}" if args else "p"
     lines = [
-        "subroutine {name}_segini(" + arglist + ")",
-        "  type({name}), pointer, intent(inout) :: p",
+        f"subroutine {seg.name}_segini({arglist})",
+        f"  type({seg.name}), pointer, intent(inout) :: p",
     ]
     if seg.dimensioning_vars:
         lines.append(_dimvar_param_decl(seg).rstrip("\n"))
@@ -206,16 +183,16 @@ def _segini(seg: SegmentDefinition) -> T.OutputNode:
     for f in seg.dynamic_fields():
         lines.append(f"  allocate(p%{f.name}({_alloc_shape(seg, f, args)}))")
         lines.append(f"  p%{f.name} = {zero_value(f)}")
-    lines.append("end subroutine {name}_segini")
-    return _tmpl("\n".join(lines), name=seg.name)
+    lines.append(f"end subroutine {seg.name}_segini")
+    return T.TemplateNode("\n".join(lines))
 
 
 def _segadj(seg: SegmentDefinition) -> T.OutputNode:
     args = dim_args(seg)
     arglist = f"p, {args}" if args else "p"
     lines = [
-        "subroutine {name}_segadj(" + arglist + ")",
-        "  type({name}), pointer, intent(inout) :: p",
+        f"subroutine {seg.name}_segadj({arglist})",
+        f"  type({seg.name}), pointer, intent(inout) :: p",
     ]
     if seg.dimensioning_vars:
         lines.append(_dimvar_param_decl(seg).rstrip("\n"))
@@ -240,8 +217,8 @@ def _segadj(seg: SegmentDefinition) -> T.OutputNode:
         lines.append(f"  p%{f.name} => new_{f.name}")
     for v in seg.dimensioning_vars:
         lines.append(f"  p%{v} = {v}")
-    lines.append("end subroutine {name}_segadj")
-    return _tmpl("\n".join(lines), name=seg.name)
+    lines.append(f"end subroutine {seg.name}_segadj")
+    return T.TemplateNode("\n".join(lines))
 
 
 def _max_rank(fields: List[FieldDef]) -> int:
@@ -250,40 +227,40 @@ def _max_rank(fields: List[FieldDef]) -> int:
 
 def _segsup(seg: SegmentDefinition) -> T.OutputNode:
     lines = [
-        "subroutine {name}_segsup_ptr(p)",
-        "  type({name}), pointer, intent(inout) :: p",
+        f"subroutine {seg.name}_segsup_ptr(p)",
+        f"  type({seg.name}), pointer, intent(inout) :: p",
         "  if (.not. associated(p)) return",
         "  call p%segsup()",
         "  deallocate(p)",
         "  nullify(p)",
-        "end subroutine {name}_segsup_ptr",
+        f"end subroutine {seg.name}_segsup_ptr",
         "",
-        "subroutine {name}_segsup(self)",
-        "  class({name}), intent(inout) :: self",
+        f"subroutine {seg.name}_segsup(self)",
+        f"  class({seg.name}), intent(inout) :: self",
     ]
     for f in seg.dynamic_fields():
         lines.append(f"  if (associated(self%{f.name})) deallocate(self%{f.name})")
         lines.append(f"  nullify(self%{f.name})")
     for v in seg.dimensioning_vars:
         lines.append(f"  self%{v} = 0")
-    lines.append("end subroutine {name}_segsup")
-    return _tmpl("\n".join(lines), name=seg.name)
+    lines.append(f"end subroutine {seg.name}_segsup")
+    return T.TemplateNode("\n".join(lines))
 
 
 def _segprt(seg: SegmentDefinition) -> T.OutputNode:
     lines = [
-        "subroutine {name}_segprt_ptr(p)",
-        "  type({name}), pointer, intent(in) :: p",
+        f"subroutine {seg.name}_segprt_ptr(p)",
+        f"  type({seg.name}), pointer, intent(in) :: p",
         "  if (.not. associated(p)) then",
-        "    write(*, *) '{name}: <null>'",
+        f"    write(*, *) '{seg.name}: <null>'",
         "    return",
         "  end if",
         "  call p%segprt()",
-        "end subroutine {name}_segprt_ptr",
+        f"end subroutine {seg.name}_segprt_ptr",
         "",
-        "subroutine {name}_segprt(self)",
-        "  class({name}), intent(in) :: self",
-        "  write(*, *) 'segment {name}'",
+        f"subroutine {seg.name}_segprt(self)",
+        f"  class({seg.name}), intent(in) :: self",
+        f"  write(*, *) 'segment {seg.name}'",
     ]
     for v in seg.dimensioning_vars:
         lines.append(f"  write(*, *) '  {v} = ', self%{v}")
@@ -301,8 +278,8 @@ def _segprt(seg: SegmentDefinition) -> T.OutputNode:
             lines.append("  end if")
         else:
             lines.append(f"  write(*, *) '  {f.name} = ', self%{f.name}")
-    lines.append("end subroutine {name}_segprt")
-    return _tmpl("\n".join(lines), name=seg.name)
+    lines.append(f"end subroutine {seg.name}_segprt")
+    return T.TemplateNode("\n".join(lines))
 
 
 def _copy_fields(seg: SegmentDefinition, check_target: bool) -> List[str]:
@@ -337,39 +314,39 @@ def _copy_fields(seg: SegmentDefinition, check_target: bool) -> List[str]:
 
 def _segcop(seg: SegmentDefinition) -> T.OutputNode:
     lines = [
-        "subroutine {name}_segcop_ptr(p, q)",
-        "  type({name}), pointer, intent(inout) :: p",
-        "  type({name}), pointer, intent(in) :: q",
+        f"subroutine {seg.name}_segcop_ptr(p, q)",
+        f"  type({seg.name}), pointer, intent(inout) :: p",
+        f"  type({seg.name}), pointer, intent(in) :: q",
         "  if (.not. associated(q)) then",
         "    write(*, *) 'segcop: source not allocated'",
         "    error stop 1",
         "  end if",
         "  allocate(p)",
         "  call p%segcop(q)",
-        "end subroutine {name}_segcop_ptr",
+        f"end subroutine {seg.name}_segcop_ptr",
         "",
-        "subroutine {name}_segcop(self, source)",
-        "  class({name}), intent(inout) :: self",
+        f"subroutine {seg.name}_segcop(self, source)",
+        f"  class({seg.name}), intent(inout) :: self",
         "  class(segment), intent(in) :: source",
         "  select type (source)",
-        "  type is ({name})",
+        f"  type is ({seg.name})",
     ]
     lines += _copy_fields(seg, check_target=False)
     lines += [
         "  class default",
-        "    write(*, *) 'segcop: source is not a {name}'",
+        f"    write(*, *) 'segcop: source is not a {seg.name}'",
         "    error stop 1",
         "  end select",
-        "end subroutine {name}_segcop",
+        f"end subroutine {seg.name}_segcop",
     ]
-    return _tmpl("\n".join(lines), name=seg.name)
+    return T.TemplateNode("\n".join(lines))
 
 
 def _segmov(seg: SegmentDefinition) -> T.OutputNode:
     lines = [
-        "subroutine {name}_segmov_ptr(p, q)",
-        "  type({name}), pointer, intent(inout) :: p",
-        "  type({name}), pointer, intent(in) :: q",
+        f"subroutine {seg.name}_segmov_ptr(p, q)",
+        f"  type({seg.name}), pointer, intent(inout) :: p",
+        f"  type({seg.name}), pointer, intent(in) :: q",
         "  if (.not. associated(p)) then",
         "    write(*, *) 'segmov: target not allocated'",
         "    error stop 1",
@@ -379,61 +356,61 @@ def _segmov(seg: SegmentDefinition) -> T.OutputNode:
         "    error stop 1",
         "  end if",
         "  call p%segmov(q)",
-        "end subroutine {name}_segmov_ptr",
+        f"end subroutine {seg.name}_segmov_ptr",
         "",
-        "subroutine {name}_segmov(self, source)",
-        "  class({name}), intent(inout) :: self",
+        f"subroutine {seg.name}_segmov(self, source)",
+        f"  class({seg.name}), intent(inout) :: self",
         "  class(segment), intent(in) :: source",
         "  select type (source)",
-        "  type is ({name})",
+        f"  type is ({seg.name})",
     ]
     lines += _copy_fields(seg, check_target=True)
     lines += [
         "  class default",
-        "    write(*, *) 'segmov: source is not a {name}'",
+        f"    write(*, *) 'segmov: source is not a {seg.name}'",
         "    error stop 1",
         "  end select",
-        "end subroutine {name}_segmov",
+        f"end subroutine {seg.name}_segmov",
     ]
-    return _tmpl("\n".join(lines), name=seg.name)
+    return T.TemplateNode("\n".join(lines))
 
 
 def _seg_store(seg: SegmentDefinition) -> T.OutputNode:
     # archived-segment storage is a stub: the legacy archive format is out of
     # scope, the procedure halts when reached
     text = (
-        "subroutine {name}_seg_store(self, unit_number)\n"
-        "  class({name}), intent(in) :: self\n"
+        f"subroutine {seg.name}_seg_store(self, unit_number)\n"
+        f"  class({seg.name}), intent(in) :: self\n"
         "  integer, intent(in) :: unit_number\n"
-        "  write(*, *) '{name}: seg_store not implemented'\n"
+        f"  write(*, *) '{seg.name}: seg_store not implemented'\n"
         "  error stop 1\n"
-        "end subroutine {name}_seg_store"
+        f"end subroutine {seg.name}_seg_store"
     )
-    return _tmpl(text, name=seg.name)
+    return T.TemplateNode(text)
 
 
 def _seg_type(seg: SegmentDefinition) -> T.OutputNode:
     text = (
-        "function {name}_seg_type(self) result(type_name)\n"
-        "  class({name}), intent(in) :: self\n"
+        f"function {seg.name}_seg_type(self) result(type_name)\n"
+        f"  class({seg.name}), intent(in) :: self\n"
         "  character(len=32) :: type_name\n"
-        "  type_name = '{name}'\n"
-        "end function {name}_seg_type"
+        f"  type_name = '{seg.name}'\n"
+        f"end function {seg.name}_seg_type"
     )
-    return _tmpl(text, name=seg.name)
+    return T.TemplateNode(text)
 
 
 def _assign_guard(seg: SegmentDefinition) -> T.OutputNode:
     # value assignment between segments is forbidden; only => is allowed
     text = (
-        "subroutine {name}_assign(lhs, rhs)\n"
-        "  type({name}), intent(inout) :: lhs\n"
-        "  type({name}), intent(in) :: rhs\n"
+        f"subroutine {seg.name}_assign(lhs, rhs)\n"
+        f"  type({seg.name}), intent(inout) :: lhs\n"
+        f"  type({seg.name}), intent(in) :: rhs\n"
         "  write(*, *) 'use => for segment pointers'\n"
         "  error stop 1\n"
-        "end subroutine {name}_assign"
+        f"end subroutine {seg.name}_assign"
     )
-    return _tmpl(text, name=seg.name)
+    return T.TemplateNode(text)
 
 
 # --- support modules --------------------------------------------------------
@@ -587,7 +564,7 @@ end module segment_registry_mod
 def generate_support_modules() -> List[Tuple[str, T.TargetNode]]:
     """The abstract segment module and the index-stable segment registry."""
     abstract = T.TargetNode(T.FILE)
-    abstract.add(T.TemplateNode(T.ROLE_PROGRAM_UNIT, _ABSTRACT_SEGMENT, {}))
+    abstract.add(T.TemplateNode(_ABSTRACT_SEGMENT))
     registry = T.TargetNode(T.FILE)
-    registry.add(T.TemplateNode(T.ROLE_PROGRAM_UNIT, _REGISTRY, {}))
+    registry.add(T.TemplateNode(_REGISTRY))
     return [(f"{ABSTRACT_MODULE}.f90", abstract), (f"{REGISTRY_MODULE}.f90", registry)]

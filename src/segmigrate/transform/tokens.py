@@ -9,36 +9,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..errors import MigrationError
-from ..frontend.lexer import (
-    INT,
-    NAME,
-    OP,
-    PUNCT,
-    REAL,
-    STRING,
-    DottedAccess,
-    ExprToken,
-    SlashDim,
-    Token,
-)
+from ..frontend.lexer import OP, PUNCT, DottedAccess, ExprToken, SlashDim, Token
 
 #: keywords that read better with a space before their paren group
 _SPACED_KEYWORDS = {"if", "elseif", "while", "where", "then", "case"}
 
 #: operators rendered without surrounding spaces
 _TIGHT_OPS = {"**", "//"}
-
-
-def rewrite_expression(stream: Sequence[ExprToken], resolve_field) -> List[str]:
-    """Flatten a folded token stream into rendered pieces.
-
-    ``resolve_field`` maps a field name to its owning segment's default
-    pointer, for dotted accesses written without an explicit pointer.
-    """
-    pieces: List[str] = []
-    for t in stream:
-        pieces.append(_render_one(t, resolve_field))
-    return pieces
 
 
 def _render_one(t: ExprToken, resolve_field) -> str:

@@ -7,14 +7,14 @@ mutated, so a failed run leaves earlier results reusable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import analysis
 from .. import target as T
 from ..errors import MigrationError
 from ..frontend import ast_nodes as A
-from ..frontend.lexer import DottedAccess, ExprToken, SlashDim, Token
+from ..frontend.lexer import DottedAccess, ExprToken, SlashDim, Token, walk_tokens
 from ..model import ProjectModel, SegmentDefinition, segment_for_field
 from .tokens import render_tokens
 
@@ -26,16 +26,14 @@ class RewriteContext:
     unit: A.ProgramUnitAst
     model: ProjectModel
     intents: Dict[Tuple[str, int], str]
-    pointer_map: Dict[str, str] = field(default_factory=dict)  # pointer -> segment
-    scope: List[SegmentDefinition] = field(default_factory=list)
-    classification: Dict[str, str] = field(default_factory=dict)
+    facts: analysis.UnitFacts
     rewritten: int = 0
     removed: int = 0
     passthrough: int = 0
 
     def segment_of(self, name: str) -> Optional[SegmentDefinition]:
-        seg_name = self.pointer_map.get(name)
-        if seg_name is None and any(s.name == name for s in self.scope):
+        seg_name = self.facts.pointers.get(name)
+        if seg_name is None and any(s.name == name for s in self.facts.scope):
             seg_name = name  # default pointer carries the segment's name
         if seg_name is None:
             return None
@@ -46,7 +44,7 @@ class RewriteContext:
         return self.model.segments[seg_name]
 
     def resolve_field(self, field_name: str) -> str:
-        seg = segment_for_field(self.model, field_name, [s.name for s in self.scope])
+        seg = segment_for_field(self.model, field_name, [s.name for s in self.facts.scope])
         if seg is None:
             raise MigrationError(
                 f"bare field {field_name!r} matches no in-scope segment", self.unit.span
@@ -59,14 +57,7 @@ def make_context(
     model: ProjectModel,
     intents: Dict[Tuple[str, int], str],
 ) -> RewriteContext:
-    ctx = RewriteContext(unit=unit, model=model, intents=intents)
-    for node in unit.body:
-        if isinstance(node, A.PointerDeclNode):
-            for p, s in node.entries:
-                ctx.pointer_map[p] = s
-    ctx.scope = analysis._segments_in_scope(unit, model)
-    ctx.classification = analysis.classify_external_names(unit, model)
-    return ctx
+    return RewriteContext(unit, model, intents, analysis.unit_facts(unit, model))
 
 
 def _stmt(ctx: RewriteContext, text: str, label: Optional[int]) -> T.TargetNode:
@@ -199,13 +190,6 @@ def _interface_block(name: str, ctx: RewriteContext) -> Optional[T.TargetNode]:
     return node
 
 
-def _format_type(base: Optional[str], char_len) -> str:
-    if base == "character":
-        length = "*" if char_len == "*" else str(char_len if char_len is not None else 1)
-        return f"character(len={length})"
-    return base or ""
-
-
 def _entity_text(ent: A.DeclEntity, ctx: RewriteContext) -> str:
     if not ent.dims:
         return ent.name
@@ -219,10 +203,10 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
     out: List[T.OutputNode] = []
     plain: List[Tuple[str, A.DeclEntity]] = []
     ctx.rewritten += 1
-    table = analysis.implicit_rule_table(unit)
     for ent in node.entities:
-        type_text = _format_type(base, node.char_len) or table[ent.name[0]]
-        if ent.name in ctx.pointer_map:
+        type_text = (analysis.format_type(base, node.char_len) if base
+                     else ctx.facts.implicit_table[ent.name[0]])
+        if ent.name in ctx.facts.pointers:
             out.append(_removed(
                 f"{type_text} {ent.name}", "superseded by pointer declaration"))
             continue
@@ -233,7 +217,7 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
                 f"{type_text}, intent({intent}) :: {_entity_text(ent, ctx)}"))
             continue
         if (
-            ctx.classification.get(ent.name) == analysis.RETURN_TYPE_DECL
+            ctx.facts.classification.get(ent.name) == analysis.RETURN_TYPE_DECL
             and ent.name in ctx.model.functions()
         ):
             out.append(_removed(
@@ -311,11 +295,9 @@ def _is_executable(node: A.Node) -> bool:
 
 def _inferred_declarations(ctx: RewriteContext) -> List[T.OutputNode]:
     unit = ctx.unit
-    declared = analysis.declared_types(unit)
-    assignments = analysis.infer_implicit_types(unit, ctx.model)
     todo = [
-        a for a in assignments
-        if a.origin == analysis.IMPLICIT_RULE and a.symbol not in declared
+        a for a in ctx.facts.types
+        if a.origin == analysis.IMPLICIT_RULE and a.symbol not in ctx.facts.declared
     ]
     out: List[T.OutputNode] = []
     if todo:
@@ -333,7 +315,7 @@ def _inferred_declarations(ctx: RewriteContext) -> List[T.OutputNode]:
 def _default_pointer_decls(ctx: RewriteContext) -> List[T.OutputNode]:
     """Pointers named after a segment exist without any POINTEUR line."""
     used: List[str] = []
-    scope_names = {s.name for s in ctx.scope}
+    scope_names = {s.name for s in ctx.facts.scope}
     for node in ctx.unit.body:
         for name in _default_pointer_uses(node, scope_names, ctx):
             if name not in used:
@@ -344,7 +326,7 @@ def _default_pointer_decls(ctx: RewriteContext) -> List[T.OutputNode]:
 def _default_pointer_uses(node: A.Node, scope_names: Set[str], ctx: RewriteContext):
     if isinstance(node, A.EsopeCommandNode):
         for name in (node.target, node.source):
-            if name in scope_names and name not in ctx.pointer_map:
+            if name in scope_names and name not in ctx.facts.pointers:
                 yield name
         return
     streams: List[Sequence[ExprToken]] = []
@@ -355,20 +337,13 @@ def _default_pointer_uses(node: A.Node, scope_names: Set[str], ctx: RewriteConte
     elif isinstance(node, A.OpaqueNode):
         streams = [node.tokens]
     for stream in streams:
-        for name in _dotted_pointers(stream):
-            if name in scope_names and name not in ctx.pointer_map:
-                yield name
-
-
-def _dotted_pointers(stream: Sequence[ExprToken]):
-    for t in stream:
-        if isinstance(t, DottedAccess):
-            if t.pointer:
+        for t in walk_tokens(stream):
+            if (
+                isinstance(t, DottedAccess)
+                and t.pointer in scope_names
+                and t.pointer not in ctx.facts.pointers
+            ):
                 yield t.pointer
-            for sub in t.subscripts:
-                yield from _dotted_pointers(sub)
-        elif isinstance(t, SlashDim):
-            yield from _dotted_pointers([t.base])
 
 
 def compute_unit_uses(ctx: RewriteContext) -> List[str]:
@@ -388,13 +363,9 @@ def compute_unit_uses(ctx: RewriteContext) -> List[str]:
     defined = set(model.units[unit.name].defined)
     # implicitly typed locals get a generated declaration, so they count;
     # module functions do not, their type comes with the use
-    defined |= {
-        a.symbol
-        for a in analysis.infer_implicit_types(unit, model)
-        if a.origin != analysis.FUNCTION_RETURN
-    }
+    defined |= {a.symbol for a in ctx.facts.types if a.origin != analysis.FUNCTION_RETURN}
     # segment names and fields resolve through use, not local definitions
-    for seg in ctx.scope:
+    for seg in ctx.facts.scope:
         defined.discard(seg.name)
         defined -= seg.field_names()
 
@@ -409,16 +380,16 @@ def compute_unit_uses(ctx: RewriteContext) -> List[str]:
             external_ok.add(edge.callee)
 
     uses = set(analysis.compute_uses(required, defined, module_of, external_ok))
-    for seg_name in ctx.pointer_map.values():
+    for seg_name in ctx.facts.pointers.values():
         uses.add(f"{seg_name}_mod")
-    for seg in ctx.scope:
+    for seg in ctx.facts.scope:
         if _segment_is_used(seg, ctx):
             uses.add(f"{seg.name}_mod")
     return sorted(uses)
 
 
 def _segment_is_used(seg: SegmentDefinition, ctx: RewriteContext) -> bool:
-    if seg.name in ctx.pointer_map.values():
+    if seg.name in ctx.facts.pointers.values():
         return True
     referenced = ctx.model.units[ctx.unit.name].referenced
     return seg.name in referenced or bool(seg.field_names() & referenced)
@@ -457,10 +428,8 @@ def wrap_in_module(ctx: RewriteContext) -> T.TargetNode:
         header = f"subroutine {unit.name}({params})"
         footer = f"end subroutine {unit.name}"
     proc = T.TargetNode(T.PROCEDURE, header, footer=footer)
-    if unit.kind == "function" and unit.return_type:
-        declared = analysis.declared_types(unit)
-        if not declared.get(unit.name):
-            proc.add(T.declaration(f"{unit.return_type} :: {unit.name}"))
+    if unit.kind == "function" and unit.return_type and not ctx.facts.declared.get(unit.name):
+        proc.add(T.declaration(f"{unit.return_type} :: {unit.name}"))
     proc.add(*body)
 
     mod = T.module_node(f"{unit.name}_mod")

@@ -16,10 +16,10 @@ from segmigrate.analysis import (
     declared_types,
     default_implicit_type,
     implicit_rule_table,
-    infer_implicit_types,
     infer_intents,
     load_intent_catalog,
     solve_intents,
+    unit_facts,
 )
 from segmigrate.errors import MigrationError
 from segmigrate.frontend.parser import parse_source
@@ -83,7 +83,7 @@ def test_every_referenced_symbol_typed_exactly_once():
         "      END\n"
     )
     units, model = project(src)
-    out = infer_implicit_types(units[0], model)
+    out = unit_facts(units[0], model).types
     symbols = [a.symbol for a in out]
     assert len(symbols) == len(set(symbols))
     assert set(symbols) == {"a", "k", "b", "z"}
@@ -104,7 +104,7 @@ def test_variable_also_called_is_an_error():
     )
     units, model = project(src)
     with pytest.raises(MigrationError) as err:
-        infer_implicit_types(units[0], model)
+        unit_facts(units[0], model).types
     assert "foo" in str(err.value)
 
 

@@ -1,7 +1,13 @@
 """End-to-end command line behaviour."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import segmigrate
 from segmigrate.cli import main, parse_config_file
 from segmigrate.errors import ConfigError
 
@@ -94,6 +100,42 @@ def test_plain_f77_migrates_without_catalog(tmp_path, capsys):
     assert code == 0, err
     names = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert names == ["scale.f90", "stats.f90"]
+
+
+def write_accented_project(src):
+    src.mkdir()
+    (src / "prog.f").write_bytes(
+        "C     caf\u00e9 au lait\n"
+        "      PROGRAM MAIN\n"
+        "      INCLUDE 'defs.inc'\n"
+        "      N = 1\n"
+        "      END\n".encode("utf-8")
+    )
+    (src / "defs.inc").write_bytes(
+        "C     d\u00e9finitions\n      INTEGER N\n".encode("utf-8")
+    )
+
+
+def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
+    src, out = tmp_path / "src", tmp_path / "out"
+    write_accented_project(src)
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = str(Path(segmigrate.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "segmigrate.cli", "migrate", "--src", str(src), "--out", str(out)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert "caf\u00e9 au lait".encode("utf-8") in (out / "prog.f90").read_bytes()
+
+
+def test_undecodable_source_names_the_file(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "bad.f").write_bytes(b"C     \xff\n      PROGRAM MAIN\n      END\n")
+    code, _, err = run(capsys, "migrate", "--src", str(src), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "bad.f" in err and "utf-8" in err
 
 
 # --- config files -----------------------------------------------------------

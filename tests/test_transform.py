@@ -2,10 +2,12 @@
 
 import copy
 import re
+from collections import Counter
 
 import pytest
 
 from segmigrate import analysis, target as T
+from segmigrate.cli import RunConfig, load_units, main
 from segmigrate.emit import RenderConfig, render_unit
 from segmigrate.errors import MigrationError
 from segmigrate.frontend import ast_nodes as A
@@ -21,6 +23,8 @@ from segmigrate.transform import (
     rewrite_statement,
     wrap_in_module,
 )
+
+from helpers import BOOKSTORE, BOOKSTORE_INTENTS
 
 LISTING_UNIT = """\
       SUBROUTINE NEWUSER(LIB,NAME)
@@ -351,3 +355,22 @@ def test_negative_pointer_diagnostic():
         "      SUBROUTINE T(X)\n      X = -1\n      END\n", "t.f"
     )
     assert negative_pointer_uses(clean[0], build_project_model(clean)) == []
+
+
+def test_unit_facts_are_computed_once_per_unit(tmp_path, monkeypatch, capsys):
+    units, _ = load_units(RunConfig(src=BOOKSTORE))
+    names = (
+        "infer_implicit_types", "declared_types", "implicit_rule_table",
+        "classify_external_names",
+    )
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(analysis, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    argv = ["migrate", "--src", str(BOOKSTORE), "--out", str(tmp_path / "out"),
+            "--intent-catalog", str(BOOKSTORE_INTENTS)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == Counter({name: len(units) for name in names})
