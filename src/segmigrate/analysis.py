@@ -116,6 +116,7 @@ def infer_implicit_types(
 ) -> List[TypeAssignment]:
     """Give every referenced symbol of the unit exactly one type."""
     called = {e.callee for e in model.calls_from(unit.name)}
+    functions = model.functions()
 
     referenced = A.referenced_symbols(unit) | set(unit.params)
     segment_names = {seg.name for seg in scope}
@@ -145,9 +146,8 @@ def infer_implicit_types(
         elif sym in declared:
             # dimensioned (DIMENSION stmt) but typed by the implicit rule
             out.append(TypeAssignment(sym, table[sym[0]], IMPLICIT_RULE))
-        elif sym in model.functions():
-            u = model.functions()[sym]
-            rt = u.return_type or table[sym[0]]
+        elif sym in functions:
+            rt = functions[sym].return_type or table[sym[0]]
             out.append(TypeAssignment(sym, rt, FUNCTION_RETURN))
         elif sym in segment_names or sym in field_owner:
             # segment default pointer or bare field access; typed by rewrite
@@ -220,7 +220,6 @@ def classify_external_names(unit: A.ProgramUnitAst, model: ProjectModel) -> Dict
         for e in node.entities
         if e.dims
     }
-    functions = set(model.functions()) | set(model.intent_catalog)
 
     out: Dict[str, str] = {}
     for name in sorted(external):
@@ -229,7 +228,7 @@ def classify_external_names(unit: A.ProgramUnitAst, model: ProjectModel) -> Dict
         if name in out:
             continue
         calls_like = name in invoked and name not in arrays
-        is_function = calls_like or name in functions
+        is_function = calls_like or name in model.functions() or name in model.intent_catalog
         if is_function and name in assigned:
             raise MigrationError(
                 f"name {name!r} is both assigned and invoked in {unit.name}"
@@ -298,24 +297,60 @@ IntentTable = Dict[Tuple[str, int], str]
 
 
 def solve_intents(routines: Dict[str, RoutineSpec], catalog: Dict[str, List[str]]) -> IntentTable:
-    """Monotone Jacobi fixpoint over the call graph.
+    """Jacobi fixpoint over the call graph, re-running only what can change.
 
-    Externals are seeded from the catalog; anything still untouched after
-    stabilization defaults to inout (the FORTRAN 77 by-reference behavior).
+    Each sweep runs routines against the state the previous sweep left and
+    applies their updates together.  That schedule is part of the answer:
+    the transfer function is not monotone (learning that an earlier callee
+    writes turns ``in`` into ``out``), so an in-place worklist settles on a
+    different fixpoint for some recursive programs.  Sweep 1 runs every
+    routine; a later sweep runs only the callers of routines that changed,
+    as any other routine would recompute the value it holds.
+
+    On some recursive programs the sweeps never settle but cycle.  A
+    repeated state is found exactly (Brent's method: a snapshot re-taken at
+    sweeps 1, 2, 4, ...); every parameter that changes during one more
+    period becomes inout.  Externals are seeded from the catalog; anything
+    still untouched at the end defaults to inout (the FORTRAN 77
+    by-reference behavior).
     """
     state: IntentTable = {
         (name, i): UNKNOWN for name, spec in routines.items() for i in range(len(spec.params))
     }
-    changed = True
-    while changed:
-        changed = False
-        snapshot = dict(state)
-        for name, spec in routines.items():
-            local = _run_events(spec, snapshot, routines, catalog)
-            for i, value in enumerate(local):
-                if value != state[(name, i)]:
-                    state[(name, i)] = value
-                    changed = True
+    callers: Dict[str, Dict[str, None]] = {}
+    for name, spec in routines.items():
+        for ev in spec.events:
+            if ev[0] == "f" and ev[1] in routines:
+                callers.setdefault(ev[1], {})[name] = None
+    # values at the snapshot of the keys changed since, and how many differ
+    snapshot: IntentTable = {}
+    differing = snapshot_sweep = sweep = period_end = 0
+    oscillating: Set[Tuple[str, int]] = set()
+    dirty: Dict[str, None] = dict.fromkeys(routines)
+    while dirty:
+        sweep += 1
+        updates = [
+            ((name, i), value)
+            for name in dirty
+            for i, value in enumerate(_run_events(routines[name], state, routines, catalog))
+            if value != state[(name, i)]
+        ]
+        dirty = {}
+        for key, value in updates:
+            old = snapshot.setdefault(key, state[key])
+            differing += (value != old) - (state[key] != old)
+            state[key] = value
+            dirty.update(callers.get(key[0], {}))
+        if period_end:
+            oscillating.update(key for key, _ in updates)
+            if sweep == period_end:
+                break
+        elif updates and not differing:
+            period_end = 2 * sweep - snapshot_sweep
+        elif sweep & (sweep - 1) == 0:
+            snapshot, differing, snapshot_sweep = {}, 0, sweep
+    for key in oscillating:
+        state[key] = INOUT
     return {key: (INOUT if v == UNKNOWN else v) for key, v in state.items()}
 
 

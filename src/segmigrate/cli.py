@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -13,7 +14,7 @@ from .emit import RenderConfig, write_tree
 from .errors import ConfigError, MigrationError
 from .frontend import ast_nodes as A
 from .frontend.includes import build_fragment_cache, resolve_includes
-from .frontend.lexer import read_source, split_logical_lines
+from .frontend.lexer import SOURCE_ENCODING, read_source, split_logical_lines
 from .frontend.parser import parse_units
 from .model import ProjectModel, build_project_model, dump_model, register_segment
 from .transform import migrate_project, negative_pointer_uses
@@ -60,9 +61,15 @@ _CONFIG_KEYS = {
 
 
 def parse_config_file(text: str, base: Path) -> Dict[str, object]:
-    """key = value lines, `#` comments; paths are relative to the file."""
+    """key = value lines, `#` comments; paths are relative to the file.  A
+    path stands for the UTF-8 bytes of its text, as a command-line path
+    stands for its bytes, so it names the same file whatever the locale."""
     values: Dict[str, object] = {}
     include_paths: List[Path] = []
+
+    def path(value: str) -> Path:
+        return base / os.fsdecode(value.encode(SOURCE_ENCODING))
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -73,9 +80,9 @@ def parse_config_file(text: str, base: Path) -> Dict[str, object]:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in ("src", "out", "intent_catalog"):
-            values[key] = base / value
+            values[key] = path(value)
         elif key == "include_path":
-            include_paths.append(base / value)
+            include_paths.append(path(value))
         elif key in ("indent_width", "max_line_length"):
             try:
                 values[key] = int(value)
@@ -95,7 +102,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        cfg = replace(cfg, **parse_config_file(path.read_text(), path.parent))
+        try:
+            text = read_source(path)
+        except MigrationError as exc:
+            raise ConfigError(str(exc))
+        cfg = replace(cfg, **parse_config_file(text, path.parent))
     updates: Dict[str, object] = {}
     if args.src:
         updates["src"] = Path(args.src)

@@ -82,12 +82,46 @@ class ProjectModel:
     call_graph: List[CallEdge] = field(default_factory=list)
     include_graph: List[Tuple[str, str]] = field(default_factory=list)
     intent_catalog: Dict[str, List[str]] = field(default_factory=dict)
+    # project-wide indexes, each built on first use; units and call edges
+    # are complete once build_project_model returns, and register_segment
+    # drops the module index
+    _functions: Optional[Dict[str, UnitSummary]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _calls: Optional[Dict[str, List[CallEdge]]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _modules: Optional[Tuple[Dict[str, str], Dict[str, str]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def functions(self) -> Dict[str, UnitSummary]:
-        return {n: u for n, u in self.units.items() if u.kind == "function"}
+        if self._functions is None:
+            self._functions = {n: u for n, u in self.units.items() if u.kind == "function"}
+        return self._functions
 
     def calls_from(self, caller: str) -> List[CallEdge]:
-        return [e for e in self.call_graph if e.caller == caller]
+        if self._calls is None:
+            self._calls = {}
+            for e in self.call_graph:
+                self._calls.setdefault(e.caller, []).append(e)
+        return self._calls.get(caller, [])
+
+    def modules_seen_from(self, unit_name: str, symbols: Set[str]) -> Dict[str, str]:
+        """The migrated module defining each of ``symbols`` that has one, as
+        seen from unit ``unit_name``: a segment's own module, else that of
+        another non-program unit, else that of the first segment owning a
+        field of that name.  A unit never resolves to its own module."""
+        if self._modules is None:
+            fields: Dict[str, str] = {}
+            for seg in self.segments.values():
+                for f in seg.fields:
+                    fields.setdefault(f.name, f"{seg.name}_mod")
+            segments = {name: f"{name}_mod" for name in self.segments}
+            units = {n: f"{n}_mod" for n, u in self.units.items() if u.kind != "program"}
+            self._modules = ({**fields, **units, **segments}, {**fields, **segments})
+        every, without_units = self._modules
+        found = {s: every[s] for s in symbols if s in every and s != unit_name}
+        if unit_name in symbols and unit_name in without_units:
+            found[unit_name] = without_units[unit_name]
+        return found
 
 
 def build_project_model(units: Sequence[object]) -> ProjectModel:
@@ -136,6 +170,7 @@ def register_segment(model: ProjectModel, seg: SegmentDefinition) -> None:
     if seg.name in model.segments:
         raise MigrationError(f"segment {seg.name!r} defined twice")
     model.segments[seg.name] = seg
+    model._modules = None
 
 
 def _call_sites(unit) -> List[Tuple[str, int]]:

@@ -350,15 +350,6 @@ def compute_unit_uses(ctx: RewriteContext) -> List[str]:
     """Module imports of one migrated unit, alphabetically."""
     model = ctx.model
     unit = ctx.unit
-    module_of: Dict[str, str] = {}
-    for name in model.units:
-        if name != unit.name and model.units[name].kind != "program":
-            module_of[name] = f"{name}_mod"
-    for seg in model.segments.values():
-        module_of[seg.name] = f"{seg.name}_mod"
-        for f in seg.fields:
-            module_of.setdefault(f.name, f"{seg.name}_mod")
-
     required = set(model.units[unit.name].referenced)
     defined = set(model.units[unit.name].defined)
     # implicitly typed locals get a generated declaration, so they count;
@@ -379,6 +370,7 @@ def compute_unit_uses(ctx: RewriteContext) -> List[str]:
         if edge.external:
             external_ok.add(edge.callee)
 
+    module_of = model.modules_seen_from(unit.name, required - defined)
     uses = set(analysis.compute_uses(required, defined, module_of, external_ok))
     for seg_name in ctx.facts.pointers.values():
         uses.add(f"{seg_name}_mod")

@@ -323,8 +323,85 @@ def oracle_intents(routines: Dict[str, object], catalog: Dict[str, List[str]]):
     return table
 
 
-def random_program(rng: random.Random, spec_cls):
-    """An acyclic random program: routines only forward to later routines."""
+#: the 4-state first-access machine of the intent solver
+_READ = {"unknown": "in", "in": "in", "out": "out", "inout": "inout"}
+_WRITE = {"unknown": "out", "in": "inout", "out": "out", "inout": "inout"}
+
+
+def jacobi_intents(routines: Dict[str, object], catalog: Dict[str, List[str]],
+                   max_sweeps: int = 100):
+    """The full-sweep Jacobi intent solver as it stood before the solver
+    became change-driven, frozen as the reference for its schedule: every
+    sweep re-runs every routine against the previous sweep's state.  Returns
+    None when the state has not settled after ``max_sweeps`` sweeps (it
+    cycles on some recursive programs)."""
+    state = {
+        (name, i): "unknown" for name, spec in routines.items() for i in range(len(spec.params))
+    }
+    changed = True
+    sweeps = 0
+    while changed:
+        if sweeps == max_sweeps:
+            return None
+        sweeps += 1
+        changed = False
+        snapshot = dict(state)
+        for name, spec in routines.items():
+            local = _jacobi_run_events(spec, snapshot, routines, catalog)
+            for i, value in enumerate(local):
+                if value != state[(name, i)]:
+                    state[(name, i)] = value
+                    changed = True
+    return {key: ("inout" if v == "unknown" else v) for key, v in state.items()}
+
+
+def _jacobi_run_events(spec, table, routines, catalog) -> List[str]:
+    pos = {p: i for i, p in enumerate(spec.params)}
+    states = ["unknown"] * len(spec.params)
+
+    def read(name):
+        if name in pos:
+            states[pos[name]] = _READ[states[pos[name]]]
+
+    def write(name):
+        if name in pos:
+            states[pos[name]] = _WRITE[states[pos[name]]]
+
+    for ev in spec.events:
+        if ev[0] == "r":
+            read(ev[1])
+        elif ev[0] == "w":
+            write(ev[1])
+        else:
+            _, callee, cpos, name = ev
+            intent = _jacobi_callee_intent(callee, cpos, table, routines, catalog)
+            if intent == "in":
+                read(name)
+            elif intent == "out":
+                write(name)
+            elif intent == "inout":
+                read(name)
+                write(name)
+    return states
+
+
+def _jacobi_callee_intent(callee, cpos, table, routines, catalog) -> str:
+    if callee in routines:
+        if cpos >= len(routines[callee].params):
+            return "inout"
+        return table[(callee, cpos)]
+    if callee in catalog:
+        intents = catalog[callee]
+        if cpos < len(intents):
+            return intents[cpos]
+    return "inout"
+
+
+def random_program(rng: random.Random, spec_cls, cyclic: bool = False):
+    """A random program.  Routines only forward to later routines, so the
+    call graph is acyclic, unless ``cyclic`` lets them call any routine,
+    themselves included.  ``cyclic`` changes only which callees are
+    eligible, so the acyclic program drawn from a seed stays the same."""
     n_routines = rng.randint(1, 8)
     catalog: Dict[str, List[str]] = {}
     if rng.random() < 0.5:
@@ -345,7 +422,7 @@ def random_program(rng: random.Random, spec_cls):
             elif kind < 0.65:
                 events.append(("w", param))
             else:
-                callees = names[i + 1 :] + list(catalog)
+                callees = (names if cyclic else names[i + 1 :]) + list(catalog)
                 if not callees:
                     continue
                 callee = rng.choice(callees)

@@ -25,7 +25,7 @@ from segmigrate.errors import MigrationError
 from segmigrate.frontend.parser import parse_source
 from segmigrate.model import build_project_model
 
-from helpers import oracle_intents, random_program
+from helpers import jacobi_intents, oracle_intents, random_program
 
 
 def project(src, file_id="t.f"):
@@ -209,6 +209,77 @@ def test_fixpoint_agrees_with_inlining_oracle():
     for _ in range(60):
         routines, catalog = random_program(rng, RoutineSpec)
         assert solve_intents(routines, catalog) == oracle_intents(routines, catalog)
+
+
+def both_orders(routines):
+    return [dict(routines), dict(reversed(list(routines.items())))]
+
+
+def test_fixpoint_agrees_with_frozen_jacobi_on_recursive_programs():
+    # recursion puts the answer on the evaluation schedule, not on an oracle
+    rng = random.Random(20261018)
+    compared = cycling = 0
+    for _ in range(2000):
+        routines, catalog = random_program(rng, RoutineSpec, cyclic=True)
+        reference = jacobi_intents(routines, catalog)
+        table = solve_intents(routines, catalog)
+        if reference is None:
+            cycling += 1
+            assert table.keys() == {
+                (n, i) for n, spec in routines.items() for i in range(len(spec.params))
+            }
+            assert set(table.values()) <= {IN, OUT, INOUT}
+        else:
+            compared += 1
+            assert table == reference
+    assert compared >= 1900 and cycling >= 1
+
+
+def test_recursive_answer_is_the_jacobi_one():
+    # in-place re-evaluation after r2 is known would give r3.y = inout
+    routines = {
+        "r2": RoutineSpec(["x"], [("f", "ext", 0, "x")]),
+        "r3": RoutineSpec(["y"], [("f", "r3", 0, "y"), ("f", "r2", 0, "y"), ("w", "y")]),
+    }
+    for order in both_orders(routines):
+        assert solve_intents(order, {}) == {("r2", 0): INOUT, ("r3", 0): OUT}
+
+
+def test_oscillating_recursion_ends_in_inout():
+    # Jacobi alternates (a.y, b.z) between (inout, out) and (out, inout)
+    routines = {
+        "a": RoutineSpec(["x", "y"], [("f", "b", 0, "y"), ("w", "y")]),
+        "b": RoutineSpec(["z"], [("f", "a", 1, "z"), ("r", "z")]),
+    }
+    assert jacobi_intents(routines, {}) is None
+    for order in both_orders(routines):
+        assert solve_intents(order, {}) == {("a", 0): INOUT, ("a", 1): INOUT, ("b", 0): INOUT}
+
+
+def test_solver_work_is_linear_on_a_forwarding_chain(monkeypatch):
+    n = 2000
+    routines = {
+        f"r{k}": RoutineSpec(["a", "b", "c"], [("f", f"r{k + 1}", i, p) for i, p in enumerate("abc")])
+        for k in range(n - 1)
+    }
+    routines[f"r{n - 1}"] = RoutineSpec(
+        ["a", "b", "c"], [("r", "a"), ("w", "b"), ("r", "c"), ("w", "c")]
+    )
+    run_events = analysis._run_events
+    runs = 0
+
+    def counting(*args):
+        nonlocal runs
+        runs += 1
+        return run_events(*args)
+
+    monkeypatch.setattr(analysis, "_run_events", counting)
+    for order in both_orders(routines):
+        runs = 0
+        table = solve_intents(order, {})
+        assert runs <= 2 * n
+        for name in routines:
+            assert [table[(name, i)] for i in range(3)] == [IN, OUT, INOUT]
 
 
 # --- module imports and catalog ---------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,34 @@ def test_plain_f77_migrates_without_catalog(tmp_path, capsys):
     assert names == ["scale.f90", "stats.f90"]
 
 
+def test_mutually_recursive_routines_migrate(tmp_path):
+    # the intent fixpoint cycles here; it must end, in a subprocess so a
+    # hang fails the test instead of stalling the suite
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    (src / "rec.f").write_text(
+        "      SUBROUTINE A(X, Y)\n"
+        "      INTEGER X, Y\n"
+        "      CALL B(Y)\n"
+        "      Y = 0\n"
+        "      END\n"
+        "      SUBROUTINE B(Z)\n"
+        "      INTEGER Z, W\n"
+        "      CALL A(1, Z)\n"
+        "      W = Z\n"
+        "      END\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(segmigrate.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "segmigrate.cli", "migrate", "--src", str(src), "--out", str(out)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    text = (out / "rec.f90").read_text()
+    intents = re.findall(r"intent\((\w+)\) :: (\w+)", text)
+    assert intents == [("inout", "x"), ("inout", "y"), ("inout", "z")]
+
+
 def write_accented_project(src):
     src.mkdir()
     (src / "prog.f").write_bytes(
@@ -127,6 +156,29 @@ def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     assert "caf\u00e9 au lait".encode("utf-8") in (out / "prog.f90").read_bytes()
+
+
+def test_config_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    root = tmp_path / "donn\u00e9es"
+    write_accented_project(root)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("src = donn\u00e9es\nout = sortie\n".encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = str(Path(segmigrate.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "segmigrate.cli", "migrate", "--config", str(cfg)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert (tmp_path / "sortie" / "prog.f90").is_file()
+
+
+def test_undecodable_config_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"src = donn\xe9es\n")
+    code, _, err = run(capsys, "migrate", "--config", str(cfg))
+    assert code == 2
+    assert "configuration error" in err and "bad.cfg" in err and "utf-8" in err
 
 
 def test_undecodable_source_names_the_file(tmp_path, capsys):

@@ -93,6 +93,22 @@ def test_segment_for_field_ambiguity_is_an_error():
     assert "a1" in str(err.value) and "a2" in str(err.value)
 
 
+def test_module_of_a_symbol_depends_on_who_asks():
+    model = build()
+    # segments registered after a first lookup are still seen
+    model.modules_seen_from("alpha", {"beta"})
+    register_segment(model, make_segment("other", ["alpha", "gamma", "rec"]))
+    names = {"alpha", "beta", "gamma", "val", "rec", "other", "x"}
+    assert model.modules_seen_from("beta", names) == {
+        "alpha": "alpha_mod", "gamma": "gamma_mod", "val": "rec_mod",
+        "rec": "rec_mod", "other": "other_mod",
+    }
+    # a unit's own name falls through to the field it shares a name with
+    assert model.modules_seen_from("alpha", names)["alpha"] == "other_mod"
+    assert "beta" not in model.modules_seen_from("beta", names)
+    assert model.modules_seen_from("beta", {"x"}) == {}
+
+
 def test_dump_model_is_line_oriented_and_sorted():
     model = build()
     lines = dump_model(model).splitlines()
