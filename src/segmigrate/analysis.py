@@ -118,7 +118,7 @@ def infer_implicit_types(
     called = {e.callee for e in model.calls_from(unit.name)}
     functions = model.functions()
 
-    referenced = A.referenced_symbols(unit) | set(unit.params)
+    referenced = model.units[unit.name].referenced | set(unit.params)
     segment_names = {seg.name for seg in scope}
     field_owner: Dict[str, str] = {}
     for seg in scope:
@@ -181,18 +181,11 @@ def invoked_names(unit: A.ProgramUnitAst) -> Set[str]:
                 scan([t.base])
 
     for node in unit.body:
+        streams = A.node_streams(node)
         if isinstance(node, A.AssignmentNode):
-            scan(node.rhs)
-            scan(node.lhs[1:])
-            if node.guard:
-                scan(node.guard)
-        elif isinstance(node, A.CallNode):
-            for arg in node.args:
-                scan(arg)
-            if node.guard:
-                scan(node.guard)
-        elif isinstance(node, A.OpaqueNode):
-            scan(node.tokens)
+            streams[0] = node.lhs[1:]  # a statement-function target is not invoked
+        for stream in streams:
+            scan(stream)
     return found
 
 

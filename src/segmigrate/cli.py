@@ -138,18 +138,19 @@ def load_units(cfg: RunConfig) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
         raise MigrationError(f"no source files under {cfg.src}")
 
     raw_units: List[A.ProgramUnitAst] = []
-    include_paths: List[str] = []
+    include_edges: List[Tuple[str, str]] = []
     for path in sources:
         lines = split_logical_lines(read_source(path), str(path))
         for unit in parse_units(lines, str(path)):
             raw_units.append(unit)
             for node in unit.body:
-                if isinstance(node, A.IncludeNode) and node.directive.path not in include_paths:
-                    include_paths.append(node.directive.path)
+                if isinstance(node, A.IncludeNode):
+                    include_edges.append((unit.name, node.directive.path))
 
     search_paths = [cfg.src] + list(cfg.include_paths)
+    include_paths = list(dict.fromkeys(path for _, path in include_edges))
     cache = build_fragment_cache(include_paths, search_paths)
-    units = [resolve_includes(u, search_paths, cache) for u in raw_units]
+    units = [resolve_includes(u, cache) for u in raw_units]
 
     model = build_project_model(units)
     for path in sorted(cache):
@@ -162,10 +163,7 @@ def load_units(cfg: RunConfig) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
                     f"segment {seg.name!r} defined in both "
                     f"{existing.file_id} and {seg.file_id}"
                 )
-    for raw in raw_units:
-        for node in raw.body:
-            if isinstance(node, A.IncludeNode):
-                model.include_graph.append((raw.name, node.directive.path))
+    model.include_graph.extend(include_edges)
     for frag in cache.values():
         for nested in frag.includes:
             model.include_graph.append((frag.path, nested))

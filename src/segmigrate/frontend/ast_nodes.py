@@ -2,6 +2,11 @@
 
 Only constructs that must be rewritten are deeply parsed; any other host
 statement survives as an :class:`OpaqueNode` wrapping its token stream.
+
+The AST is read-only once the parser has built it.  Include resolution
+builds each unit a new body but shares the statement nodes: every unit
+that includes a file holds that file's nodes, not copies of them.  No
+stage after the parser mutates a node.
 """
 
 from __future__ import annotations
@@ -156,29 +161,35 @@ INTRINSIC_FUNCTIONS = {
 }
 
 
+def node_streams(node: Node) -> List[Sequence[ExprToken]]:
+    """The expression token streams of a statement: an assignment's target,
+    value and guard; a call's arguments and guard; an opaque statement's
+    tokens.  Any other statement has none.  The list is new on each call."""
+    if isinstance(node, OpaqueNode):
+        return [node.tokens]
+    if isinstance(node, AssignmentNode):
+        streams = [node.lhs, node.rhs]
+    elif isinstance(node, CallNode):
+        streams = list(node.args)
+    else:
+        return []
+    if node.guard:
+        streams.append(node.guard)
+    return streams
+
+
 def statement_reference_names(node: Node) -> Set[str]:
     """Names a statement references, with statement keywords filtered out."""
-    if isinstance(node, AssignmentNode):
-        names = set(stream_names(node.lhs)) | set(stream_names(node.rhs))
-        if node.guard:
-            names |= set(stream_names(node.guard))
-        return names - INTRINSIC_FUNCTIONS
-    if isinstance(node, CallNode):
-        names = set()
-        for arg in node.args:
-            names.update(stream_names(arg))
-        if node.guard:
-            names.update(stream_names(node.guard))
-        return names - INTRINSIC_FUNCTIONS
     if isinstance(node, OpaqueNode):
         return _opaque_reference_names(node.tokens)
     if isinstance(node, TypeDeclNode):
-        names = set()
-        for ent in node.entities:
-            for dim in ent.dims:
-                names.update(stream_names(dim))
-        return names - INTRINSIC_FUNCTIONS
-    return set()
+        streams = [dim for ent in node.entities for dim in ent.dims]
+    else:
+        streams = node_streams(node)
+    names: Set[str] = set()
+    for stream in streams:
+        names.update(stream_names(stream))
+    return names - INTRINSIC_FUNCTIONS
 
 
 def _opaque_reference_names(tokens: Sequence[ExprToken]) -> Set[str]:

@@ -3,8 +3,7 @@ between traceability marker comments."""
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -24,7 +23,6 @@ class Fragment:
     dropped, nested includes already flattened."""
 
     path: str
-    resolved: Path
     statements: List[A.Node] = field(default_factory=list)
     segments: List[SegmentDefinition] = field(default_factory=list)
     includes: List[str] = field(default_factory=list)  # nested include paths
@@ -49,7 +47,7 @@ def build_fragment_cache(
     include_paths: Sequence[str],
     search_paths: Sequence[Path],
 ) -> FragmentCache:
-    """Sequential prepass: load and flatten every included file first.
+    """Load and flatten every included file; the one include loader.
 
     Nested includes are resolved recursively; a cycle is a fatal error.
     """
@@ -69,7 +67,7 @@ def _load_fragment(path, search_paths, cache, stack) -> Fragment:
     lines = split_logical_lines(read_source(resolved), str(resolved))
     raw = parse_fragment(lines, str(resolved))
 
-    frag = Fragment(path=path, resolved=resolved)
+    frag = Fragment(path=path)
     for node in raw.body:
         if isinstance(node, A.CommentNode):
             continue  # comments in included files are not copied
@@ -84,7 +82,7 @@ def _load_fragment(path, search_paths, cache, stack) -> Fragment:
             frag.statements.append(
                 A.CommentNode(span=node.span, text=BEGIN_MARK.format(path=nested.path))
             )
-            frag.statements.extend(copy.deepcopy(nested.statements))
+            frag.statements.extend(nested.statements)
             frag.statements.append(
                 A.CommentNode(span=node.span, text=END_MARK.format(path=nested.path))
             )
@@ -95,30 +93,27 @@ def _load_fragment(path, search_paths, cache, stack) -> Fragment:
     return frag
 
 
-def resolve_includes(
-    unit: A.ProgramUnitAst,
-    search_paths: Sequence[Path],
-    cache: FragmentCache,
-) -> A.ProgramUnitAst:
+def resolve_includes(unit: A.ProgramUnitAst, cache: FragmentCache) -> A.ProgramUnitAst:
     """Replace every include directive of ``unit`` by marker comments
-    enclosing the fragment's statements.  Returns a new AST; the input is
-    left untouched."""
-    out = copy.deepcopy(unit)
+    enclosing the fragment's statements.
+
+    Returns a new unit with a new body; ``unit`` is left untouched.  The
+    spliced statements are the fragment's own nodes, shared with every
+    other unit that includes it.  ``cache`` must hold every directive of
+    ``unit`` (``build_fragment_cache`` of the unit's include paths).
+    """
     body: List[A.Node] = []
-    for node in out.body:
+    extra = list(unit.extra_segments_in_scope)
+    for node in unit.body:
         if not isinstance(node, A.IncludeNode):
             body.append(node)
             continue
         path = node.directive.path
-        if path not in cache:
-            # tolerate a cache miss by loading on demand (still cycle-safe)
-            _load_fragment(path, search_paths, cache, stack=[])
         frag = cache[path]
         body.append(A.CommentNode(span=node.span, text=BEGIN_MARK.format(path=path)))
-        body.extend(copy.deepcopy(frag.statements))
+        body.extend(frag.statements)
         body.append(A.CommentNode(span=node.span, text=END_MARK.format(path=path)))
         for seg in frag.segments:
-            if seg.name not in out.extra_segments_in_scope:
-                out.extra_segments_in_scope.append(seg.name)
-    out.body = body
-    return out
+            if seg.name not in extra:
+                extra.append(seg.name)
+    return replace(unit, body=body, extra_segments_in_scope=extra)

@@ -87,7 +87,7 @@ class ProjectModel:
     # drops the module index
     _functions: Optional[Dict[str, UnitSummary]] = field(
         default=None, init=False, repr=False, compare=False)
-    _calls: Optional[Dict[str, List[CallEdge]]] = field(
+    _calls: Optional[Tuple[Dict[str, List[CallEdge]], Dict[str, Set[int]]]] = field(
         default=None, init=False, repr=False, compare=False)
     _modules: Optional[Tuple[Dict[str, str], Dict[str, str]]] = field(
         default=None, init=False, repr=False, compare=False)
@@ -97,12 +97,22 @@ class ProjectModel:
             self._functions = {n: u for n, u in self.units.items() if u.kind == "function"}
         return self._functions
 
-    def calls_from(self, caller: str) -> List[CallEdge]:
+    def _call_index(self) -> Tuple[Dict[str, List[CallEdge]], Dict[str, Set[int]]]:
         if self._calls is None:
-            self._calls = {}
+            by_caller: Dict[str, List[CallEdge]] = {}
+            arg_counts: Dict[str, Set[int]] = {}
             for e in self.call_graph:
-                self._calls.setdefault(e.caller, []).append(e)
-        return self._calls.get(caller, [])
+                by_caller.setdefault(e.caller, []).append(e)
+                arg_counts.setdefault(e.callee, set()).add(e.arg_count)
+            self._calls = (by_caller, arg_counts)
+        return self._calls
+
+    def calls_from(self, caller: str) -> List[CallEdge]:
+        return self._call_index()[0].get(caller, [])
+
+    def arg_counts(self, callee: str) -> Set[int]:
+        """The argument counts of every call to ``callee`` in the project."""
+        return self._call_index()[1].get(callee, set())
 
     def modules_seen_from(self, unit_name: str, symbols: Set[str]) -> Dict[str, str]:
         """The migrated module defining each of ``symbols`` that has one, as
@@ -160,7 +170,6 @@ def build_project_model(units: Sequence[object]) -> ProjectModel:
     for unit in units:
         for callee, argc in _call_sites(unit):
             external = callee not in model.units
-            model.units[unit.name].referenced.add(callee)
             model.call_graph.append(CallEdge(unit.name, callee, argc, external))
 
     return model

@@ -142,16 +142,11 @@ def negative_pointer_uses(unit: A.ProgramUnitAst, model: ProjectModel) -> List[s
 
 
 def _streams_of(node: A.Node) -> List[Sequence[ExprToken]]:
+    streams = A.node_streams(node)
     if isinstance(node, A.AssignmentNode):
-        streams = [list(node.lhs) + [Token(OP, "=")] + list(node.rhs)]
-        if node.guard:
-            streams.append(node.guard)
-        return streams
-    if isinstance(node, A.CallNode):
-        return list(node.args) + ([node.guard] if node.guard else [])
-    if isinstance(node, A.OpaqueNode):
-        return [node.tokens]
-    return []
+        # one `lhs = rhs` stream: the negative-literal pattern spans the `=`
+        streams[:2] = [list(node.lhs) + [Token(OP, "=")] + list(node.rhs)]
+    return streams
 
 
 def _scan_negative(toks: List[Token], pointers) -> List[str]:

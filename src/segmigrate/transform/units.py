@@ -1,14 +1,13 @@
 """Per-unit rewriting: statement catalog plus module wrapping.
 
 Every source statement maps to free-form statements, a traceability
-comment, or both; nothing is dropped silently.  The input AST is never
-mutated, so a failed run leaves earlier results reusable.
+comment, or both; nothing is dropped silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .. import analysis
 from .. import target as T
@@ -101,11 +100,7 @@ def rewrite_statement(node: A.Node, ctx: RewriteContext) -> List[T.OutputNode]:
     if isinstance(node, A.AssignmentNode):
         return _rewrite_assignment(node, ctx)
     if isinstance(node, A.OpaqueNode):
-        touched = _has_esope_tokens(node.tokens)
-        if touched:
-            ctx.rewritten += 1
-        else:
-            ctx.passthrough += 1
+        _count_esope_touch(node, ctx)
         text = render_tokens(node.tokens, ctx.resolve_field)
         return [_stmt(ctx, text, node.label)]
     if isinstance(node, A.IncludeNode):
@@ -113,8 +108,17 @@ def rewrite_statement(node: A.Node, ctx: RewriteContext) -> List[T.OutputNode]:
     raise MigrationError(f"unhandled statement node {type(node).__name__}", node.span)
 
 
-def _has_esope_tokens(stream: Sequence[ExprToken]) -> bool:
-    return any(isinstance(t, (DottedAccess, SlashDim)) for t in stream)
+def _count_esope_touch(node: A.Node, ctx: RewriteContext) -> None:
+    """A statement with a dotted access or slash-dim at the top level of
+    one of its streams is rewritten; any other passes through."""
+    if any(
+        isinstance(t, (DottedAccess, SlashDim))
+        for stream in A.node_streams(node)
+        for t in stream
+    ):
+        ctx.rewritten += 1
+    else:
+        ctx.passthrough += 1
 
 
 def _rewrite_command(node: A.EsopeCommandNode, ctx: RewriteContext) -> List[T.OutputNode]:
@@ -166,9 +170,9 @@ def _interface_block(name: str, ctx: RewriteContext) -> Optional[T.TargetNode]:
     if name in catalog:
         arity = len(catalog[name])
     else:
-        counts = {e.arg_count for e in ctx.model.call_graph if e.callee == name}
+        counts = ctx.model.arg_counts(name)
         if len(counts) == 1:
-            arity = counts.pop()
+            (arity,) = counts
     if arity is None:
         return None
     node = T.TargetNode(T.INTERFACE, "interface", footer="end interface")
@@ -244,10 +248,7 @@ def _guard_prefix(guard: Optional[List[ExprToken]], ctx: RewriteContext) -> str:
 
 
 def _rewrite_call(node: A.CallNode, ctx: RewriteContext) -> List[T.OutputNode]:
-    if _call_has_esope(node):
-        ctx.rewritten += 1
-    else:
-        ctx.passthrough += 1
+    _count_esope_touch(node, ctx)
     args = ", ".join(render_tokens(a, ctx.resolve_field) for a in node.args)
     text = f"{_guard_prefix(node.guard, ctx)}call {node.callee}({args})"
     if not node.args:
@@ -255,19 +256,8 @@ def _rewrite_call(node: A.CallNode, ctx: RewriteContext) -> List[T.OutputNode]:
     return [_stmt(ctx, text, node.label)]
 
 
-def _call_has_esope(node: A.CallNode) -> bool:
-    for arg in node.args:
-        if _has_esope_tokens(arg):
-            return True
-    return bool(node.guard and _has_esope_tokens(node.guard))
-
-
 def _rewrite_assignment(node: A.AssignmentNode, ctx: RewriteContext) -> List[T.OutputNode]:
-    streams = [node.lhs, node.rhs] + ([node.guard] if node.guard else [])
-    if any(_has_esope_tokens(s) for s in streams):
-        ctx.rewritten += 1
-    else:
-        ctx.passthrough += 1
+    _count_esope_touch(node, ctx)
     lhs = render_tokens(node.lhs, ctx.resolve_field)
     rhs = render_tokens(node.rhs, ctx.resolve_field)
     text = f"{_guard_prefix(node.guard, ctx)}{lhs} = {rhs}"
@@ -329,14 +319,7 @@ def _default_pointer_uses(node: A.Node, scope_names: Set[str], ctx: RewriteConte
             if name in scope_names and name not in ctx.facts.pointers:
                 yield name
         return
-    streams: List[Sequence[ExprToken]] = []
-    if isinstance(node, A.AssignmentNode):
-        streams = [node.lhs, node.rhs] + ([node.guard] if node.guard else [])
-    elif isinstance(node, A.CallNode):
-        streams = list(node.args) + ([node.guard] if node.guard else [])
-    elif isinstance(node, A.OpaqueNode):
-        streams = [node.tokens]
-    for stream in streams:
+    for stream in A.node_streams(node):
         for t in walk_tokens(stream):
             if (
                 isinstance(t, DottedAccess)

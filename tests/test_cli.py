@@ -1,5 +1,7 @@
 """End-to-end command line behaviour."""
 
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -311,3 +313,14 @@ def test_dump_model_output(capsys):
     assert "unit\tprogram\tbookshop" in out
     assert any(l.startswith("segment\tuser") for l in out.splitlines())
     assert "call\t" in out
+
+
+def test_bench_tracer_entry_points_exist():
+    # the benchmark's traced run wraps these names; a rename must fail here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.ENTRY_POINTS
+    for _layer, module_name, attr in tracer.ENTRY_POINTS:
+        assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from segmigrate.cli import RunConfig, load_units
 from segmigrate.errors import MigrationError
 from segmigrate.frontend import ast_nodes as A
 from segmigrate.frontend.includes import (
@@ -368,7 +369,7 @@ def test_nested_include_matches_textual_substitution(tmp_path):
     )
     unit = parse_source(src, "s.f")[0]
     cache = build_fragment_cache(["outer.inc"], [tmp_path])
-    resolved = resolve_includes(unit, [tmp_path], cache)
+    resolved = resolve_includes(unit, cache)
 
     # oracle: textual substitution of the include bodies, in order
     texts = []
@@ -415,6 +416,26 @@ def test_included_segments_enter_scope(tmp_path):
     )
     unit = parse_source(src, "s.f")[0]
     cache = build_fragment_cache(["rec.seg"], [tmp_path])
-    resolved = resolve_includes(unit, [tmp_path], cache)
+    resolved = resolve_includes(unit, cache)
     assert resolved.extra_segments_in_scope == ["rec"]
     assert cache["rec.seg"].segments[0].dimensioning_vars == ["n"]
+
+
+def test_units_share_the_nodes_of_an_included_file(tmp_path):
+    write(tmp_path / "inner.inc", "      K = K + 1\n")
+    write(tmp_path / "outer.inc", "      J = 0\n      include 'inner.inc'\n")
+    write(
+        tmp_path / "a.f",
+        "      SUBROUTINE A(J, K)\n      INTEGER J, K\n"
+        "      include 'outer.inc'\n      END\n",
+    )
+    write(
+        tmp_path / "b.f",
+        "      SUBROUTINE B(J, K)\n      INTEGER J, K\n"
+        "      include 'outer.inc'\n      include 'inner.inc'\n      END\n",
+    )
+    units, _ = load_units(RunConfig(src=tmp_path))
+    a, b = ([n for n in u.body if isinstance(n, A.AssignmentNode)] for u in units)
+    assert [len(a), len(b)] == [2, 3]
+    assert a[0] is b[0]
+    assert a[1] is b[1] is b[2]

@@ -287,10 +287,13 @@ def test_template_expansion_leaves_no_placeholders():
 
 
 def test_migration_is_out_of_place():
-    units, model, intents = setup_unit()
-    snapshot = copy.deepcopy(units[0])
-    wrap_in_module(make_context(units[0], model, intents))
-    assert units[0] == snapshot
+    units, model = load_units(RunConfig(src=BOOKSTORE, intent_catalog=BOOKSTORE_INTENTS))
+    snapshot = copy.deepcopy(units)
+    intents = analysis.infer_intents(model, units)
+    assert migrate_project(units, model, intents).ok
+    assert len(units) == len(snapshot)
+    for unit, before in zip(units, snapshot):
+        assert unit == before, unit.name
 
 
 def test_function_wrapping_declares_result_type():
@@ -374,3 +377,31 @@ def test_unit_facts_are_computed_once_per_unit(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert calls == Counter({name: len(units) for name in names})
+
+
+class CountingEdges(list):
+    """A call graph that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def call_graph_scans(n):
+    src = "".join(
+        f"      SUBROUTINE S{i}(X)\n      EXTERNAL LOGX\n      CALL LOGX(X)\n      END\n"
+        for i in range(n)
+    )
+    units = parse_source(src, "logx.f")
+    model = build_project_model(units)
+    model.call_graph = edges = CountingEdges(model.call_graph)
+    result = migrate_project(units, model, analysis.infer_intents(model, units))
+    assert result.ok
+    assert result.outputs[0][1].count("subroutine logx(arg1)") == n
+    return edges.iterations
+
+
+def test_interface_blocks_do_not_rescan_the_call_graph():
+    assert call_graph_scans(40) == call_graph_scans(5)
