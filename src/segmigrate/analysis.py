@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .errors import MigrationError
 from .frontend import ast_nodes as A
 from .frontend.lexer import (
-    DottedAccess, ExprToken, SlashDim, Token, NAME, PUNCT, split_top_commas, stream_names,
+    DottedAccess, ExprToken, SlashDim, Token, NAME, LPAREN, RPAREN, split_top_commas, stream_names,
 )
 from .model import ProjectModel, SegmentDefinition
 
@@ -172,7 +172,7 @@ def invoked_names(unit: A.ProgramUnitAst) -> Set[str]:
         for i, t in enumerate(stream):
             if isinstance(t, Token) and t.kind == NAME:
                 nxt = stream[i + 1] if i + 1 < len(stream) else None
-                if isinstance(nxt, Token) and nxt == Token(PUNCT, "("):
+                if nxt == LPAREN:
                     found.add(t.value)
             elif isinstance(t, DottedAccess):
                 for sub in t.subscripts:
@@ -516,12 +516,12 @@ def _opaque_events(tokens: List[ExprToken]):
 
 
 def _split_control(tokens):
-    if tokens and isinstance(tokens[0], Token) and tokens[0] == Token(PUNCT, "("):
+    if tokens and tokens[0] == LPAREN:
         depth = 0
         for i, t in enumerate(tokens):
-            if isinstance(t, Token) and t == Token(PUNCT, "("):
+            if t == LPAREN:
                 depth += 1
-            elif isinstance(t, Token) and t == Token(PUNCT, ")"):
+            elif t == RPAREN:
                 depth -= 1
                 if depth == 0:
                     return tokens[1:i], tokens[i + 1 :]

@@ -3,6 +3,10 @@
 Column rules: 1-5 statement label, 6 continuation marker, 7-72 statement
 body, 73+ sequence numbers (ignored).  Tabs expand to 8-column stops
 before the rules apply.
+
+Tokens are immutable and interned: every equal lexeme of a run is one
+shared ``Token`` object.  Code compares them with the shared constants
+(``LPAREN``, ``DOT``, ``SLASH``, ...), never with a freshly built token.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..errors import MigrationError, SourceSpan
 
@@ -70,7 +74,9 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
 
     Comments (including blank lines, kept with empty text) and preprocessor
     directives stay as distinct lines in original order; continuation cards
-    are merged into the statement they continue.
+    are merged into the statement they continue.  A ``!`` in the body outside
+    a character literal starts a comment that runs to the end of its card; a
+    card holding only such a comment is a comment line.
     """
     out: List[LogicalLine] = []
     pending: Optional[dict] = None  # statement being assembled
@@ -109,10 +115,21 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
         label_field = line[0:5]
         cont_field = line[5:6]
         body = line[6:72]
+        continued = bool(cont_field.strip()) and cont_field != "0"
+        if continued and pending is None:
+            raise MigrationError("continuation card with no preceding statement", span)
 
-        if cont_field.strip() and cont_field != "0":
-            if pending is None:
-                raise MigrationError("continuation card with no preceding statement", span)
+        if "!" in body:
+            # an inline comment; a literal may be open since an earlier card
+            before = pending["text"] if continued else ""
+            code = _code_part(before + body)[len(before):]
+            if not (continued or code.strip() or label_field.strip()):
+                flush()
+                out.append(LogicalLine(COMMENT, body[len(code) + 1 :].rstrip(), span))
+                continue
+            body = code
+
+        if continued:
             pending["text"] += body.rstrip()
             pending["end"] = lineno
             continue
@@ -128,6 +145,20 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
 
     flush()
     return out
+
+
+def _code_part(text: str) -> str:
+    """``text`` up to its first ``!`` outside a character literal."""
+    quote = ""
+    for i, c in enumerate(text):
+        if quote:
+            if c == quote:
+                quote = ""
+        elif c in "'\"":
+            quote = c
+        elif c == "!":
+            return text[:i]
+    return text
 
 
 def detect_include(line: LogicalLine) -> Optional[IncludeDirective]:
@@ -159,20 +190,19 @@ STRING = "string"
 OP = "op"
 PUNCT = "punct"
 
-_LOGICAL_WORDS = {
-    "eq", "ne", "lt", "le", "gt", "ge",
-    "and", "or", "not", "eqv", "neqv", "xor",
-    "true", "false",
-}
 
-_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*", re.IGNORECASE)
-_DOTWORD_RE = re.compile(r"\.([a-z]+)\.", re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
+
+
+LPAREN = Token(PUNCT, "(")
+RPAREN = Token(PUNCT, ")")
+COMMA = Token(PUNCT, ",")
+DOT = Token(PUNCT, ".")
+SLASH = Token(OP, "/")
+EQUALS = Token(OP, "=")
+MINUS = Token(OP, "-")
 
 
 @dataclass(frozen=True)
@@ -219,100 +249,70 @@ def stream_names(stream: Sequence[ExprToken]) -> Iterator[str]:
             yield t.pointer
 
 
+# ASCII case only, so ``.falſe.`` is no operator
+_LOGICAL_OP = r"(?ai:\.(?:eqv|neqv|eq|ne|lt|le|gt|ge|and|or|not|xor|true|false)\.)"
+
+# One lexeme per match after optional blanks; the group name is its kind,
+# but for a number (INT or REAL).  A number leaves the dot of ``1.eq.2``
+# alone.  A ``dotnum`` (``.5``) is a REAL only where no value precedes it,
+# which ``tokenize`` decides.
+_LEXEME_RE = re.compile(
+    r"\s*(?:"
+    r"""(?P<string>'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))"""
+    r"|(?P<name>(?i:[a-z_][a-z0-9_]*))"
+    r"|(?P<number>\d+(?:(?!" + _LOGICAL_OP + r")\.\d*)?(?:[eEdD][+-]?\d+)?)"
+    r"|(?P<op>" + _LOGICAL_OP + r"|\*\*|//|=>|[-+*/=])"
+    r"|(?P<dotnum>\.\d+(?:[eEdD][+-]?\d+)?)"
+    r"|(?P<punct>[(),:%$.])"
+    r"|(?P<stray>\S))"
+)
+
+# The intern tables: source lexeme -> token, and token -> its one shared
+# object.  They only grow with the distinct lexemes of the input, and sharing
+# an immutable value shows nowhere but in ``is``.
+_BY_LEXEME: Dict[str, Token] = {}
+_SHARED: Dict[Token, Token] = {t: t for t in (LPAREN, RPAREN, COMMA, DOT, SLASH, EQUALS, MINUS)}
+
+
 def tokenize(text: str, span: Optional[SourceSpan] = None) -> List[Token]:
     """Tokenize one statement body.  Identifiers are lowercased; string
     literals keep their quotes and case."""
     toks: List[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "'" or c == '"':
-            j = i + 1
-            quote = c
-            while j < n:
-                if text[j] == quote:
-                    if j + 1 < n and text[j + 1] == quote:  # doubled quote escape
-                        j += 2
-                        continue
+    pos = 0
+    while True:
+        for m in _LEXEME_RE.finditer(text, pos):
+            kind = m.lastgroup
+            lexeme = m[kind]
+            tok = _BY_LEXEME.get(lexeme)
+            if tok is None:
+                if kind == "stray":
+                    if lexeme in "'\"":
+                        raise MigrationError("unterminated string literal", span)
+                    raise MigrationError(f"unexpected character {lexeme!r} in statement", span)
+                if kind == "dotnum" and toks and (toks[-1].kind in (NAME, INT, REAL) or toks[-1] == RPAREN):
+                    # `x.5`: a dot, then the digits scanned afresh
+                    toks.append(DOT)
+                    pos = m.start(kind) + 1
                     break
-                j += 1
-            if j >= n:
-                raise MigrationError("unterminated string literal", span)
-            toks.append(Token(STRING, text[i : j + 1]))
-            i = j + 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            toks.append(Token(NAME, m.group(0).lower()))
-            i = m.end()
-            continue
-        if c.isdigit():
-            i = _scan_number(text, i, toks)
-            continue
-        if c == ".":
-            m = _DOTWORD_RE.match(text, i)
-            if m and m.group(1).lower() in _LOGICAL_WORDS:
-                toks.append(Token(OP, m.group(0).lower()))
-                i = m.end()
-                continue
-            if i + 1 < n and text[i + 1].isdigit() and not _prev_is_value(toks):
-                i = _scan_number(text, i, toks)
-                continue
-            toks.append(Token(PUNCT, "."))
-            i += 1
-            continue
-        if text.startswith("**", i) or text.startswith("//", i) or text.startswith("=>", i):
-            toks.append(Token(OP, text[i : i + 2]))
-            i += 2
-            continue
-        if c in "+-*/=":
-            toks.append(Token(OP, c))
-            i += 1
-            continue
-        if c in "(),:%$":
-            toks.append(Token(PUNCT, c))
-            i += 1
-            continue
-        raise MigrationError(f"unexpected character {c!r} in statement", span)
-    return toks
+                tok = _intern(kind, lexeme)
+            toks.append(tok)
+        else:
+            return toks
 
 
-def _prev_is_value(toks: List[Token]) -> bool:
-    if not toks:
-        return False
-    t = toks[-1]
-    return t.kind in (NAME, INT, REAL) or (t.kind == PUNCT and t.value == ")")
-
-
-def _scan_number(text: str, i: int, toks: List[Token]) -> int:
-    n = len(text)
-    j = i
-    while j < n and text[j].isdigit():
-        j += 1
-    is_real = False
-    if j < n and text[j] == ".":
-        # do not swallow the dot of `1.eq.2`
-        m = _DOTWORD_RE.match(text, j)
-        if not (m and m.group(1).lower() in _LOGICAL_WORDS):
-            is_real = True
-            j += 1
-            while j < n and text[j].isdigit():
-                j += 1
-    if j < n and text[j] in "eEdD":
-        k = j + 1
-        if k < n and text[k] in "+-":
-            k += 1
-        if k < n and text[k].isdigit():
-            is_real = True
-            j = k
-            while j < n and text[j].isdigit():
-                j += 1
-    value = text[i:j].lower()
-    toks.append(Token(REAL if is_real else INT, value))
-    return j
+def _intern(kind: str, lexeme: str) -> Token:
+    if kind == STRING:
+        tok = Token(STRING, lexeme)
+    else:
+        value = lexeme.lower()
+        if kind == "number":
+            tok = Token(INT if value.isdecimal() else REAL, value)
+        else:
+            tok = Token(REAL if kind == "dotnum" else kind, value)
+    tok = _SHARED.setdefault(tok, tok)
+    if kind != "dotnum":
+        _BY_LEXEME[lexeme] = tok
+    return tok
 
 
 # --- island folding ---------------------------------------------------------
@@ -321,17 +321,18 @@ def _scan_number(text: str, i: int, toks: List[Token]) -> int:
 def scan_expression(tokens: Sequence[Token], span: Optional[SourceSpan] = None) -> List[ExprToken]:
     """Fold dotted accesses and slash-dims into structured tokens; every
     other token passes through unchanged."""
+    toks = list(tokens)
+    if DOT not in toks and SLASH not in toks:
+        return toks  # nothing to fold
     out: List[ExprToken] = []
     i = 0
-    toks = list(tokens)
     n = len(toks)
     while i < n:
         t = toks[i]
         if isinstance(t, Token) and t.kind == NAME:
             if (
                 i + 2 < n
-                and isinstance(toks[i + 1], Token)
-                and toks[i + 1] == Token(PUNCT, ".")
+                and toks[i + 1] == DOT
                 and isinstance(toks[i + 2], Token)
                 and toks[i + 2].kind == NAME
             ):
@@ -353,14 +354,13 @@ def scan_expression(tokens: Sequence[Token], span: Optional[SourceSpan] = None) 
 def _try_plain_slash(t: Token, toks: List[Token], i: int, span):
     # name ( / k )
     if (
-        i + 4 < len(toks) + 1
-        and i + 3 < len(toks)
-        and toks[i + 1] == Token(PUNCT, "(")
-        and toks[i + 2] == Token(OP, "/")
+        i + 3 < len(toks)
+        and toks[i + 1] == LPAREN
+        and toks[i + 2] == SLASH
     ):
         if not (isinstance(toks[i + 3], Token) and toks[i + 3].kind == INT):
             raise MigrationError("slash-dim index must be an integer literal", span)
-        if i + 4 >= len(toks) or toks[i + 4] != Token(PUNCT, ")"):
+        if i + 4 >= len(toks) or toks[i + 4] != RPAREN:
             raise MigrationError("malformed slash-dim", span)
         return SlashDim(t, int(toks[i + 3].value)), i + 5
     return None
@@ -369,12 +369,12 @@ def _try_plain_slash(t: Token, toks: List[Token], i: int, span):
 def _fold_paren_suffix(access: DottedAccess, toks: List[Token], i: int, span):
     """Attach a subscript list or a slash-dim following a dotted access."""
     n = len(toks)
-    if i >= n or toks[i] != Token(PUNCT, "("):
+    if i >= n or toks[i] != LPAREN:
         return access, i
-    if i + 1 < n and toks[i + 1] == Token(OP, "/"):
+    if i + 1 < n and toks[i + 1] == SLASH:
         if not (i + 2 < n and isinstance(toks[i + 2], Token) and toks[i + 2].kind == INT):
             raise MigrationError("slash-dim index must be an integer literal", span)
-        if i + 3 >= n or toks[i + 3] != Token(PUNCT, ")"):
+        if i + 3 >= n or toks[i + 3] != RPAREN:
             raise MigrationError("malformed slash-dim", span)
         return SlashDim(access, int(toks[i + 2].value)), i + 4
     inner, j = _collect_group(toks, i, span)
@@ -389,11 +389,11 @@ def _collect_group(toks: List[Token], i: int, span) -> Tuple[List[Token], int]:
     j = i
     while j < len(toks):
         t = toks[j]
-        if t == Token(PUNCT, "("):
+        if t == LPAREN:
             depth += 1
             if depth > 1:
                 inner.append(t)
-        elif t == Token(PUNCT, ")"):
+        elif t == RPAREN:
             depth -= 1
             if depth == 0:
                 return inner, j + 1
@@ -409,11 +409,11 @@ def split_top_commas(toks: Sequence[ExprToken]) -> List[List[ExprToken]]:
     parts: List[List[ExprToken]] = [[]]
     depth = 0
     for t in toks:
-        if t == Token(PUNCT, "("):
+        if t == LPAREN:
             depth += 1
-        elif t == Token(PUNCT, ")"):
+        elif t == RPAREN:
             depth -= 1
-        if depth == 0 and t == Token(PUNCT, ","):
+        if depth == 0 and t == COMMA:
             parts.append([])
         else:
             parts[-1].append(t)

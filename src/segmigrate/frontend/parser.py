@@ -17,8 +17,9 @@ from .lexer import (
     LogicalLine,
     Token,
     NAME,
-    OP,
-    PUNCT,
+    LPAREN,
+    RPAREN,
+    EQUALS,
     detect_include,
     scan_expression,
     split_logical_lines,
@@ -56,6 +57,14 @@ _EXTERNAL_RE = re.compile(r"^external\s+(.+)$", re.IGNORECASE)
 _IMPLICIT_RE = re.compile(r"^implicit\s+(.+)$", re.IGNORECASE)
 _CALL_RE = re.compile(r"^call\s+([a-z][a-z0-9_]*)\s*(\(.*\))?\s*$", re.IGNORECASE)
 _END_RE = re.compile(r"^end(\s+(subroutine|function|program)(\s+[a-z][a-z0-9_]*)?)?\s*$", re.IGNORECASE)
+_IMPLICIT_RULE_RE = re.compile(
+    r"(integer|real|logical|double\s+precision|character(?:\s*\*\s*\d+)?)\s*\(([^)]*)\)",
+    re.IGNORECASE,
+)
+_POINTER_ENTRY_RE = re.compile(r"^([a-z][a-z0-9_]*)\.([a-z][a-z0-9_]*)$")
+_BLANKS_RE = re.compile(r"\s+")
+
+_IF = Token(NAME, "if")
 
 
 def parse_source(source: str, file_id: str = "<input>") -> List[A.ProgramUnitAst]:
@@ -117,7 +126,7 @@ def _header_of(line: LogicalLine) -> Optional[Tuple[str, str, List[str], Optiona
         return ("subroutine", m.group(1).lower(), params, None)
     m = _FUNCTION_RE.match(text)
     if m:
-        rtype = re.sub(r"\s+", " ", m.group(1).lower()) if m.group(1) else None
+        rtype = _BLANKS_RE.sub(" ", m.group(1).lower()) if m.group(1) else None
         return ("function", m.group(2).lower(), _split_params(m.group(3)), rtype)
     return None
 
@@ -224,7 +233,7 @@ def classify_statement(line: LogicalLine) -> A.Node:
 
     m = _TYPE_DECL_RE.match(text)
     if m and not _FUNCTION_RE.match(text):
-        base = re.sub(r"\s+", " ", m.group(1).lower())
+        base = _BLANKS_RE.sub(" ", m.group(1).lower())
         char_len: Optional[object] = None
         if m.group(3):
             char_len = "*" if "*" in m.group(3) and not m.group(3).isdigit() else int(m.group(3))
@@ -237,8 +246,8 @@ def classify_statement(line: LogicalLine) -> A.Node:
 
     tokens = scan_expression(tokenize(text, span), span)
 
-    if tokens and tokens[0] == Token(NAME, "if") and len(tokens) > 1 and tokens[1] == Token(PUNCT, "("):
-        guard, j = _collect_group([t for t in tokens], 1, span)
+    if tokens and tokens[0] == _IF and len(tokens) > 1 and tokens[1] == LPAREN:
+        guard, j = _collect_group(tokens, 1, span)
         rest = tokens[j:]
         if rest and not (isinstance(rest[0], Token) and rest[0].kind == NAME and rest[0].value == "then"):
             inner = _classify_if_body(rest, span, label)
@@ -246,8 +255,8 @@ def classify_statement(line: LogicalLine) -> A.Node:
                 inner.guard = guard
                 return inner
 
-    if _top_level_assign_index(tokens) is not None:
-        k = _top_level_assign_index(tokens)
+    k = _top_level_assign_index(tokens)
+    if k is not None:
         head = tokens[0]
         if isinstance(head, Token) and head.kind == NAME and head.value in A.STATEMENT_KEYWORDS:
             return A.OpaqueNode(span=span, label=label, tokens=tokens)
@@ -263,7 +272,7 @@ def _classify_if_body(rest: List[ExprToken], span, label):
     if isinstance(head, Token) and head.kind == NAME and head.value == "call":
         if len(rest) >= 2 and isinstance(rest[1], Token) and rest[1].kind == NAME:
             args: List[List[ExprToken]] = []
-            if len(rest) >= 3 and rest[2] == Token(PUNCT, "("):
+            if len(rest) >= 3 and rest[2] == LPAREN:
                 inner, _ = _collect_group(rest, 2, span)
                 args = split_top_commas(inner)
             return A.CallNode(span=span, label=label, callee=rest[1].value, args=args)
@@ -281,11 +290,11 @@ def _top_level_assign_index(tokens: List[ExprToken]) -> Optional[int]:
     depth = 0
     for idx, t in enumerate(tokens):
         if isinstance(t, Token):
-            if t == Token(PUNCT, "("):
+            if t == LPAREN:
                 depth += 1
-            elif t == Token(PUNCT, ")"):
+            elif t == RPAREN:
                 depth -= 1
-            elif depth == 0 and t == Token(OP, "="):
+            elif depth == 0 and t == EQUALS:
                 return idx
     return None
 
@@ -303,7 +312,7 @@ def _parse_pointer_list(raw: str, span) -> List[Tuple[str, str]]:
     entries = []
     for item in raw.split(","):
         item = item.strip().lower()
-        m = re.match(r"^([a-z][a-z0-9_]*)\.([a-z][a-z0-9_]*)$", item)
+        m = _POINTER_ENTRY_RE.match(item)
         if not m:
             raise MigrationError(f"malformed POINTEUR entry {item!r}", span)
         entries.append((m.group(1), m.group(2)))
@@ -315,14 +324,8 @@ def _parse_implicit(rest: str, original: str, span, label) -> A.ImplicitDeclNode
     if rest.lower() == "none":
         return A.ImplicitDeclNode(span=span, label=label, none=True, original=original)
     rules: List[Tuple[str, str]] = []
-    pattern = re.compile(
-        r"(integer|real|logical|double\s+precision|character(?:\s*\*\s*\d+)?)\s*\(([^)]*)\)",
-        re.IGNORECASE,
-    )
-    pos = 0
-    for m in pattern.finditer(rest):
-        rules.append((re.sub(r"\s+", " ", m.group(1).lower()), m.group(2).replace(" ", "").lower()))
-        pos = m.end()
+    for m in _IMPLICIT_RULE_RE.finditer(rest):
+        rules.append((_BLANKS_RE.sub(" ", m.group(1).lower()), m.group(2).replace(" ", "").lower()))
     if not rules:
         raise MigrationError(f"unparseable implicit statement: {original!r}", span)
     return A.ImplicitDeclNode(span=span, label=label, rules=rules, original=original)
@@ -337,7 +340,7 @@ def _parse_decl_entities(raw: str, span) -> List[A.DeclEntity]:
         name = part[0].value
         dims: Tuple[Tuple[ExprToken, ...], ...] = ()
         if len(part) > 1:
-            if part[1] != Token(PUNCT, "("):
+            if part[1] != LPAREN:
                 raise MigrationError(f"malformed declaration entity in {raw!r}", span)
             inner, j = _collect_group(part, 1, span)
             if j != len(part):
@@ -371,7 +374,7 @@ def parse_segment_definition(lines: List[LogicalLine]) -> SegmentDefinition:
         dm = _TYPE_DECL_RE.match(text)
         if not dm:
             raise MigrationError(f"unsupported segment field declaration: {text!r}", line.span)
-        base = re.sub(r"\s+", " ", dm.group(1).lower())
+        base = _BLANKS_RE.sub(" ", dm.group(1).lower())
         char_len: Optional[object] = None
         if dm.group(3):
             char_len = "*" if not dm.group(3).isdigit() else int(dm.group(3))

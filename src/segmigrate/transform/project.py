@@ -12,7 +12,7 @@ from .. import target as T
 from ..emit import RenderConfig, render_unit
 from ..errors import MigrationError
 from ..frontend import ast_nodes as A
-from ..frontend.lexer import NAME, INT, OP, DottedAccess, ExprToken, Token, walk_tokens
+from ..frontend.lexer import NAME, INT, OP, EQUALS, MINUS, DottedAccess, ExprToken, Token, walk_tokens
 from ..model import ProjectModel
 from .segments import generate_support_modules, migrate_segment
 from .units import make_context, wrap_in_module
@@ -145,7 +145,7 @@ def _streams_of(node: A.Node) -> List[Sequence[ExprToken]]:
     streams = A.node_streams(node)
     if isinstance(node, A.AssignmentNode):
         # one `lhs = rhs` stream: the negative-literal pattern spans the `=`
-        streams[:2] = [list(node.lhs) + [Token(OP, "=")] + list(node.rhs)]
+        streams[:2] = [list(node.lhs) + [EQUALS] + list(node.rhs)]
     return streams
 
 
@@ -158,7 +158,7 @@ def _scan_negative(toks: List[Token], pointers) -> List[str]:
         if (
             i + 2 < len(toks)
             and toks[i + 1].kind == OP and toks[i + 1].value in _COMPARE_OPS
-            and toks[i + 2] == Token(OP, "-")
+            and toks[i + 2] == MINUS
             and i + 3 < len(toks) and toks[i + 3].kind == INT
         ):
             hits.append(t.value)
@@ -166,7 +166,7 @@ def _scan_negative(toks: List[Token], pointers) -> List[str]:
             i >= 3
             and toks[i - 1].kind == OP and toks[i - 1].value in _COMPARE_OPS
             and toks[i - 2].kind == INT
-            and toks[i - 3] == Token(OP, "-")
+            and toks[i - 3] == MINUS
         ):
             hits.append(t.value)
     return hits

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -265,6 +266,49 @@ def _undeclared_in_file(text: str, exports: Dict[str, Set[str]]) -> List[str]:
     return out
 
 
+# --- acyclic `use` checker --------------------------------------------------
+
+
+def use_graph(files: Dict[str, str]) -> Dict[str, Set[str]]:
+    """Module -> the modules named by a `use` anywhere inside it."""
+    graph: Dict[str, Set[str]] = {}
+    for text in files.values():
+        current: Optional[str] = None
+        for line in logical_lines(text):
+            m = _UNIT_HEAD_RE.match(line)
+            if m and not line.lower().startswith("program"):
+                current = m.group(1).lower()
+                graph.setdefault(current, set())
+            elif re.match(r"^\s*end\s+module\b", line, re.IGNORECASE):
+                current = None
+            elif current is not None:
+                m = _USE_RE.match(line)
+                if m:
+                    graph[current].add(m.group(1).lower())
+    return graph
+
+
+def use_cycle_modules(files: Dict[str, str]) -> List[str]:
+    """Modules of an output tree that no compile order can place: each is on
+    a cycle of `use`, which Fortran forbids, or uses such a module.  Empty
+    when the `use` graph is acyclic."""
+    graph = use_graph(files)
+    pending = {mod: deps & graph.keys() for mod, deps in graph.items()}
+    users: Dict[str, Set[str]] = {mod: set() for mod in graph}
+    for mod, deps in pending.items():
+        for dep in deps:
+            users[dep].add(mod)
+    ready = [mod for mod, deps in pending.items() if not deps]
+    while ready:
+        mod = ready.pop()
+        del pending[mod]
+        for user in users[mod]:
+            pending[user].discard(mod)
+            if not pending[user]:
+                ready.append(user)
+    return sorted(pending)
+
+
 # --- intent oracle ----------------------------------------------------------
 
 
@@ -433,3 +477,249 @@ def random_program(rng: random.Random, spec_cls, cyclic: bool = False):
                 events.append(("f", callee, rng.randint(0, max(arity - 1, 0)), param))
         routines[name] = spec_cls(params=params, events=events)
     return routines, catalog
+
+
+# --- frozen statement lexer -------------------------------------------------
+#
+# The character-at-a-time tokenizer and the island folder as they stood
+# before the tokenizer became one master regex with interned tokens, frozen
+# as the reference for the token streams.  Its tokens are frozen dataclasses
+# with the same ``repr`` as the live ones, so streams compare by ``repr``.
+
+
+class OracleLexError(Exception):
+    """What the frozen lexer raises where the live one raises MigrationError."""
+
+
+@dataclass(frozen=True)
+class OracleToken:
+    kind: str
+    value: str
+
+    def __repr__(self):
+        return f"Token(kind={self.kind!r}, value={self.value!r})"
+
+
+@dataclass(frozen=True)
+class OracleDottedAccess:
+    pointer: Optional[str]
+    field: str
+    subscripts: tuple = ()
+
+    def __repr__(self):
+        return (f"DottedAccess(pointer={self.pointer!r}, field={self.field!r}, "
+                f"subscripts={self.subscripts!r})")
+
+
+@dataclass(frozen=True)
+class OracleSlashDim:
+    base: object
+    dim: int
+
+    def __repr__(self):
+        return f"SlashDim(base={self.base!r}, dim={self.dim!r})"
+
+
+_ORACLE_LOGICAL_WORDS = {
+    "eq", "ne", "lt", "le", "gt", "ge",
+    "and", "or", "not", "eqv", "neqv", "xor",
+    "true", "false",
+}
+_ORACLE_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*", re.IGNORECASE)
+_ORACLE_DOTWORD_RE = re.compile(r"\.([a-z]+)\.", re.IGNORECASE)
+
+
+def oracle_tokenize(text: str) -> List[OracleToken]:
+    T = OracleToken
+    toks: List[OracleToken] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "'" or c == '"':
+            j = i + 1
+            quote = c
+            while j < n:
+                if text[j] == quote:
+                    if j + 1 < n and text[j + 1] == quote:  # doubled quote escape
+                        j += 2
+                        continue
+                    break
+                j += 1
+            if j >= n:
+                raise OracleLexError("unterminated string literal")
+            toks.append(T("string", text[i : j + 1]))
+            i = j + 1
+            continue
+        m = _ORACLE_NAME_RE.match(text, i)
+        if m:
+            toks.append(T("name", m.group(0).lower()))
+            i = m.end()
+            continue
+        if c.isdigit():
+            i = _oracle_scan_number(text, i, toks)
+            continue
+        if c == ".":
+            m = _ORACLE_DOTWORD_RE.match(text, i)
+            if m and m.group(1).lower() in _ORACLE_LOGICAL_WORDS:
+                toks.append(T("op", m.group(0).lower()))
+                i = m.end()
+                continue
+            if i + 1 < n and text[i + 1].isdigit() and not _oracle_prev_is_value(toks):
+                i = _oracle_scan_number(text, i, toks)
+                continue
+            toks.append(T("punct", "."))
+            i += 1
+            continue
+        if text.startswith("**", i) or text.startswith("//", i) or text.startswith("=>", i):
+            toks.append(T("op", text[i : i + 2]))
+            i += 2
+            continue
+        if c in "+-*/=":
+            toks.append(T("op", c))
+            i += 1
+            continue
+        if c in "(),:%$":
+            toks.append(T("punct", c))
+            i += 1
+            continue
+        raise OracleLexError(f"unexpected character {c!r} in statement")
+    return toks
+
+
+def _oracle_prev_is_value(toks: List[OracleToken]) -> bool:
+    if not toks:
+        return False
+    t = toks[-1]
+    return t.kind in ("name", "int", "real") or (t.kind == "punct" and t.value == ")")
+
+
+def _oracle_scan_number(text: str, i: int, toks: List[OracleToken]) -> int:
+    n = len(text)
+    j = i
+    while j < n and text[j].isdigit():
+        j += 1
+    is_real = False
+    if j < n and text[j] == ".":
+        # do not swallow the dot of `1.eq.2`
+        m = _ORACLE_DOTWORD_RE.match(text, j)
+        if not (m and m.group(1).lower() in _ORACLE_LOGICAL_WORDS):
+            is_real = True
+            j += 1
+            while j < n and text[j].isdigit():
+                j += 1
+    if j < n and text[j] in "eEdD":
+        k = j + 1
+        if k < n and text[k] in "+-":
+            k += 1
+        if k < n and text[k].isdigit():
+            is_real = True
+            j = k
+            while j < n and text[j].isdigit():
+                j += 1
+    value = text[i:j].lower()
+    toks.append(OracleToken("real" if is_real else "int", value))
+    return j
+
+
+_O_LPAREN = OracleToken("punct", "(")
+_O_RPAREN = OracleToken("punct", ")")
+_O_COMMA = OracleToken("punct", ",")
+_O_DOT = OracleToken("punct", ".")
+_O_SLASH = OracleToken("op", "/")
+
+
+def oracle_scan_expression(tokens: Sequence[OracleToken]) -> list:
+    out: list = []
+    i = 0
+    toks = list(tokens)
+    n = len(toks)
+    while i < n:
+        t = toks[i]
+        if isinstance(t, OracleToken) and t.kind == "name":
+            if (
+                i + 2 < n
+                and isinstance(toks[i + 1], OracleToken)
+                and toks[i + 1] == _O_DOT
+                and isinstance(toks[i + 2], OracleToken)
+                and toks[i + 2].kind == "name"
+            ):
+                access = OracleDottedAccess(t.value, toks[i + 2].value)
+                i += 3
+                access, i = _oracle_fold_paren_suffix(access, toks, i)
+                out.append(access)
+                continue
+            slash = _oracle_try_plain_slash(t, toks, i)
+            if slash is not None:
+                out.append(slash[0])
+                i = slash[1]
+                continue
+        out.append(t)
+        i += 1
+    return out
+
+
+def _oracle_try_plain_slash(t, toks, i):
+    # name ( / k )
+    if i + 3 < len(toks) and toks[i + 1] == _O_LPAREN and toks[i + 2] == _O_SLASH:
+        if not (isinstance(toks[i + 3], OracleToken) and toks[i + 3].kind == "int"):
+            raise OracleLexError("slash-dim index must be an integer literal")
+        if i + 4 >= len(toks) or toks[i + 4] != _O_RPAREN:
+            raise OracleLexError("malformed slash-dim")
+        return OracleSlashDim(t, int(toks[i + 3].value)), i + 5
+    return None
+
+
+def _oracle_fold_paren_suffix(access, toks, i):
+    n = len(toks)
+    if i >= n or toks[i] != _O_LPAREN:
+        return access, i
+    if i + 1 < n and toks[i + 1] == _O_SLASH:
+        if not (i + 2 < n and isinstance(toks[i + 2], OracleToken) and toks[i + 2].kind == "int"):
+            raise OracleLexError("slash-dim index must be an integer literal")
+        if i + 3 >= n or toks[i + 3] != _O_RPAREN:
+            raise OracleLexError("malformed slash-dim")
+        return OracleSlashDim(access, int(toks[i + 2].value)), i + 4
+    inner, j = _oracle_collect_group(toks, i)
+    subs = tuple(tuple(oracle_scan_expression(part)) for part in _oracle_split_top_commas(inner))
+    return OracleDottedAccess(access.pointer, access.field, subs), j
+
+
+def _oracle_collect_group(toks, i):
+    depth = 0
+    inner = []
+    j = i
+    while j < len(toks):
+        t = toks[j]
+        if t == _O_LPAREN:
+            depth += 1
+            if depth > 1:
+                inner.append(t)
+        elif t == _O_RPAREN:
+            depth -= 1
+            if depth == 0:
+                return inner, j + 1
+            inner.append(t)
+        else:
+            inner.append(t)
+        j += 1
+    raise OracleLexError("unbalanced parentheses")
+
+
+def _oracle_split_top_commas(toks):
+    parts: list = [[]]
+    depth = 0
+    for t in toks:
+        if t == _O_LPAREN:
+            depth += 1
+        elif t == _O_RPAREN:
+            depth -= 1
+        if depth == 0 and t == _O_COMMA:
+            parts.append([])
+        else:
+            parts[-1].append(t)
+    if parts == [[]]:
+        return []
+    return parts

@@ -30,6 +30,8 @@ from helpers import (
     oracle_intents,
     random_program,
     undeclared_references,
+    use_cycle_modules,
+    use_graph,
 )
 
 SEGMENT_SOURCE = """\
@@ -193,6 +195,33 @@ def test_criterion_5_implicit_none_and_no_undeclared_symbols(tmp_path):
         stripped = [l.strip() for l in text.splitlines()]
         assert stripped.count("implicit none") == 1, name
     assert undeclared_references(files) == []
+
+
+def test_bookstore_use_graph_is_acyclic(tmp_path):
+    files = read_outputs(migrated_bookstore(tmp_path))
+    assert any(use_graph(files).values())
+    assert use_cycle_modules(files) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="compute_unit_uses adds a `use` for every called project routine, "
+    "so routines that call each other give modules that use each other",
+)
+@pytest.mark.parametrize("names", [["rec.f"], ["a.f", "b.f"]], ids=["one-file", "two-files"])
+def test_mutually_recursive_routines_give_no_use_cycle(tmp_path, names):
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    units = [
+        "      SUBROUTINE A(X, Y)\n      INTEGER X, Y\n      CALL B(Y)\n      Y = 0\n      END\n",
+        "      SUBROUTINE B(Z)\n      INTEGER Z, W\n      CALL A(1, Z)\n      W = Z\n      END\n",
+    ]
+    if len(names) == 1:
+        units = ["".join(units)]
+    for name, text in zip(names, units):
+        (src / name).write_text(text)
+    assert main(["migrate", "--src", str(src), "--out", str(out)]) == 0
+    assert use_cycle_modules(read_outputs(out)) == []
 
 
 def test_criterion_6_intent_fixpoint_matches_simulation_oracle():

@@ -1,9 +1,11 @@
 """Lexer, parser, and include-resolution tests."""
 
+import operator
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segmigrate.cli import RunConfig, load_units
 from segmigrate.errors import MigrationError
@@ -23,6 +25,7 @@ from segmigrate.frontend.lexer import (
     FLAVOR_FORTRAN,
     FLAVOR_HASH,
     FLAVOR_PERCENT,
+    LPAREN,
     DottedAccess,
     SlashDim,
     Token,
@@ -32,6 +35,8 @@ from segmigrate.frontend.lexer import (
     tokenize,
 )
 from segmigrate.frontend.parser import classify_statement, parse_source, parse_unit
+
+from helpers import OracleLexError, oracle_scan_expression, oracle_tokenize
 
 LISTING_SOURCE = """\
       SUBROUTINE NEWUSER(LIB,NAME)
@@ -120,6 +125,30 @@ def test_directive_kept_at_column_one():
     assert lines[0].kind == DIRECTIVE
 
 
+def test_inline_comment_is_dropped():
+    assert stmt("X = 1 ! note").text == "X = 1"
+    assert stmt("CALL LOG('HI! THERE', \"!\") ! 'not a literal").text == (
+        "CALL LOG('HI! THERE', \"!\")"
+    )
+
+
+def test_inline_comment_after_literal_continued_across_cards():
+    cards = [
+        "      CALL LOG('A ! B",
+        "     &C ! D') ! note",
+        "     !  , 'E''!') ! column 6 continues",
+    ]
+    lines = split_logical_lines("\n".join(cards))
+    assert [l.text for l in lines] == ["CALL LOG('A ! BC ! D')  , 'E''!')"]
+
+
+def test_card_holding_only_an_inline_comment_is_a_comment():
+    lines = split_logical_lines("      X = 1\n      ! note\n! bang\n      Y = 2")
+    assert [(l.kind, l.text) for l in lines] == [
+        (STATEMENT, "X = 1"), (COMMENT, " note"), (COMMENT, " bang"), (STATEMENT, "Y = 2"),
+    ]
+
+
 # --- include detection ------------------------------------------------------
 
 
@@ -176,6 +205,63 @@ def test_tokenize_doubled_quote_escape():
 def test_tokenize_unterminated_string():
     with pytest.raises(MigrationError):
         tokenize("'oops")
+
+
+def test_equal_lexemes_share_one_token():
+    a = tokenize("X = FOO(1) + 'lit'")
+    b = tokenize("foo = x*1 + 'lit'")
+    assert a[0] is b[2] and a[2] is b[0]
+    assert a[4] is b[4] and a[7] is b[6]
+    assert a[3] is LPAREN
+
+
+# Statement bodies built from the lexemes the scanners treat specially.  The
+# stray characters leave out digits that are not decimal (``²``): the frozen
+# scanner took them for digits, the live one rejects them.
+_LEXEME = st.one_of(
+    st.builds(operator.add, st.sampled_from("aBzQ_"), st.text("aBzQ_019", max_size=4)),
+    st.builds(
+        "{}{}{}".format,
+        st.text("0159", min_size=1, max_size=3),
+        st.sampled_from(["", ".", ".5", ".05"]),
+        st.sampled_from(["", "e", "e12", "E+1", "d-2", "D3"]),
+    ),
+    st.builds(operator.add, st.sampled_from([".5", ".05", ".50"]), st.sampled_from(["", "e3", "D-1", "e"])),
+    st.sampled_from([
+        "1.eq.2", "1.EQV.x", "1.e5", "1..eq.2", ".abc.", ".falſe.", ".NeqV.", ".not.", ".True.",
+        "x.5", "a(1).5", "**", "//", "=>",
+        "'it''s'", '"say ""hi"""', "''", "''''", "'oops", '"open',
+        "p.f", "P.F(I, J)", "p.f(/2)", "a(/1)", "a(/k)", "a(/1", "p.f(/1 2)", "p.f(i",
+        "!", "#", "&", ";", "?", "@", "[", "~", "é", "ſ", "\t",
+    ]),
+    st.sampled_from(list("+-*/=(),:%$.'\" ")),
+)
+_BODY = st.one_of(
+    st.lists(st.tuples(_LEXEME, st.sampled_from(["", " ", "  "])), max_size=10).map(
+        lambda parts: "".join(lexeme + gap for lexeme, gap in parts)
+    ),
+    st.text(alphabet="aBqE_0159.eEdD+-*/=(),:%$'\" !", max_size=24),
+)
+
+
+def _fold(text):
+    try:
+        return repr(scan_expression(tokenize(text)))
+    except MigrationError as exc:
+        return ("error", str(exc))
+
+
+def _oracle_fold(text):
+    try:
+        return repr(oracle_scan_expression(oracle_tokenize(text)))
+    except OracleLexError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BODY)
+def test_lexer_agrees_with_frozen_character_scanner(text):
+    assert _fold(text) == _oracle_fold(text)
 
 
 # --- island folding ---------------------------------------------------------
