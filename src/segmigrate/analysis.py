@@ -9,9 +9,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import MigrationError
 from .frontend import ast_nodes as A
-from .frontend.lexer import (
-    DottedAccess, ExprToken, SlashDim, Token, NAME, LPAREN, RPAREN, split_top_commas, stream_names,
-)
 from .model import ProjectModel, SegmentDefinition
 
 # --- implicit typing --------------------------------------------------------
@@ -126,11 +123,7 @@ def infer_implicit_types(
             field_owner.setdefault(f.name, seg.name)
 
     out: List[TypeAssignment] = []
-    seen: Set[str] = set()
     for sym in sorted(referenced):
-        if sym in seen:
-            continue
-        seen.add(sym)
         if sym == unit.name:
             continue
         if sym in called:
@@ -164,35 +157,6 @@ RETURN_TYPE_DECL = "returnTypeDecl"
 PLAIN_VARIABLE_DECL = "plainVariableDecl"
 
 
-def invoked_names(unit: A.ProgramUnitAst) -> Set[str]:
-    """Names invoked with parentheses in expression context."""
-    found: Set[str] = set()
-
-    def scan(stream: Sequence[ExprToken]):
-        for i, t in enumerate(stream):
-            if isinstance(t, Token) and t.kind == NAME:
-                nxt = stream[i + 1] if i + 1 < len(stream) else None
-                if nxt == LPAREN:
-                    found.add(t.value)
-            elif isinstance(t, DottedAccess):
-                for sub in t.subscripts:
-                    scan(sub)
-            elif isinstance(t, SlashDim):
-                scan([t.base])
-
-    for node in unit.body:
-        streams = A.node_streams(node)
-        if isinstance(node, A.AssignmentNode):
-            streams[0] = node.lhs[1:]  # a statement-function target is not invoked
-        for stream in streams:
-            scan(stream)
-    return found
-
-
-def assigned_names(unit: A.ProgramUnitAst) -> Set[str]:
-    return {ev[1] for ev in _unit_events(unit, model=None) if ev[0] == "w"}
-
-
 def classify_external_names(unit: A.ProgramUnitAst, model: ProjectModel) -> Dict[str, str]:
     """Partition explicitly typed names into external routine declarations,
     function return-type declarations, and plain variables."""
@@ -204,8 +168,8 @@ def classify_external_names(unit: A.ProgramUnitAst, model: ProjectModel) -> Dict
         elif isinstance(node, A.TypeDeclNode) and node.base_type is not None:
             typed |= {e.name for e in node.entities}
 
-    invoked = invoked_names(unit)
-    assigned = assigned_names(unit)
+    invoked = {n for node in unit.body for n in node.facts.invoked}
+    assigned = {ev[1] for ev in routine_events(unit, None) if ev[0] == "w"}
     arrays = {
         e.name
         for node in unit.body
@@ -401,131 +365,22 @@ def infer_intents(model: ProjectModel, units: Sequence[A.ProgramUnitAst]) -> Int
 
 
 def routine_events(unit: A.ProgramUnitAst, model: Optional[ProjectModel]) -> List[Tuple]:
-    """Read/write/forward events of one routine, in textual order."""
-    return list(_unit_events(unit, model))
-
-
-def _unit_events(unit: A.ProgramUnitAst, model: Optional[ProjectModel]):
-    """Yield ('r', name), ('w', name) or ('f', callee, position, name)."""
+    """Read/write/forward events of one routine, in textual order: those of
+    its statements, less the write of a function result, with a SEGINI or
+    SEGADJ first reading the dimensioning variables of its segment (known
+    only from ``model``)."""
     seg_by_pointer = pointer_segments(unit)
+    events: List[Tuple] = []
     for node in unit.body:
-        yield from _statement_events(node, unit, model, seg_by_pointer)
-
-
-def _reads(stream: Sequence[ExprToken]):
-    """A read event for each name of the stream, intrinsics left out."""
-    for n in stream_names(stream):
-        if n not in A.INTRINSIC_FUNCTIONS:
-            yield ("r", n)
-
-
-def _statement_events(node, unit, model, seg_by_pointer):
-    if isinstance(node, A.TypeDeclNode):
-        # adjustable-array bounds are read on entry
-        for ent in node.entities:
-            for dim in ent.dims:
-                yield from _reads(dim)
-    elif isinstance(node, A.AssignmentNode):
-        if node.guard:
-            yield from _reads(node.guard)
-        yield from _reads(node.rhs)
-        head, rest = (node.lhs[0], node.lhs[1:]) if node.lhs else (None, [])
-        yield from _reads(rest)
-        if isinstance(head, Token) and head.kind == NAME:
-            if head.value != unit.name:  # function-result assignment is not a param
-                yield ("w", head.value)
-        elif isinstance(head, DottedAccess):
-            for sub in head.subscripts:
-                yield from _reads(sub)
-            if head.pointer:
-                yield ("r", head.pointer)  # writing a field reads the pointer
-    elif isinstance(node, A.CallNode):
-        if node.guard:
-            yield from _reads(node.guard)
-        for i, arg in enumerate(node.args):
-            if len(arg) == 1 and isinstance(arg[0], Token) and arg[0].kind == NAME:
-                yield ("f", node.callee, i, arg[0].value)
-            else:
-                yield from _reads(arg)
-    elif isinstance(node, A.EsopeCommandNode):
-        seg = None
-        if model is not None and seg_by_pointer.get(node.target) in model.segments:
-            seg = model.segments[seg_by_pointer[node.target]]
-        dim_vars = seg.dimensioning_vars if seg else []
-        if node.kind == A.SEGINI:
-            for v in dim_vars:
-                yield ("r", v)
-            yield ("w", node.target)
-        elif node.kind == A.SEGINI_COPY:
-            yield ("r", node.source)
-            yield ("w", node.target)
-        elif node.kind == A.SEGACT_MOVE:
-            yield ("r", node.source)
-            yield ("r", node.target)
-            yield ("w", node.target)
-        elif node.kind == A.SEGADJ:
-            for v in dim_vars:
-                yield ("r", v)
-            yield ("r", node.target)
-            yield ("w", node.target)
-        elif node.kind == A.SEGSUP:
-            yield ("r", node.target)
-            yield ("w", node.target)
-        else:  # segprt, segact, segdes
-            yield ("r", node.target)
-    elif isinstance(node, A.OpaqueNode):
-        yield from _opaque_events(node.tokens)
-
-
-def _opaque_events(tokens: List[ExprToken]):
-    head = tokens[0] if tokens else None
-    if not (isinstance(head, Token) and head.kind == NAME):
-        yield from _reads(tokens)
-        return
-    kw = head.value
-    if kw in ("write", "print"):
-        yield from _reads(tokens[1:])
-    elif kw == "read":
-        control, rest = _split_control(tokens[1:])
-        yield from _reads(control)
-        for item in split_top_commas(rest):
-            base = item[0] if item else None
-            yield from _reads(item[1:])
-            if isinstance(base, Token) and base.kind == NAME:
-                yield ("w", base.value)
-    elif kw == "do":
-        k = next(
-            (
-                i
-                for i, t in enumerate(tokens)
-                if isinstance(t, Token) and t.kind == "op" and t.value == "="
-            ),
-            None,
-        )
-        if k is not None and k >= 1:
-            var = tokens[k - 1]
-            yield from _reads(tokens[k + 1 :])
-            if isinstance(var, Token) and var.kind == NAME:
-                yield ("w", var.value)
-        else:
-            yield from _reads(tokens[1:])
-    else:
-        for ev in _reads(tokens):
-            if ev[1] not in A.STATEMENT_KEYWORDS:
-                yield ev
-
-
-def _split_control(tokens):
-    if tokens and tokens[0] == LPAREN:
-        depth = 0
-        for i, t in enumerate(tokens):
-            if t == LPAREN:
-                depth += 1
-            elif t == RPAREN:
-                depth -= 1
-                if depth == 0:
-                    return tokens[1:i], tokens[i + 1 :]
-    return [], tokens
+        own = node.facts.events
+        if isinstance(node, A.AssignmentNode) and own and own[-1] == ("w", unit.name):
+            own = own[:-1]  # function-result assignment is not a param
+        elif isinstance(node, A.EsopeCommandNode) and node.kind in (A.SEGINI, A.SEGADJ) and model:
+            seg = model.segments.get(seg_by_pointer.get(node.target))
+            if seg is not None:
+                events.extend(("r", v) for v in seg.dimensioning_vars)
+        events.extend(own)
+    return events
 
 
 # --- module imports ---------------------------------------------------------

@@ -21,8 +21,6 @@ from .transform import migrate_project, negative_pointer_uses
 
 #: files parsed as program units
 UNIT_EXTENSIONS = (".f", ".F", ".eso")
-#: additionally listed by `check`, but only reachable through includes
-INCLUDE_EXTENSIONS = (".inc", ".seg")
 
 
 @dataclass(frozen=True)
@@ -127,8 +125,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def discover_sources(src: Path) -> List[Path]:
-    out = [p for p in sorted(src.rglob("*")) if p.is_file() and p.suffix in UNIT_EXTENSIONS]
-    return out
+    return [p for p in sorted(src.rglob("*")) if p.is_file() and p.suffix in UNIT_EXTENSIONS]
 
 
 def load_units(cfg: RunConfig) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """Position of a construct in its original file (1-based, inclusive)."""
 

@@ -74,12 +74,14 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
 
     Comments (including blank lines, kept with empty text) and preprocessor
     directives stay as distinct lines in original order; continuation cards
-    are merged into the statement they continue.  A ``!`` in the body outside
-    a character literal starts a comment that runs to the end of its card; a
-    card holding only such a comment is a comment line.
+    are merged into the statement they continue.  A comment card between a
+    statement and its continuation card follows that statement.  A ``!`` in
+    the body outside a character literal starts a comment that runs to the
+    end of its card; a card holding only such a comment is a comment line.
     """
     out: List[LogicalLine] = []
     pending: Optional[dict] = None  # statement being assembled
+    held: List[LogicalLine] = []  # comments met while a statement is pending
 
     def flush():
         nonlocal pending
@@ -93,6 +95,12 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
                 )
             )
             pending = None
+        out.extend(held)
+        held.clear()
+
+    def comment(text: str, span: SourceSpan):
+        # a continuation card may still follow, so a statement's comment waits
+        (out if pending is None else held).append(LogicalLine(COMMENT, text, span))
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = expand_tabs(raw)
@@ -100,12 +108,10 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
         first = line[0] if line else ""
 
         if not line.strip():
-            flush()
-            out.append(LogicalLine(COMMENT, "", span))
+            comment("", span)
             continue
         if first in ("C", "c", "*", "!"):
-            flush()
-            out.append(LogicalLine(COMMENT, line[1:].rstrip(), span))
+            comment(line[1:].rstrip(), span)
             continue
         if first == "#":
             flush()
@@ -124,8 +130,7 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
             before = pending["text"] if continued else ""
             code = _code_part(before + body)[len(before):]
             if not (continued or code.strip() or label_field.strip()):
-                flush()
-                out.append(LogicalLine(COMMENT, body[len(code) + 1 :].rstrip(), span))
+                comment(body[len(code) + 1 :].rstrip(), span)
                 continue
             body = code
 
@@ -205,7 +210,7 @@ EQUALS = Token(OP, "=")
 MINUS = Token(OP, "-")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DottedAccess:
     """Esope field access ``p.f`` or ``p.f(i, j)``; pointer None means the
     default-pointer shorthand resolved later by the rewriter."""
@@ -215,7 +220,7 @@ class DottedAccess:
     subscripts: Tuple[Tuple["ExprToken", ...], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlashDim:
     """Esope array-extent query ``a(/k)`` / ``p.f(/k)``."""
 
@@ -236,17 +241,6 @@ def walk_tokens(stream: Sequence[ExprToken]) -> Iterator[ExprToken]:
                 yield from walk_tokens(sub)
         elif isinstance(t, SlashDim):
             yield from walk_tokens((t.base,))
-
-
-def stream_names(stream: Sequence[ExprToken]) -> Iterator[str]:
-    """Identifier names of a folded token stream in textual order.  A dotted
-    access contributes its explicit pointer, never its field name."""
-    for t in walk_tokens(stream):
-        if isinstance(t, Token):
-            if t.kind == NAME:
-                yield t.value
-        elif isinstance(t, DottedAccess) and t.pointer:
-            yield t.pointer
 
 
 # ASCII case only, so ``.falſe.`` is no operator

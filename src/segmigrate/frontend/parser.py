@@ -24,7 +24,6 @@ from .lexer import (
     scan_expression,
     split_logical_lines,
     split_top_commas,
-    stream_names,
     tokenize,
     _collect_group,
 )
@@ -250,9 +249,8 @@ def classify_statement(line: LogicalLine) -> A.Node:
         guard, j = _collect_group(tokens, 1, span)
         rest = tokens[j:]
         if rest and not (isinstance(rest[0], Token) and rest[0].kind == NAME and rest[0].value == "then"):
-            inner = _classify_if_body(rest, span, label)
+            inner = _classify_if_body(rest, span, label, guard)
             if inner is not None:
-                inner.guard = guard
                 return inner
 
     k = _top_level_assign_index(tokens)
@@ -265,7 +263,7 @@ def classify_statement(line: LogicalLine) -> A.Node:
     return A.OpaqueNode(span=span, label=label, tokens=tokens)
 
 
-def _classify_if_body(rest: List[ExprToken], span, label):
+def _classify_if_body(rest: List[ExprToken], span, label, guard: List[ExprToken]):
     if not rest:
         return None
     head = rest[0]
@@ -275,14 +273,14 @@ def _classify_if_body(rest: List[ExprToken], span, label):
             if len(rest) >= 3 and rest[2] == LPAREN:
                 inner, _ = _collect_group(rest, 2, span)
                 args = split_top_commas(inner)
-            return A.CallNode(span=span, label=label, callee=rest[1].value, args=args)
+            return A.CallNode(span=span, label=label, callee=rest[1].value, args=args, guard=guard)
         return None
     k = _top_level_assign_index(rest)
     if k is not None:
         hd = rest[0]
         if isinstance(hd, Token) and hd.kind == NAME and hd.value in A.STATEMENT_KEYWORDS:
             return None
-        return A.AssignmentNode(span=span, label=label, lhs=rest[:k], rhs=rest[k + 1 :])
+        return A.AssignmentNode(span=span, label=label, lhs=rest[:k], rhs=rest[k + 1 :], guard=guard)
     return None
 
 
@@ -396,13 +394,13 @@ def parse_segment_definition(lines: List[LogicalLine]) -> SegmentDefinition:
     dim_vars: List[str] = []
     for fname, base, char_len, dims, seg in raw_fields:
         for dim in dims:
-            for sym in stream_names(dim):
+            for sym in A.stream_names(dim):
                 if sym not in seen and sym not in dim_vars:
                     dim_vars.append(sym)
 
     fields = []
     for fname, base, char_len, dims, seg in raw_fields:
-        dynamic = any(s in dim_vars for dim in dims for s in stream_names(dim))
+        dynamic = any(s in dim_vars for dim in dims for s in A.stream_names(dim))
         fields.append(
             FieldDef(
                 name=fname, base_type=base, char_len=char_len, dims=dims,

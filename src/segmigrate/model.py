@@ -168,9 +168,10 @@ def build_project_model(units: Sequence[object]) -> ProjectModel:
         ]
 
     for unit in units:
-        for callee, argc in _call_sites(unit):
-            external = callee not in model.units
-            model.call_graph.append(CallEdge(unit.name, callee, argc, external))
+        for node in unit.body:
+            if isinstance(node, A.CallNode):
+                external = node.callee not in model.units
+                model.call_graph.append(CallEdge(unit.name, node.callee, len(node.args), external))
 
     return model
 
@@ -180,16 +181,6 @@ def register_segment(model: ProjectModel, seg: SegmentDefinition) -> None:
         raise MigrationError(f"segment {seg.name!r} defined twice")
     model.segments[seg.name] = seg
     model._modules = None
-
-
-def _call_sites(unit) -> List[Tuple[str, int]]:
-    from .frontend import ast_nodes as A
-
-    sites = []
-    for node in unit.body:
-        if isinstance(node, A.CallNode):
-            sites.append((node.callee, len(node.args)))
-    return sites
 
 
 def segment_for_field(

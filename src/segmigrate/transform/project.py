@@ -142,11 +142,16 @@ def negative_pointer_uses(unit: A.ProgramUnitAst, model: ProjectModel) -> List[s
 
 
 def _streams_of(node: A.Node) -> List[Sequence[ExprToken]]:
-    streams = A.node_streams(node)
+    if isinstance(node, A.OpaqueNode):
+        return [node.tokens]
     if isinstance(node, A.AssignmentNode):
         # one `lhs = rhs` stream: the negative-literal pattern spans the `=`
-        streams[:2] = [list(node.lhs) + [EQUALS] + list(node.rhs)]
-    return streams
+        streams = [list(node.lhs) + [EQUALS] + list(node.rhs)]
+    elif isinstance(node, A.CallNode):
+        streams = list(node.args)
+    else:
+        return []
+    return streams + [node.guard] if node.guard else streams
 
 
 def _scan_negative(toks: List[Token], pointers) -> List[str]:

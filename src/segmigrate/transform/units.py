@@ -13,7 +13,7 @@ from .. import analysis
 from .. import target as T
 from ..errors import MigrationError
 from ..frontend import ast_nodes as A
-from ..frontend.lexer import DottedAccess, ExprToken, SlashDim, Token, walk_tokens
+from ..frontend.lexer import ExprToken, Token
 from ..model import ProjectModel, SegmentDefinition, segment_for_field
 from .tokens import render_tokens
 
@@ -111,11 +111,7 @@ def rewrite_statement(node: A.Node, ctx: RewriteContext) -> List[T.OutputNode]:
 def _count_esope_touch(node: A.Node, ctx: RewriteContext) -> None:
     """A statement with a dotted access or slash-dim at the top level of
     one of its streams is rewritten; any other passes through."""
-    if any(
-        isinstance(t, (DottedAccess, SlashDim))
-        for stream in A.node_streams(node)
-        for t in stream
-    ):
+    if node.facts.esope:
         ctx.rewritten += 1
     else:
         ctx.passthrough += 1
@@ -251,8 +247,6 @@ def _rewrite_call(node: A.CallNode, ctx: RewriteContext) -> List[T.OutputNode]:
     _count_esope_touch(node, ctx)
     args = ", ".join(render_tokens(a, ctx.resolve_field) for a in node.args)
     text = f"{_guard_prefix(node.guard, ctx)}call {node.callee}({args})"
-    if not node.args:
-        text = f"{_guard_prefix(node.guard, ctx)}call {node.callee}()"
     return [_stmt(ctx, text, node.label)]
 
 
@@ -304,29 +298,14 @@ def _inferred_declarations(ctx: RewriteContext) -> List[T.OutputNode]:
 
 def _default_pointer_decls(ctx: RewriteContext) -> List[T.OutputNode]:
     """Pointers named after a segment exist without any POINTEUR line."""
-    used: List[str] = []
     scope_names = {s.name for s in ctx.facts.scope}
-    for node in ctx.unit.body:
-        for name in _default_pointer_uses(node, scope_names, ctx):
-            if name not in used:
-                used.append(name)
+    used = {n for node in ctx.unit.body for n in _default_pointer_uses(node, scope_names, ctx)}
     return [T.declaration(f"type({n}), pointer :: {n}") for n in sorted(used)]
 
 
-def _default_pointer_uses(node: A.Node, scope_names: Set[str], ctx: RewriteContext):
-    if isinstance(node, A.EsopeCommandNode):
-        for name in (node.target, node.source):
-            if name in scope_names and name not in ctx.facts.pointers:
-                yield name
-        return
-    for stream in A.node_streams(node):
-        for t in walk_tokens(stream):
-            if (
-                isinstance(t, DottedAccess)
-                and t.pointer in scope_names
-                and t.pointer not in ctx.facts.pointers
-            ):
-                yield t.pointer
+def _default_pointer_uses(node: A.Node, scope_names: Set[str], ctx: RewriteContext) -> List[str]:
+    names = (node.target, node.source) if isinstance(node, A.EsopeCommandNode) else node.facts.pointers
+    return [n for n in names if n in scope_names and n not in ctx.facts.pointers]
 
 
 def compute_unit_uses(ctx: RewriteContext) -> List[str]:

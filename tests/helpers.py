@@ -723,3 +723,261 @@ def _oracle_split_top_commas(toks):
     if parts == [[]]:
         return []
     return parts
+
+
+# --- frozen statement walkers -----------------------------------------------
+#
+# The walkers that each read a statement's token streams again, as they stood
+# before every statement node carried one record of facts, frozen as the
+# reference for that record: the names a statement references, the names a
+# unit invokes, the events of a unit, the default pointers of a statement and
+# whether the rewriter counts it as touched by Esope.
+# They take live AST nodes as input and compare tokens with plain tuples.
+
+from segmigrate.frontend import ast_nodes as _A  # noqa: E402
+from segmigrate.frontend.lexer import DottedAccess as _Dotted, SlashDim as _Slash, Token as _Token  # noqa: E402
+
+_LP, _RP, _COMMA = ("punct", "("), ("punct", ")"), ("punct", ",")
+
+
+def _frozen_walk_tokens(stream):
+    for t in stream:
+        yield t
+        if isinstance(t, _Dotted):
+            for sub in t.subscripts:
+                yield from _frozen_walk_tokens(sub)
+        elif isinstance(t, _Slash):
+            yield from _frozen_walk_tokens((t.base,))
+
+
+def _frozen_stream_names(stream):
+    for t in _frozen_walk_tokens(stream):
+        if isinstance(t, _Token):
+            if t.kind == "name":
+                yield t.value
+        elif isinstance(t, _Dotted) and t.pointer:
+            yield t.pointer
+
+
+def _frozen_node_streams(node):
+    if isinstance(node, _A.OpaqueNode):
+        return [node.tokens]
+    if isinstance(node, _A.AssignmentNode):
+        streams = [node.lhs, node.rhs]
+    elif isinstance(node, _A.CallNode):
+        streams = list(node.args)
+    else:
+        return []
+    if node.guard:
+        streams.append(node.guard)
+    return streams
+
+
+def frozen_statement_reference_names(node) -> Set[str]:
+    if isinstance(node, _A.OpaqueNode):
+        return _frozen_opaque_reference_names(node.tokens)
+    if isinstance(node, _A.TypeDeclNode):
+        streams = [dim for ent in node.entities for dim in ent.dims]
+    else:
+        streams = _frozen_node_streams(node)
+    names: Set[str] = set()
+    for stream in streams:
+        names.update(_frozen_stream_names(stream))
+    return names - _A.INTRINSIC_FUNCTIONS
+
+
+def _frozen_opaque_reference_names(tokens) -> Set[str]:
+    names = set(_frozen_stream_names(tokens))
+    skip = set()
+    for t in tokens:
+        if not (isinstance(t, _Token) and t.kind == "name"):
+            break
+        if t.value in _A.STATEMENT_KEYWORDS:
+            skip.add(t.value)
+        else:
+            break
+    for t in tokens:
+        if isinstance(t, _Token) and t.kind == "name" and t.value in ("then", "to"):
+            skip.add(t.value)
+    first = tokens[0] if tokens else None
+    if isinstance(first, _Token) and first.kind == "name" and first.value == "common":
+        inside = False
+        for t in tokens[1:]:
+            if isinstance(t, _Token) and t.value == "/":
+                inside = not inside
+            elif inside and isinstance(t, _Token) and t.kind == "name":
+                skip.add(t.value)
+    return (names - skip - _A.STATEMENT_KEYWORDS) - _A.INTRINSIC_FUNCTIONS
+
+
+def frozen_invoked_names(unit) -> Set[str]:
+    found: Set[str] = set()
+
+    def scan(stream):
+        for i, t in enumerate(stream):
+            if isinstance(t, _Token) and t.kind == "name":
+                nxt = stream[i + 1] if i + 1 < len(stream) else None
+                if nxt == _LP:
+                    found.add(t.value)
+            elif isinstance(t, _Dotted):
+                for sub in t.subscripts:
+                    scan(sub)
+            elif isinstance(t, _Slash):
+                scan([t.base])
+
+    for node in unit.body:
+        streams = _frozen_node_streams(node)
+        if isinstance(node, _A.AssignmentNode):
+            streams[0] = node.lhs[1:]
+        for stream in streams:
+            scan(stream)
+    return found
+
+
+def frozen_unit_events(unit, model) -> List[Tuple]:
+    seg_by_pointer = {
+        p: seg for node in unit.body if isinstance(node, _A.PointerDeclNode) for p, seg in node.entries
+    }
+    return [ev for node in unit.body
+            for ev in _frozen_statement_events(node, unit, model, seg_by_pointer)]
+
+
+def _frozen_reads(stream):
+    for n in _frozen_stream_names(stream):
+        if n not in _A.INTRINSIC_FUNCTIONS:
+            yield ("r", n)
+
+
+def _frozen_statement_events(node, unit, model, seg_by_pointer):
+    if isinstance(node, _A.TypeDeclNode):
+        for ent in node.entities:
+            for dim in ent.dims:
+                yield from _frozen_reads(dim)
+    elif isinstance(node, _A.AssignmentNode):
+        if node.guard:
+            yield from _frozen_reads(node.guard)
+        yield from _frozen_reads(node.rhs)
+        head, rest = (node.lhs[0], node.lhs[1:]) if node.lhs else (None, [])
+        yield from _frozen_reads(rest)
+        if isinstance(head, _Token) and head.kind == "name":
+            if head.value != unit.name:
+                yield ("w", head.value)
+        elif isinstance(head, _Dotted):
+            for sub in head.subscripts:
+                yield from _frozen_reads(sub)
+            if head.pointer:
+                yield ("r", head.pointer)
+    elif isinstance(node, _A.CallNode):
+        if node.guard:
+            yield from _frozen_reads(node.guard)
+        for i, arg in enumerate(node.args):
+            if len(arg) == 1 and isinstance(arg[0], _Token) and arg[0].kind == "name":
+                yield ("f", node.callee, i, arg[0].value)
+            else:
+                yield from _frozen_reads(arg)
+    elif isinstance(node, _A.EsopeCommandNode):
+        seg = None
+        if model is not None and seg_by_pointer.get(node.target) in model.segments:
+            seg = model.segments[seg_by_pointer[node.target]]
+        dim_vars = seg.dimensioning_vars if seg else []
+        if node.kind == _A.SEGINI:
+            for v in dim_vars:
+                yield ("r", v)
+            yield ("w", node.target)
+        elif node.kind == _A.SEGINI_COPY:
+            yield ("r", node.source)
+            yield ("w", node.target)
+        elif node.kind == _A.SEGACT_MOVE:
+            yield ("r", node.source)
+            yield ("r", node.target)
+            yield ("w", node.target)
+        elif node.kind == _A.SEGADJ:
+            for v in dim_vars:
+                yield ("r", v)
+            yield ("r", node.target)
+            yield ("w", node.target)
+        elif node.kind == _A.SEGSUP:
+            yield ("r", node.target)
+            yield ("w", node.target)
+        else:
+            yield ("r", node.target)
+    elif isinstance(node, _A.OpaqueNode):
+        yield from _frozen_opaque_events(node.tokens)
+
+
+def _frozen_opaque_events(tokens):
+    head = tokens[0] if tokens else None
+    if not (isinstance(head, _Token) and head.kind == "name"):
+        yield from _frozen_reads(tokens)
+        return
+    kw = head.value
+    if kw in ("write", "print"):
+        yield from _frozen_reads(tokens[1:])
+    elif kw == "read":
+        control, rest = _frozen_split_control(tokens[1:])
+        yield from _frozen_reads(control)
+        for item in _frozen_split_top_commas(rest):
+            base = item[0] if item else None
+            yield from _frozen_reads(item[1:])
+            if isinstance(base, _Token) and base.kind == "name":
+                yield ("w", base.value)
+    elif kw == "do":
+        k = next((i for i, t in enumerate(tokens)
+                  if isinstance(t, _Token) and t.kind == "op" and t.value == "="), None)
+        if k is not None and k >= 1:
+            var = tokens[k - 1]
+            yield from _frozen_reads(tokens[k + 1:])
+            if isinstance(var, _Token) and var.kind == "name":
+                yield ("w", var.value)
+        else:
+            yield from _frozen_reads(tokens[1:])
+    else:
+        for ev in _frozen_reads(tokens):
+            if ev[1] not in _A.STATEMENT_KEYWORDS:
+                yield ev
+
+
+def _frozen_split_control(tokens):
+    if tokens and tokens[0] == _LP:
+        depth = 0
+        for i, t in enumerate(tokens):
+            if t == _LP:
+                depth += 1
+            elif t == _RP:
+                depth -= 1
+                if depth == 0:
+                    return tokens[1:i], tokens[i + 1:]
+    return [], tokens
+
+
+def _frozen_split_top_commas(toks):
+    parts: list = [[]]
+    depth = 0
+    for t in toks:
+        if t == _LP:
+            depth += 1
+        elif t == _RP:
+            depth -= 1
+        if depth == 0 and t == _COMMA:
+            parts.append([])
+        else:
+            parts[-1].append(t)
+    if parts == [[]]:
+        return []
+    return parts
+
+
+def frozen_esope_touch(node) -> bool:
+    return any(isinstance(t, (_Dotted, _Slash)) for stream in _frozen_node_streams(node) for t in stream)
+
+
+def frozen_default_pointer_uses(node, scope_names: Set[str], pointers: Dict[str, str]):
+    if isinstance(node, _A.EsopeCommandNode):
+        for name in (node.target, node.source):
+            if name in scope_names and name not in pointers:
+                yield name
+        return
+    for stream in _frozen_node_streams(node):
+        for t in _frozen_walk_tokens(stream):
+            if isinstance(t, _Dotted) and t.pointer in scope_names and t.pointer not in pointers:
+                yield t.pointer

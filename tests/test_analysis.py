@@ -2,8 +2,10 @@
 
 import random
 import string
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segmigrate import analysis
 from segmigrate.analysis import (
@@ -21,11 +23,27 @@ from segmigrate.analysis import (
     solve_intents,
     unit_facts,
 )
+from segmigrate.cli import RunConfig, load_units
 from segmigrate.errors import MigrationError
+from segmigrate.frontend import ast_nodes as A, lexer
 from segmigrate.frontend.parser import parse_source
 from segmigrate.model import build_project_model
+from segmigrate.transform import migrate_project, project as transform_project
+from segmigrate.transform.units import _default_pointer_uses
 
-from helpers import jacobi_intents, oracle_intents, random_program
+from helpers import (
+    BOOKSTORE,
+    BOOKSTORE_INTENTS,
+    PLAIN77,
+    frozen_default_pointer_uses,
+    frozen_esope_touch,
+    frozen_invoked_names,
+    frozen_statement_reference_names,
+    frozen_unit_events,
+    jacobi_intents,
+    oracle_intents,
+    random_program,
+)
 
 
 def project(src, file_id="t.f"):
@@ -280,6 +298,138 @@ def test_solver_work_is_linear_on_a_forwarding_chain(monkeypatch):
         assert runs <= 2 * n
         for name in routines:
             assert [table[(name, i)] for i in range(3)] == [IN, OUT, INOUT]
+
+
+# --- the statement record ---------------------------------------------------
+
+
+def agrees_with_frozen_walkers(units, model):
+    """Each statement's record and each unit's events against the walkers
+    that read the streams again."""
+    for unit in units:
+        scope = {seg.name for seg in analysis.segments_in_scope(unit, model)}
+        pointers = analysis.pointer_segments(unit)
+        ctx = SimpleNamespace(facts=SimpleNamespace(pointers=pointers))
+        for node in unit.body:
+            assert set(node.facts.names) == frozen_statement_reference_names(node), node
+            one = SimpleNamespace(body=[node])
+            assert set(node.facts.invoked) == frozen_invoked_names(one), node
+            assert set(_default_pointer_uses(node, scope, ctx)) == set(
+                frozen_default_pointer_uses(node, scope, pointers)), node
+            assert node.facts.esope == frozen_esope_touch(node), node
+        for with_model in (model, None):
+            assert analysis.routine_events(unit, with_model) == frozen_unit_events(unit, with_model)
+
+
+@pytest.mark.parametrize("src,catalog", [(BOOKSTORE, BOOKSTORE_INTENTS), (PLAIN77, None)],
+                         ids=["bookstore", "plain77"])
+def test_statement_records_agree_with_frozen_walkers_on_goldens(src, catalog):
+    agrees_with_frozen_walkers(*load_units(RunConfig(src=src, intent_catalog=catalog)))
+
+
+HAND_WRITTEN = """\
+      REAL FUNCTION F(K, N)
+      COMMON /BLK/ X, BLK
+      X = P.F(K)(1:3)
+      P.F(A(K)) = X
+      F = X + 1
+      IF (N .GT. 0) CALL LOGMSG(K, N + 1)
+      READ(*,*) A, B(I)
+      DO 10 I = 1, N
+   10 CONTINUE
+      END
+"""
+
+
+def test_statement_records_agree_with_frozen_walkers_by_hand():
+    units = parse_source(HAND_WRITTEN, "f.f")
+    agrees_with_frozen_walkers(units, build_project_model(units))
+    common, dotted, to_field, result, guarded, read, do = units[0].body[:7]
+    assert "blk" not in common.facts.names and "x" in common.facts.names
+    assert dotted.facts.invoked == () and dotted.facts.pointers == ("p",)  # not k
+    assert to_field.facts.invoked == () and to_field.facts.events[-1] == ("r", "p")
+    assert result.facts.events[-1] == ("w", "f")
+    assert ("w", "f") not in analysis.routine_events(units[0], None)
+    assert guarded.facts.events == (("r", "n"), ("f", "logmsg", 0, "k"), ("r", "n"))
+    assert read.facts.events == (("w", "a"), ("r", "i"), ("w", "b"))
+    assert read.facts.invoked == ("b", "read")
+    assert do.facts.events == (("r", "n"), ("w", "i"))
+
+
+# Routines in the shapes of ``random_program``: reads, writes and forwards of
+# their dummies to later routines and to an external, written as source.
+_NAME = st.sampled_from(["p0", "p1", "p2", "x", "k", "n", "r0"])
+_ATOM = st.one_of(
+    _NAME, st.sampled_from(["1", "2.5", "'s'", "a(/1)", "q.g", "max(k, 1)"]),
+    st.builds("f({})".format, _NAME), st.builds("a({})".format, _NAME),
+    st.builds("p.f({})(1:3)".format, _NAME),
+)
+_EXPR = st.lists(_ATOM, min_size=1, max_size=3).map(" + ".join)
+_ARGS = st.lists(st.one_of(_NAME, _EXPR), max_size=3).map(", ".join)
+_TARGET = st.one_of(_NAME, st.sampled_from(["a(k)", "p.f(k)", "p.f(a(k))", "q.g", "a(k)(1:2)"]))
+_CALLEE = st.sampled_from(["r1", "r2", "ext0"])
+_STATEMENT = st.one_of(
+    st.builds("{} = {}".format, _TARGET, _EXPR),
+    st.builds("CALL {}({})".format, _CALLEE, _ARGS),
+    st.builds("IF ({} .GT. 0) {} = {}".format, _EXPR, _TARGET, _EXPR),
+    st.builds("IF ({} .GT. 0) CALL {}({})".format, _EXPR, _CALLEE, _ARGS),
+    st.builds("IF ({} .GT. 0) WRITE(*,*) {}".format, _EXPR, _ARGS),
+    st.builds("IF ({}) THEN".format, _EXPR),
+    st.builds("READ(*,*) {}".format, st.lists(
+        st.sampled_from(["x", "p0", "b(i)", "p.f", "q.g(k)", "(a(i), i = 1, n)"]),
+        min_size=1, max_size=3).map(", ".join)),
+    st.builds("WRITE(*,*) {}".format, _ARGS),
+    st.builds("PRINT *, {}".format, _EXPR),
+    st.builds("DO 10 {} = 1, {}".format, st.sampled_from(["i", "p1", "k"]), _EXPR),
+    st.sampled_from(["10 CONTINUE", "END IF", "COMMON /blk/ x, blk", "RETURN", "GO TO 10"]),
+)
+_UNIT = st.tuples(st.sampled_from(["SUBROUTINE", "FUNCTION"]),
+                  st.lists(st.sampled_from(["p0", "p1", "p2"]), max_size=3, unique=True),
+                  st.lists(_STATEMENT, max_size=8))
+
+
+def _cards(statement):
+    label, _, rest = statement.partition(" ")
+    if label.isdigit():
+        return [f"{label:>5} {rest}"]
+    cards = [statement[i:i + 60] for i in range(0, len(statement), 60)]
+    return ["      " + cards[0]] + ["     &" + card for card in cards[1:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_UNIT, min_size=1, max_size=3))
+def test_statement_records_agree_with_frozen_walkers_on_random_programs(shapes):
+    lines = []
+    for i, (kind, params, statements) in enumerate(shapes):
+        lines.append(f"      {kind} r{i}({', '.join(params)})")
+        for statement in statements:
+            lines += _cards(statement)
+        lines.append("      END")
+    units = parse_source("\n".join(lines) + "\n", "r.f")
+    agrees_with_frozen_walkers(units, build_project_model(units))
+
+
+def test_each_statement_is_walked_once(monkeypatch):
+    built = {}
+    build = A.statement_facts
+
+    def counting(node):
+        built.setdefault(id(node), []).append(node)
+        return build(node)
+
+    def walked(*args):
+        raise AssertionError("a token stream was walked after load_units")
+
+    monkeypatch.setattr(A, "statement_facts", counting)
+    units, model = load_units(RunConfig(src=BOOKSTORE, intent_catalog=BOOKSTORE_INTENTS))
+    for module, name in ((lexer, "walk_tokens"), (transform_project, "walk_tokens"),
+                         (A, "stream_names"), (A, "_walk")):
+        monkeypatch.setattr(module, name, walked)
+    intents = infer_intents(model, units)
+    assert migrate_project(units, model, intents).ok
+    assert all(len(nodes) == 1 for nodes in built.values())
+    in_bodies = {id(node) for unit in units for node in unit.body}
+    assert in_bodies <= built.keys()
 
 
 # --- module imports and catalog ---------------------------------------------

@@ -35,6 +35,7 @@ from segmigrate.frontend.lexer import (
     tokenize,
 )
 from segmigrate.frontend.parser import classify_statement, parse_source, parse_unit
+from segmigrate.transform.tokens import render_tokens
 
 from helpers import OracleLexError, oracle_scan_expression, oracle_tokenize
 
@@ -147,6 +148,19 @@ def test_card_holding_only_an_inline_comment_is_a_comment():
     assert [(l.kind, l.text) for l in lines] == [
         (STATEMENT, "X = 1"), (COMMENT, " note"), (COMMENT, " bang"), (STATEMENT, "Y = 2"),
     ]
+
+
+def test_comment_card_inside_a_continued_statement_follows_it():
+    source = "      SUBROUTINE S\n      X = 1 +\nC     note\n     &    2\n      END\n"
+    lines = split_logical_lines(source)
+    assert [(l.kind, l.text) for l in lines] == [
+        (STATEMENT, "SUBROUTINE S"), (STATEMENT, "X = 1 +    2"), (COMMENT, "     note"),
+        (STATEMENT, "END"),
+    ]
+    assert (lines[1].span.start_line, lines[1].span.end_line) == (2, 4)
+    node, comment = parse_source(source)[0].body
+    assert f"{render_tokens(node.lhs)} = {render_tokens(node.rhs)}" == "x = 1 + 2"
+    assert comment == A.CommentNode(span=lines[2].span, text="     note")
 
 
 # --- include detection ------------------------------------------------------
