@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import MigrationError
 from .frontend import ast_nodes as A
@@ -26,77 +26,6 @@ class TypeAssignment:
     origin: str
 
 
-def default_implicit_type(name: str) -> str:
-    """The standard naming rule: `i` through `n` are integers, the rest reals."""
-    return "integer" if name[0].lower() in "ijklmn" else "real"
-
-
-def implicit_rule_table(unit: A.ProgramUnitAst) -> Dict[str, str]:
-    """Per-letter type map after applying the unit's implicit statements on
-    top of the default rule."""
-    table = {letter: default_implicit_type(letter) for letter in "abcdefghijklmnopqrstuvwxyz"}
-    for node in unit.body:
-        if isinstance(node, A.ImplicitDeclNode) and not node.none:
-            for type_name, letters in node.rules:
-                m = re.match(r"character\s*\*\s*(\d+)", type_name)
-                if m:
-                    type_name = format_type("character", m.group(1))
-                for letter in _expand_letters(letters):
-                    table[letter] = type_name
-    return table
-
-
-def _expand_letters(spec: str) -> List[str]:
-    out: List[str] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-")
-            out.extend(chr(c) for c in range(ord(lo), ord(hi) + 1))
-        elif part:
-            out.append(part)
-    return out
-
-
-def declared_types(unit: A.ProgramUnitAst) -> Dict[str, str]:
-    """Explicitly declared symbol types, POINTEUR declarations winning over
-    plain ``integer`` declarations of the same name (the Esope pointer-as-
-    integer idiom)."""
-    types: Dict[str, str] = {}
-    dims_only: Set[str] = set()
-    for node in unit.body:
-        if isinstance(node, A.TypeDeclNode):
-            for ent in node.entities:
-                if node.base_type is None:
-                    dims_only.add(ent.name)
-                    continue
-                types[ent.name] = format_type(node.base_type, node.char_len)
-    for node in unit.body:
-        if isinstance(node, A.PointerDeclNode):
-            for pname, seg in node.entries:
-                types[pname] = f"type({seg}), pointer"
-    for name in dims_only:
-        types.setdefault(name, "")  # typed by implicit rule, dimensioned here
-    return types
-
-
-def format_type(base: str, char_len) -> str:
-    """Free-form spelling of a type; a CHARACTER without length has length 1."""
-    if base == "character":
-        return f"character(len={1 if char_len is None else char_len})"
-    return base
-
-
-def pointer_segments(unit: A.ProgramUnitAst) -> Dict[str, str]:
-    """POINTEUR declarations of the unit: pointer name to segment name."""
-    return {
-        p: seg
-        for node in unit.body
-        if isinstance(node, A.PointerDeclNode)
-        for p, seg in node.entries
-    }
-
-
 def segments_in_scope(unit: A.ProgramUnitAst, model: ProjectModel) -> List[SegmentDefinition]:
     """Segments the unit sees: its own definitions, then included ones."""
     return [model.segments[n] for n in model.units[unit.name].segments_in_scope
@@ -104,18 +33,15 @@ def segments_in_scope(unit: A.ProgramUnitAst, model: ProjectModel) -> List[Segme
 
 
 def infer_implicit_types(
-    unit: A.ProgramUnitAst,
-    model: ProjectModel,
-    pointers: Dict[str, str],
-    scope: Sequence[SegmentDefinition],
-    declared: Dict[str, str],
-    table: Dict[str, str],
+    unit: A.ProgramUnitAst, model: ProjectModel, scope: Sequence[SegmentDefinition]
 ) -> List[TypeAssignment]:
     """Give every referenced symbol of the unit exactly one type."""
     called = {e.callee for e in model.calls_from(unit.name)}
     functions = model.functions()
+    summary = model.units[unit.name]
+    pointers, declared, table = summary.pointers, summary.declared, summary.implicit_table
 
-    referenced = model.units[unit.name].referenced | set(unit.params)
+    referenced = set(summary.referenced).union(unit.params)
     segment_names = {seg.name for seg in scope}
     field_owner: Dict[str, str] = {}
     for seg in scope:
@@ -160,72 +86,20 @@ PLAIN_VARIABLE_DECL = "plainVariableDecl"
 def classify_external_names(unit: A.ProgramUnitAst, model: ProjectModel) -> Dict[str, str]:
     """Partition explicitly typed names into external routine declarations,
     function return-type declarations, and plain variables."""
-    external: Set[str] = set()
-    typed: Set[str] = set()
-    for node in unit.body:
-        if isinstance(node, A.ExternalDeclNode):
-            external |= set(node.names)
-        elif isinstance(node, A.TypeDeclNode) and node.base_type is not None:
-            typed |= {e.name for e in node.entities}
-
-    invoked = {n for node in unit.body for n in node.facts.invoked}
-    assigned = {ev[1] for ev in routine_events(unit, None) if ev[0] == "w"}
-    arrays = {
-        e.name
-        for node in unit.body
-        if isinstance(node, A.TypeDeclNode)
-        for e in node.entities
-        if e.dims
-    }
-
-    out: Dict[str, str] = {}
-    for name in sorted(external):
-        out[name] = EXTERNAL_ROUTINE_DECL
-    for name in sorted(typed):
+    summary = model.units[unit.name]
+    out = dict.fromkeys(summary.external, EXTERNAL_ROUTINE_DECL)
+    for name in summary.typed:
         if name in out:
             continue
-        calls_like = name in invoked and name not in arrays
+        invoked = name in summary.invoked
+        calls_like = invoked and name not in summary.arrays
         is_function = calls_like or name in model.functions() or name in model.intent_catalog
-        if is_function and name in assigned:
+        if is_function and name in summary.assigned:
             raise MigrationError(
                 f"name {name!r} is both assigned and invoked in {unit.name}"
             )
-        if is_function and name in invoked:
-            out[name] = RETURN_TYPE_DECL
-        else:
-            out[name] = PLAIN_VARIABLE_DECL
+        out[name] = RETURN_TYPE_DECL if is_function and invoked else PLAIN_VARIABLE_DECL
     return out
-
-
-# --- facts of one unit ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnitFacts:
-    """What the rewriter knows about one unit, each fact computed once.
-
-    Built per unit and dropped with that unit's rewrite context; never held
-    for the whole project.
-    """
-
-    pointers: Dict[str, str]  # POINTEUR name -> segment name
-    scope: List[SegmentDefinition]
-    declared: Dict[str, str]
-    implicit_table: Dict[str, str]
-    types: List[TypeAssignment]
-    classification: Dict[str, str]
-
-
-def unit_facts(unit: A.ProgramUnitAst, model: ProjectModel) -> UnitFacts:
-    """Compute every fact of the record, each from its one definition."""
-    pointers = pointer_segments(unit)
-    scope = segments_in_scope(unit, model)
-    declared = declared_types(unit)
-    table = implicit_rule_table(unit)
-    # classification first: its errors were reported before typing errors
-    classification = classify_external_names(unit, model)
-    types = infer_implicit_types(unit, model, pointers, scope, declared, table)
-    return UnitFacts(pointers, scope, declared, table, types, classification)
 
 
 # --- parameter intent inference --------------------------------------------
@@ -364,22 +238,18 @@ def infer_intents(model: ProjectModel, units: Sequence[A.ProgramUnitAst]) -> Int
     return solve_intents(routines, model.intent_catalog)
 
 
-def routine_events(unit: A.ProgramUnitAst, model: Optional[ProjectModel]) -> List[Tuple]:
+def routine_events(unit: A.ProgramUnitAst, model: ProjectModel) -> List[Tuple]:
     """Read/write/forward events of one routine, in textual order: those of
     its statements, less the write of a function result, with a SEGINI or
-    SEGADJ first reading the dimensioning variables of its segment (known
-    only from ``model``)."""
-    seg_by_pointer = pointer_segments(unit)
+    SEGADJ first reading the dimensioning variables of its segment."""
+    pointers = model.units[unit.name].pointers
     events: List[Tuple] = []
     for node in unit.body:
-        own = node.facts.events
-        if isinstance(node, A.AssignmentNode) and own and own[-1] == ("w", unit.name):
-            own = own[:-1]  # function-result assignment is not a param
-        elif isinstance(node, A.EsopeCommandNode) and node.kind in (A.SEGINI, A.SEGADJ) and model:
-            seg = model.segments.get(seg_by_pointer.get(node.target))
+        if isinstance(node, A.EsopeCommandNode) and node.kind in (A.SEGINI, A.SEGADJ):
+            seg = model.segments.get(pointers.get(node.target))
             if seg is not None:
                 events.extend(("r", v) for v in seg.dimensioning_vars)
-        events.extend(own)
+        events.extend(A.unit_events(node, unit.name))
     return events
 
 

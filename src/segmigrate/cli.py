@@ -16,7 +16,7 @@ from .frontend import ast_nodes as A
 from .frontend.includes import build_fragment_cache, resolve_includes
 from .frontend.lexer import SOURCE_ENCODING, read_source, split_logical_lines
 from .frontend.parser import parse_units
-from .model import ProjectModel, build_project_model, dump_model, register_segment
+from .model import ProjectModel, build_project_model, dump_model
 from .transform import migrate_project, negative_pointer_uses
 
 #: files parsed as program units
@@ -149,17 +149,7 @@ def load_units(cfg: RunConfig) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
     cache = build_fragment_cache(include_paths, search_paths)
     units = [resolve_includes(u, cache) for u in raw_units]
 
-    model = build_project_model(units)
-    for path in sorted(cache):
-        for seg in cache[path].segments:
-            existing = model.segments.get(seg.name)
-            if existing is None:
-                register_segment(model, seg)
-            elif existing is not seg and existing.file_id != seg.file_id:
-                raise MigrationError(
-                    f"segment {seg.name!r} defined in both "
-                    f"{existing.file_id} and {seg.file_id}"
-                )
+    model = build_project_model(units, [s for p in sorted(cache) for s in cache[p].segments])
     model.include_graph.extend(include_edges)
     for frag in cache.values():
         for nested in frag.includes:

@@ -170,10 +170,6 @@ class ProgramUnitAst:
 # --- traversal helpers ------------------------------------------------------
 
 
-def segment_definitions(unit: ProgramUnitAst) -> List["SegmentDefinition"]:
-    return [n.definition for n in unit.body if isinstance(n, SegmentDefNode)]
-
-
 #: statement keywords that must not be mistaken for symbol references
 STATEMENT_KEYWORDS = {
     "if", "then", "else", "elseif", "endif", "end",
@@ -195,30 +191,13 @@ INTRINSIC_FUNCTIONS = {
 }
 
 
-def referenced_symbols(unit: ProgramUnitAst) -> Set[str]:
-    names: Set[str] = set()
-    for node in unit.body:
-        names.update(node.facts.names)
-        if isinstance(node, CallNode):
-            names.add(node.callee)
-    return names
-
-
-def defined_symbols(unit: ProgramUnitAst) -> Set[str]:
-    """Symbols declared by the unit itself (incl. parameters and pointers)."""
-    names: Set[str] = set(unit.params)
-    names.add(unit.name)
-    for node in unit.body:
-        if isinstance(node, TypeDeclNode):
-            names |= {e.name for e in node.entities}
-        elif isinstance(node, PointerDeclNode):
-            names |= {p for p, _ in node.entries}
-        elif isinstance(node, ExternalDeclNode):
-            names |= set(node.names)
-        elif isinstance(node, SegmentDefNode):
-            names.add(node.definition.name)
-            names |= node.definition.field_names()
-    return names
+def unit_events(node: Node, unit_name: str) -> Tuple[Event, ...]:
+    """The statement's events as unit ``unit_name`` sees them: an assignment
+    to the unit's own name writes a function result, not a variable."""
+    own = node.facts.events
+    if isinstance(node, AssignmentNode) and own and own[-1] == ("w", unit_name):
+        return own[:-1]
+    return own
 
 
 # --- the statement record ---------------------------------------------------

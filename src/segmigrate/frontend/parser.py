@@ -60,6 +60,7 @@ _IMPLICIT_RULE_RE = re.compile(
     r"(integer|real|logical|double\s+precision|character(?:\s*\*\s*\d+)?)\s*\(([^)]*)\)",
     re.IGNORECASE,
 )
+_LETTER_RANGE_RE = re.compile(r"[^-]-[^-]")
 _POINTER_ENTRY_RE = re.compile(r"^([a-z][a-z0-9_]*)\.([a-z][a-z0-9_]*)$")
 _BLANKS_RE = re.compile(r"\s+")
 
@@ -78,11 +79,9 @@ def parse_units(lines: List[LogicalLine], file_id: str) -> List[A.ProgramUnitAst
     while i < len(lines):
         line = lines[i]
         if line.kind == STATEMENT and _header_of(line) is not None:
-            unit, i = _parse_one_unit(lines, i, file_id)
-            # file-level comments ahead of the header belong to the unit
-            unit.body[:0] = [
-                A.CommentNode(span=l.span, text=l.text) for l in leading if l.kind == COMMENT
-            ]
+            # file-level comments ahead of the header open the unit's body
+            body = [A.CommentNode(span=l.span, text=l.text) for l in leading if l.kind == COMMENT]
+            unit, i = _parse_one_unit(lines, i, file_id, body)
             leading = []
             units.append(unit)
         else:
@@ -95,7 +94,7 @@ def parse_units(lines: List[LogicalLine], file_id: str) -> List[A.ProgramUnitAst
 
 def parse_unit(lines: List[LogicalLine], file_id: str = "<input>") -> A.ProgramUnitAst:
     """Parse exactly one program unit (header through END)."""
-    units = parse_units([l for l in lines], file_id)
+    units = parse_units(lines, file_id)
     if len(units) != 1:
         raise MigrationError(f"expected exactly one program unit, found {len(units)}")
     return units[0]
@@ -136,10 +135,9 @@ def _split_params(raw: Optional[str]) -> List[str]:
     return [p.strip().lower() for p in raw.split(",")]
 
 
-def _parse_one_unit(lines: List[LogicalLine], i: int, file_id: str):
+def _parse_one_unit(lines: List[LogicalLine], i: int, file_id: str, body: List[A.Node]):
     header = lines[i]
     kind, name, params, rtype = _header_of(header)
-    body: List[A.Node] = []
     i += 1
     end_span = None
     while i < len(lines):
@@ -324,7 +322,8 @@ def _parse_implicit(rest: str, original: str, span, label) -> A.ImplicitDeclNode
     rules: List[Tuple[str, str]] = []
     for m in _IMPLICIT_RULE_RE.finditer(rest):
         rules.append((_BLANKS_RE.sub(" ", m.group(1).lower()), m.group(2).replace(" ", "").lower()))
-    if not rules:
+    ranges = [part for _, letters in rules for part in letters.split(",") if "-" in part]
+    if not rules or not all(_LETTER_RANGE_RE.fullmatch(part) for part in ranges):
         raise MigrationError(f"unparseable implicit statement: {original!r}", span)
     return A.ImplicitDeclNode(span=span, label=label, rules=rules, original=original)
 

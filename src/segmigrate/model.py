@@ -1,15 +1,18 @@
 """Two-level code representation: project-wide dependency model plus the
 per-unit ASTs it links to.
 
-The dependency model (units, segments, call edges, include edges) is small
-enough to stay resident for a whole run; unit ASTs are transient and may be
-dropped once their unit has been migrated.
+The dependency model (unit summaries, segments, call edges, include edges)
+stays resident for a whole run.  So do the unit ASTs: ``migrate`` holds
+every unit until the output tree is written.  Each :class:`UnitSummary` is
+filled in one pass over its unit's body; no later stage scans the body
+again for a fact of the unit alone.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import MigrationError
 from .frontend.lexer import ExprToken
@@ -54,17 +57,36 @@ class SegmentDefinition:
         return [f for f in self.fields if f.is_dynamic]
 
 
-@dataclass
+#: a name collection that is only tested for membership, sorted
+Names = Tuple[str, ...]
+
+
+@dataclass(slots=True)
 class UnitSummary:
+    """Every fact of one unit that depends on the unit alone, filled in one
+    pass over its body by :func:`summarize_unit`.  Units with the same
+    IMPLICIT rules share one table; nothing changes a summary once built."""
+
     name: str
     kind: str  # program | subroutine | function
     parameters: List[str]
     file_id: str
-    return_type: Optional[str] = None
-    referenced: Set[str] = field(default_factory=set)
-    defined: Set[str] = field(default_factory=set)
-    esope_statements: List[str] = field(default_factory=list)  # command kinds, in order
-    segments_in_scope: List[str] = field(default_factory=list)
+    return_type: Optional[str]
+    pointers: Dict[str, str]  # POINTEUR name -> segment name
+    # explicit types, a POINTEUR winning over an INTEGER declaration (the
+    # Esope pointer-as-integer idiom); a name only dimensioned maps to ""
+    declared: Dict[str, str]
+    implicit_table: Dict[str, str]  # letter -> type, default rule included
+    external: Names  # named by an EXTERNAL statement
+    typed: Names  # named by a type statement
+    arrays: Names  # declared with dimensions
+    invoked: Names  # followed by a parenthesis in some statement
+    assigned: Names  # written, a function's result aside
+    referenced: Names
+    defined: Names  # the unit, its dummies, declarations, segments, fields
+    esope_statements: List[str]  # command kinds, in order
+    segments_in_scope: List[str]  # its own definitions, then included ones
+    calls: Tuple[Tuple[str, int], ...]  # (callee, argument count), in order
 
 
 @dataclass(frozen=True)
@@ -134,46 +156,146 @@ class ProjectModel:
         return found
 
 
-def build_project_model(units: Sequence[object]) -> ProjectModel:
-    """Collect every unit, segment, call edge and include edge of a project.
+def build_project_model(
+    units: Sequence[object], segments: Iterable[SegmentDefinition] = ()
+) -> ProjectModel:
+    """Collect every unit, segment and call edge of a project.
 
     ``units`` are parsed :class:`ProgramUnitAst` objects (included fragments
-    already registered as fragments, not passed here).  Symbols referenced
-    but nowhere defined are flagged external on their call edges.
+    already registered as fragments, not passed here); ``segments`` are
+    those of the included files.  Symbols referenced but nowhere defined are
+    flagged external on their call edges.
     """
-    from .frontend import ast_nodes as A
-
     model = ProjectModel()
     for unit in units:
         if unit.name in model.units:
             raise MigrationError(f"unit {unit.name!r} defined twice", unit.span)
-        summary = UnitSummary(
-            name=unit.name,
-            kind=unit.kind,
-            parameters=list(unit.params),
-            file_id=unit.file_id,
-            return_type=unit.return_type,
-        )
-        model.units[unit.name] = summary
-        for seg in A.segment_definitions(unit):
+        model.units[unit.name] = summarize_unit(unit, model)
+    for seg in segments:
+        existing = model.segments.get(seg.name)
+        if existing is None:
             register_segment(model, seg)
-            summary.segments_in_scope.append(seg.name)
-        for name in unit.extra_segments_in_scope:
-            if name not in summary.segments_in_scope:
-                summary.segments_in_scope.append(name)
-        summary.referenced = A.referenced_symbols(unit)
-        summary.defined = A.defined_symbols(unit)
-        summary.esope_statements = [
-            node.kind for node in unit.body if isinstance(node, A.EsopeCommandNode)
-        ]
-
-    for unit in units:
-        for node in unit.body:
-            if isinstance(node, A.CallNode):
-                external = node.callee not in model.units
-                model.call_graph.append(CallEdge(unit.name, node.callee, len(node.args), external))
-
+        elif existing is not seg and existing.file_id != seg.file_id:
+            raise MigrationError(
+                f"segment {seg.name!r} defined in both {existing.file_id} and {seg.file_id}"
+            )
+    model.call_graph = [
+        CallEdge(u.name, callee, count, callee not in model.units)
+        for u in model.units.values()
+        for callee, count in u.calls
+    ]
     return model
+
+
+def summarize_unit(unit, model: ProjectModel) -> UnitSummary:
+    """The summary of ``unit``, from one pass over its body.  The segments
+    the unit defines are registered with ``model`` as the pass meets them."""
+    from .frontend import ast_nodes as A
+
+    pointers: Dict[str, str] = {}
+    types: Dict[str, str] = {}
+    dims_only: List[str] = []
+    rules: List[Tuple[str, str]] = []
+    external, typed, arrays, invoked, assigned, referenced = (set() for _ in range(6))
+    defined = {unit.name, *unit.params}
+    commands: List[str] = []
+    scope: List[str] = []
+    calls: List[Tuple[str, int]] = []
+    for node in unit.body:
+        referenced.update(node.facts.names)
+        invoked.update(node.facts.invoked)
+        assigned.update(ev[1] for ev in A.unit_events(node, unit.name) if ev[0] == "w")
+        if isinstance(node, A.TypeDeclNode):
+            for ent in node.entities:
+                defined.add(ent.name)
+                if ent.dims:
+                    arrays.add(ent.name)
+                if node.base_type is None:  # DIMENSION
+                    dims_only.append(ent.name)
+                else:
+                    typed.add(ent.name)
+                    types[ent.name] = format_type(node.base_type, node.char_len)
+        elif isinstance(node, A.PointerDeclNode):
+            pointers.update(node.entries)
+        elif isinstance(node, A.ExternalDeclNode):
+            external.update(node.names)
+        elif isinstance(node, A.ImplicitDeclNode):
+            rules += node.rules
+        elif isinstance(node, A.CallNode):
+            referenced.add(node.callee)
+            calls.append((node.callee, len(node.args)))
+        elif isinstance(node, A.EsopeCommandNode):
+            commands.append(node.kind)
+        elif isinstance(node, A.SegmentDefNode):
+            seg = node.definition
+            register_segment(model, seg)
+            scope.append(seg.name)
+            defined.add(seg.name)
+            defined.update(seg.field_names())
+    defined.update(pointers, external)
+    declared = {**types, **{p: f"type({seg}), pointer" for p, seg in pointers.items()}}
+    for name in dims_only:
+        declared.setdefault(name, "")  # typed by implicit rule, dimensioned here
+    scope += [n for n in unit.extra_segments_in_scope if n not in scope]
+    return UnitSummary(
+        name=unit.name, kind=unit.kind, parameters=unit.params, file_id=unit.file_id,
+        return_type=unit.return_type, pointers=pointers, declared=declared,
+        implicit_table=implicit_table(rules), external=_names(external),
+        typed=_names(typed), arrays=_names(arrays), invoked=_names(invoked),
+        assigned=_names(assigned), referenced=_names(referenced), defined=_names(defined),
+        esope_statements=commands, segments_in_scope=scope, calls=tuple(calls),
+    )
+
+
+def _names(names: Set[str]) -> Names:
+    return tuple(sorted(names))
+
+
+# --- typing rules -----------------------------------------------------------
+
+
+def format_type(base: str, char_len) -> str:
+    """Free-form spelling of a type; a CHARACTER without length has length 1."""
+    if base == "character":
+        return f"character(len={1 if char_len is None else char_len})"
+    return base
+
+
+def default_implicit_type(name: str) -> str:
+    """The standard naming rule: `i` through `n` are integers, the rest reals."""
+    return "integer" if name[0].lower() in "ijklmn" else "real"
+
+
+# Units with the same IMPLICIT rules share one table, which nothing changes.
+_TABLES: Dict[Tuple[Tuple[str, str], ...], Dict[str, str]] = {}
+
+
+def implicit_table(rules: Sequence[Tuple[str, str]]) -> Dict[str, str]:
+    """Per-letter type map after applying IMPLICIT ``rules`` (type, letters)
+    on top of the default rule."""
+    key = tuple(rules)
+    if key not in _TABLES:
+        table = {letter: default_implicit_type(letter) for letter in "abcdefghijklmnopqrstuvwxyz"}
+        for type_name, letters in rules:
+            m = re.match(r"character\s*\*\s*(\d+)", type_name)
+            if m:
+                type_name = format_type("character", m.group(1))
+            for letter in _expand_letters(letters):
+                table[letter] = type_name
+        _TABLES[key] = table
+    return _TABLES[key]
+
+
+def _expand_letters(spec: str) -> List[str]:
+    out: List[str] = []
+    for part in spec.split(","):
+        part = part.strip()
+        if "-" in part:
+            lo, hi = part.split("-")
+            out.extend(chr(c) for c in range(ord(lo), ord(hi) + 1))
+        elif part:
+            out.append(part)
+    return out
 
 
 def register_segment(model: ProjectModel, seg: SegmentDefinition) -> None:

@@ -122,7 +122,7 @@ def negative_pointer_uses(unit: A.ProgramUnitAst, model: ProjectModel) -> List[s
     Legacy code used negative integers as sentinel pointer values; those
     comparisons and assignments cannot survive the move to typed pointers.
     """
-    pointers = set(analysis.pointer_segments(unit))
+    pointers = set(model.units[unit.name].pointers)
     pointers |= {seg.name for seg in analysis.segments_in_scope(unit, model)}
     if not pointers:
         return []

@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .. import target as T
-from ..analysis import format_type
 from ..errors import MigrationError
-from ..model import FieldDef, SegmentDefinition
+from ..model import FieldDef, SegmentDefinition, format_type
 from .tokens import render_tokens
 
 ABSTRACT_MODULE = "segment_mod"

@@ -14,7 +14,8 @@ from .. import target as T
 from ..errors import MigrationError
 from ..frontend import ast_nodes as A
 from ..frontend.lexer import ExprToken, Token
-from ..model import ProjectModel, SegmentDefinition, segment_for_field
+from ..model import (ProjectModel, SegmentDefinition, UnitSummary, default_implicit_type,
+                     format_type, segment_for_field)
 from .tokens import render_tokens
 
 MARK = "[seg-migrate]"
@@ -22,17 +23,23 @@ MARK = "[seg-migrate]"
 
 @dataclass
 class RewriteContext:
+    """A unit's summary plus the facts that need the whole model, each
+    computed once for the unit's rewrite."""
+
     unit: A.ProgramUnitAst
     model: ProjectModel
     intents: Dict[Tuple[str, int], str]
-    facts: analysis.UnitFacts
+    summary: UnitSummary
+    scope: List[SegmentDefinition]
+    classification: Dict[str, str]
+    types: List[analysis.TypeAssignment]
     rewritten: int = 0
     removed: int = 0
     passthrough: int = 0
 
     def segment_of(self, name: str) -> Optional[SegmentDefinition]:
-        seg_name = self.facts.pointers.get(name)
-        if seg_name is None and any(s.name == name for s in self.facts.scope):
+        seg_name = self.summary.pointers.get(name)
+        if seg_name is None and any(s.name == name for s in self.scope):
             seg_name = name  # default pointer carries the segment's name
         if seg_name is None:
             return None
@@ -43,7 +50,7 @@ class RewriteContext:
         return self.model.segments[seg_name]
 
     def resolve_field(self, field_name: str) -> str:
-        seg = segment_for_field(self.model, field_name, [s.name for s in self.facts.scope])
+        seg = segment_for_field(self.model, field_name, [s.name for s in self.scope])
         if seg is None:
             raise MigrationError(
                 f"bare field {field_name!r} matches no in-scope segment", self.unit.span
@@ -56,10 +63,15 @@ def make_context(
     model: ProjectModel,
     intents: Dict[Tuple[str, int], str],
 ) -> RewriteContext:
-    return RewriteContext(unit, model, intents, analysis.unit_facts(unit, model))
+    scope = analysis.segments_in_scope(unit, model)
+    # classification first: its errors were reported before typing errors
+    classification = analysis.classify_external_names(unit, model)
+    types = analysis.infer_implicit_types(unit, model, scope)
+    return RewriteContext(unit, model, intents, model.units[unit.name], scope,
+                          classification, types)
 
 
-def _stmt(ctx: RewriteContext, text: str, label: Optional[int]) -> T.TargetNode:
+def _stmt(text: str, label: Optional[int]) -> T.TargetNode:
     if label is not None:
         text = f"{label} {text}"
     return T.statement(text)
@@ -102,7 +114,7 @@ def rewrite_statement(node: A.Node, ctx: RewriteContext) -> List[T.OutputNode]:
     if isinstance(node, A.OpaqueNode):
         _count_esope_touch(node, ctx)
         text = render_tokens(node.tokens, ctx.resolve_field)
-        return [_stmt(ctx, text, node.label)]
+        return [_stmt(text, node.label)]
     if isinstance(node, A.IncludeNode):
         raise MigrationError("unresolved include reached the rewriter", node.span)
     raise MigrationError(f"unhandled statement node {type(node).__name__}", node.span)
@@ -138,7 +150,7 @@ def _rewrite_command(node: A.EsopeCommandNode, ctx: RewriteContext) -> List[T.Ou
         text = f"call {node.kind}({node.target})"
     else:
         raise MigrationError(f"unknown command kind {node.kind!r}", node.span)
-    return [_stmt(ctx, text, node.label)]
+    return [_stmt(text, node.label)]
 
 
 def _rewrite_external(node: A.ExternalDeclNode, ctx: RewriteContext) -> List[T.OutputNode]:
@@ -184,7 +196,7 @@ def _interface_block(name: str, ctx: RewriteContext) -> Optional[T.TargetNode]:
             intent = catalog[name][i]
         # dummy names are generated, so the default implicit rule types them
         proc.add(T.declaration(
-            f"{analysis.default_implicit_type(arg)}, intent({intent}) :: {arg}"
+            f"{default_implicit_type(arg)}, intent({intent}) :: {arg}"
         ))
     node.add(proc)
     return node
@@ -204,9 +216,9 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
     plain: List[Tuple[str, A.DeclEntity]] = []
     ctx.rewritten += 1
     for ent in node.entities:
-        type_text = (analysis.format_type(base, node.char_len) if base
-                     else ctx.facts.implicit_table[ent.name[0]])
-        if ent.name in ctx.facts.pointers:
+        type_text = (format_type(base, node.char_len) if base
+                     else ctx.summary.implicit_table[ent.name[0]])
+        if ent.name in ctx.summary.pointers:
             out.append(_removed(
                 f"{type_text} {ent.name}", "superseded by pointer declaration"))
             continue
@@ -217,7 +229,7 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
                 f"{type_text}, intent({intent}) :: {_entity_text(ent, ctx)}"))
             continue
         if (
-            ctx.facts.classification.get(ent.name) == analysis.RETURN_TYPE_DECL
+            ctx.classification.get(ent.name) == analysis.RETURN_TYPE_DECL
             and ent.name in ctx.model.functions()
         ):
             out.append(_removed(
@@ -247,7 +259,7 @@ def _rewrite_call(node: A.CallNode, ctx: RewriteContext) -> List[T.OutputNode]:
     _count_esope_touch(node, ctx)
     args = ", ".join(render_tokens(a, ctx.resolve_field) for a in node.args)
     text = f"{_guard_prefix(node.guard, ctx)}call {node.callee}({args})"
-    return [_stmt(ctx, text, node.label)]
+    return [_stmt(text, node.label)]
 
 
 def _rewrite_assignment(node: A.AssignmentNode, ctx: RewriteContext) -> List[T.OutputNode]:
@@ -255,7 +267,7 @@ def _rewrite_assignment(node: A.AssignmentNode, ctx: RewriteContext) -> List[T.O
     lhs = render_tokens(node.lhs, ctx.resolve_field)
     rhs = render_tokens(node.rhs, ctx.resolve_field)
     text = f"{_guard_prefix(node.guard, ctx)}{lhs} = {rhs}"
-    return [_stmt(ctx, text, node.label)]
+    return [_stmt(text, node.label)]
 
 
 # --- module wrapping --------------------------------------------------------
@@ -280,8 +292,8 @@ def _is_executable(node: A.Node) -> bool:
 def _inferred_declarations(ctx: RewriteContext) -> List[T.OutputNode]:
     unit = ctx.unit
     todo = [
-        a for a in ctx.facts.types
-        if a.origin == analysis.IMPLICIT_RULE and a.symbol not in ctx.facts.declared
+        a for a in ctx.types
+        if a.origin == analysis.IMPLICIT_RULE and a.symbol not in ctx.summary.declared
     ]
     out: List[T.OutputNode] = []
     if todo:
@@ -298,55 +310,48 @@ def _inferred_declarations(ctx: RewriteContext) -> List[T.OutputNode]:
 
 def _default_pointer_decls(ctx: RewriteContext) -> List[T.OutputNode]:
     """Pointers named after a segment exist without any POINTEUR line."""
-    scope_names = {s.name for s in ctx.facts.scope}
+    scope_names = {s.name for s in ctx.scope}
     used = {n for node in ctx.unit.body for n in _default_pointer_uses(node, scope_names, ctx)}
     return [T.declaration(f"type({n}), pointer :: {n}") for n in sorted(used)]
 
 
 def _default_pointer_uses(node: A.Node, scope_names: Set[str], ctx: RewriteContext) -> List[str]:
     names = (node.target, node.source) if isinstance(node, A.EsopeCommandNode) else node.facts.pointers
-    return [n for n in names if n in scope_names and n not in ctx.facts.pointers]
+    return [n for n in names if n in scope_names and n not in ctx.summary.pointers]
 
 
 def compute_unit_uses(ctx: RewriteContext) -> List[str]:
     """Module imports of one migrated unit, alphabetically."""
     model = ctx.model
     unit = ctx.unit
-    required = set(model.units[unit.name].referenced)
-    defined = set(model.units[unit.name].defined)
+    required = set(ctx.summary.referenced)
+    defined = set(ctx.summary.defined)
     # implicitly typed locals get a generated declaration, so they count;
     # module functions do not, their type comes with the use
-    defined |= {a.symbol for a in ctx.facts.types if a.origin != analysis.FUNCTION_RETURN}
+    defined |= {a.symbol for a in ctx.types if a.origin != analysis.FUNCTION_RETURN}
     # segment names and fields resolve through use, not local definitions
-    for seg in ctx.facts.scope:
+    for seg in ctx.scope:
         defined.discard(seg.name)
         defined -= seg.field_names()
 
+    # project-internal routines resolve through use, not interfaces
     external_ok = set(model.intent_catalog)
-    for node in unit.body:
-        if isinstance(node, A.ExternalDeclNode):
-            # project-internal routines resolve through use, not interfaces
-            external_ok |= {n for n in node.names if n not in model.units}
-            defined -= {n for n in node.names if n in model.units}
+    for name in ctx.summary.external:
+        if name in model.units:
+            defined.discard(name)
+        else:
+            external_ok.add(name)
     for edge in model.calls_from(unit.name):
         if edge.external:
             external_ok.add(edge.callee)
 
     module_of = model.modules_seen_from(unit.name, required - defined)
     uses = set(analysis.compute_uses(required, defined, module_of, external_ok))
-    for seg_name in ctx.facts.pointers.values():
-        uses.add(f"{seg_name}_mod")
-    for seg in ctx.facts.scope:
-        if _segment_is_used(seg, ctx):
+    uses.update(f"{seg_name}_mod" for seg_name in ctx.summary.pointers.values())
+    for seg in ctx.scope:
+        if seg.name in required or not seg.field_names().isdisjoint(required):
             uses.add(f"{seg.name}_mod")
     return sorted(uses)
-
-
-def _segment_is_used(seg: SegmentDefinition, ctx: RewriteContext) -> bool:
-    if seg.name in ctx.facts.pointers.values():
-        return True
-    referenced = ctx.model.units[ctx.unit.name].referenced
-    return seg.name in referenced or bool(seg.field_names() & referenced)
 
 
 def wrap_in_module(ctx: RewriteContext) -> T.TargetNode:
@@ -382,7 +387,7 @@ def wrap_in_module(ctx: RewriteContext) -> T.TargetNode:
         header = f"subroutine {unit.name}({params})"
         footer = f"end subroutine {unit.name}"
     proc = T.TargetNode(T.PROCEDURE, header, footer=footer)
-    if unit.kind == "function" and unit.return_type and not ctx.facts.declared.get(unit.name):
+    if unit.kind == "function" and unit.return_type and not ctx.summary.declared.get(unit.name):
         proc.add(T.declaration(f"{unit.return_type} :: {unit.name}"))
     proc.add(*body)
 

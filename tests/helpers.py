@@ -981,3 +981,143 @@ def frozen_default_pointer_uses(node, scope_names: Set[str], pointers: Dict[str,
         for t in _frozen_walk_tokens(stream):
             if isinstance(t, _Dotted) and t.pointer in scope_names and t.pointer not in pointers:
                 yield t.pointer
+
+
+# --- frozen unit scanners ---------------------------------------------------
+#
+# The functions that each scanned a unit's body again, as they stood before
+# the project model kept one summary per unit, frozen as the reference for
+# that summary: the POINTEUR map, the declared types, the implicit table, the
+# referenced and defined names, the names the external-name classification
+# looked at, and what the model builder collected from the body.
+
+
+def frozen_pointer_segments(unit) -> Dict[str, str]:
+    return {
+        p: seg
+        for node in unit.body
+        if isinstance(node, _A.PointerDeclNode)
+        for p, seg in node.entries
+    }
+
+
+def _frozen_format_type(base, char_len) -> str:
+    if base == "character":
+        return f"character(len={1 if char_len is None else char_len})"
+    return base
+
+
+def frozen_declared_types(unit) -> Dict[str, str]:
+    types: Dict[str, str] = {}
+    dims_only: Set[str] = set()
+    for node in unit.body:
+        if isinstance(node, _A.TypeDeclNode):
+            for ent in node.entities:
+                if node.base_type is None:
+                    dims_only.add(ent.name)
+                    continue
+                types[ent.name] = _frozen_format_type(node.base_type, node.char_len)
+    for node in unit.body:
+        if isinstance(node, _A.PointerDeclNode):
+            for pname, seg in node.entries:
+                types[pname] = f"type({seg}), pointer"
+    for name in dims_only:
+        types.setdefault(name, "")
+    return types
+
+
+def _frozen_expand_letters(spec: str) -> List[str]:
+    out: List[str] = []
+    for part in spec.split(","):
+        part = part.strip()
+        if "-" in part:
+            lo, hi = part.split("-")
+            out.extend(chr(c) for c in range(ord(lo), ord(hi) + 1))
+        elif part:
+            out.append(part)
+    return out
+
+
+def frozen_implicit_rule_table(unit) -> Dict[str, str]:
+    table = {letter: "integer" if letter in "ijklmn" else "real"
+             for letter in "abcdefghijklmnopqrstuvwxyz"}
+    for node in unit.body:
+        if isinstance(node, _A.ImplicitDeclNode) and not node.none:
+            for type_name, letters in node.rules:
+                m = re.match(r"character\s*\*\s*(\d+)", type_name)
+                if m:
+                    type_name = _frozen_format_type("character", m.group(1))
+                for letter in _frozen_expand_letters(letters):
+                    table[letter] = type_name
+    return table
+
+
+def frozen_referenced_symbols(unit) -> Set[str]:
+    names: Set[str] = set()
+    for node in unit.body:
+        names |= frozen_statement_reference_names(node)
+        if isinstance(node, _A.CallNode):
+            names.add(node.callee)
+    return names
+
+
+def frozen_defined_symbols(unit) -> Set[str]:
+    names: Set[str] = set(unit.params)
+    names.add(unit.name)
+    for node in unit.body:
+        if isinstance(node, _A.TypeDeclNode):
+            names |= {e.name for e in node.entities}
+        elif isinstance(node, _A.PointerDeclNode):
+            names |= {p for p, _ in node.entries}
+        elif isinstance(node, _A.ExternalDeclNode):
+            names |= set(node.names)
+        elif isinstance(node, _A.SegmentDefNode):
+            names.add(node.definition.name)
+            names |= node.definition.field_names()
+    return names
+
+
+def frozen_segments_in_scope(unit) -> List[str]:
+    scope = [n.definition.name for n in unit.body if isinstance(n, _A.SegmentDefNode)]
+    for name in unit.extra_segments_in_scope:
+        if name not in scope:
+            scope.append(name)
+    return scope
+
+
+def frozen_unit_summary(unit) -> Dict[str, object]:
+    """Every field of the unit's summary, each from its own scan."""
+    external: Set[str] = set()
+    typed: Set[str] = set()
+    for node in unit.body:
+        if isinstance(node, _A.ExternalDeclNode):
+            external |= set(node.names)
+        elif isinstance(node, _A.TypeDeclNode) and node.base_type is not None:
+            typed |= {e.name for e in node.entities}
+    arrays = {e.name for node in unit.body if isinstance(node, _A.TypeDeclNode)
+              for e in node.entities if e.dims}
+    assigned = {ev[1] for ev in frozen_unit_events(unit, None) if ev[0] == "w"}
+    return {
+        "name": unit.name, "kind": unit.kind, "parameters": list(unit.params),
+        "file_id": unit.file_id, "return_type": unit.return_type,
+        "pointers": frozen_pointer_segments(unit),
+        "declared": frozen_declared_types(unit),
+        "implicit_table": frozen_implicit_rule_table(unit),
+        "external": tuple(sorted(external)),
+        "typed": tuple(sorted(typed)),
+        "arrays": tuple(sorted(arrays)),
+        "invoked": tuple(sorted(frozen_invoked_names(unit))),
+        "assigned": tuple(sorted(assigned)),
+        "referenced": tuple(sorted(frozen_referenced_symbols(unit))),
+        "defined": tuple(sorted(frozen_defined_symbols(unit))),
+        "esope_statements": [n.kind for n in unit.body if isinstance(n, _A.EsopeCommandNode)],
+        "segments_in_scope": frozen_segments_in_scope(unit),
+        "calls": tuple((n.callee, len(n.args)) for n in unit.body if isinstance(n, _A.CallNode)),
+    }
+
+
+def frozen_call_edges(units) -> List[Tuple[str, str, int, bool]]:
+    """(caller, callee, argument count, external) of every call statement."""
+    names = {u.name for u in units}
+    return [(u.name, n.callee, len(n.args), n.callee not in names)
+            for u in units for n in u.body if isinstance(n, _A.CallNode)]

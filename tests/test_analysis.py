@@ -2,6 +2,7 @@
 
 import random
 import string
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -15,19 +16,17 @@ from segmigrate.analysis import (
     RoutineSpec,
     classify_external_names,
     compute_uses,
-    declared_types,
-    default_implicit_type,
-    implicit_rule_table,
+    infer_implicit_types,
     infer_intents,
     load_intent_catalog,
+    segments_in_scope,
     solve_intents,
-    unit_facts,
 )
 from segmigrate.cli import RunConfig, load_units
 from segmigrate.errors import MigrationError
 from segmigrate.frontend import ast_nodes as A, lexer
 from segmigrate.frontend.parser import parse_source
-from segmigrate.model import build_project_model
+from segmigrate.model import build_project_model, default_implicit_type
 from segmigrate.transform import migrate_project, project as transform_project
 from segmigrate.transform.units import _default_pointer_uses
 
@@ -35,11 +34,13 @@ from helpers import (
     BOOKSTORE,
     BOOKSTORE_INTENTS,
     PLAIN77,
+    frozen_call_edges,
     frozen_default_pointer_uses,
     frozen_esope_touch,
     frozen_invoked_names,
     frozen_statement_reference_names,
     frozen_unit_events,
+    frozen_unit_summary,
     jacobi_intents,
     oracle_intents,
     random_program,
@@ -69,8 +70,8 @@ def test_implicit_statement_overrides_letters():
         "      X = 1\n"
         "      END\n"
     )
-    units, _ = project(src)
-    table = implicit_rule_table(units[0])
+    _, model = project(src)
+    table = model.units["s"].implicit_table
     assert table["a"] == table["b"] == table["c"] == "integer"
     assert table["x"] == "integer"
     assert table["d"] == "character(len=8)"
@@ -88,8 +89,8 @@ def test_declared_types_pointer_wins_over_integer():
         "      SEGINI, P\n"
         "      END\n"
     )
-    units, _ = project(src)
-    assert declared_types(units[0])["p"] == "type(a), pointer"
+    _, model = project(src)
+    assert model.units["s"].declared["p"] == "type(a), pointer"
 
 
 def test_every_referenced_symbol_typed_exactly_once():
@@ -101,7 +102,7 @@ def test_every_referenced_symbol_typed_exactly_once():
         "      END\n"
     )
     units, model = project(src)
-    out = unit_facts(units[0], model).types
+    out = infer_implicit_types(units[0], model, segments_in_scope(units[0], model))
     symbols = [a.symbol for a in out]
     assert len(symbols) == len(set(symbols))
     assert set(symbols) == {"a", "k", "b", "z"}
@@ -122,7 +123,7 @@ def test_variable_also_called_is_an_error():
     )
     units, model = project(src)
     with pytest.raises(MigrationError) as err:
-        unit_facts(units[0], model).types
+        infer_implicit_types(units[0], model, segments_in_scope(units[0], model))
     assert "foo" in str(err.value)
 
 
@@ -307,9 +308,9 @@ def agrees_with_frozen_walkers(units, model):
     """Each statement's record and each unit's events against the walkers
     that read the streams again."""
     for unit in units:
-        scope = {seg.name for seg in analysis.segments_in_scope(unit, model)}
-        pointers = analysis.pointer_segments(unit)
-        ctx = SimpleNamespace(facts=SimpleNamespace(pointers=pointers))
+        scope = {seg.name for seg in segments_in_scope(unit, model)}
+        pointers = model.units[unit.name].pointers
+        ctx = SimpleNamespace(summary=SimpleNamespace(pointers=pointers))
         for node in unit.body:
             assert set(node.facts.names) == frozen_statement_reference_names(node), node
             one = SimpleNamespace(body=[node])
@@ -317,8 +318,7 @@ def agrees_with_frozen_walkers(units, model):
             assert set(_default_pointer_uses(node, scope, ctx)) == set(
                 frozen_default_pointer_uses(node, scope, pointers)), node
             assert node.facts.esope == frozen_esope_touch(node), node
-        for with_model in (model, None):
-            assert analysis.routine_events(unit, with_model) == frozen_unit_events(unit, with_model)
+        assert analysis.routine_events(unit, model) == frozen_unit_events(unit, model)
 
 
 @pytest.mark.parametrize("src,catalog", [(BOOKSTORE, BOOKSTORE_INTENTS), (PLAIN77, None)],
@@ -343,13 +343,15 @@ HAND_WRITTEN = """\
 
 def test_statement_records_agree_with_frozen_walkers_by_hand():
     units = parse_source(HAND_WRITTEN, "f.f")
-    agrees_with_frozen_walkers(units, build_project_model(units))
+    model = build_project_model(units)
+    agrees_with_frozen_walkers(units, model)
     common, dotted, to_field, result, guarded, read, do = units[0].body[:7]
     assert "blk" not in common.facts.names and "x" in common.facts.names
     assert dotted.facts.invoked == () and dotted.facts.pointers == ("p",)  # not k
     assert to_field.facts.invoked == () and to_field.facts.events[-1] == ("r", "p")
     assert result.facts.events[-1] == ("w", "f")
-    assert ("w", "f") not in analysis.routine_events(units[0], None)
+    assert ("w", "f") not in analysis.routine_events(units[0], model)
+    assert model.units["f"].assigned == ("a", "b", "i", "x")  # not the result f
     assert guarded.facts.events == (("r", "n"), ("f", "logmsg", 0, "k"), ("r", "n"))
     assert read.facts.events == (("w", "a"), ("r", "i"), ("w", "b"))
     assert read.facts.invoked == ("b", "read")
@@ -430,6 +432,69 @@ def test_each_statement_is_walked_once(monkeypatch):
     assert all(len(nodes) == 1 for nodes in built.values())
     in_bodies = {id(node) for unit in units for node in unit.body}
     assert in_bodies <= built.keys()
+
+
+# --- the unit summary -------------------------------------------------------
+
+
+def summaries_agree_with_frozen_scanners(units, model):
+    """Every field of each unit's summary, and the call graph, against the
+    scanners that read the unit's body again for each fact."""
+    for unit in units:
+        summary = model.units[unit.name]
+        got = {f.name: getattr(summary, f.name) for f in fields(summary)}
+        assert got == frozen_unit_summary(unit), unit.name
+    edges = [(e.caller, e.callee, e.arg_count, e.external) for e in model.call_graph]
+    assert edges == frozen_call_edges(units)
+
+
+@pytest.mark.parametrize("src,catalog", [(BOOKSTORE, BOOKSTORE_INTENTS), (PLAIN77, None)],
+                         ids=["bookstore", "plain77"])
+def test_unit_summaries_agree_with_frozen_scanners_on_goldens(src, catalog):
+    summaries_agree_with_frozen_scanners(*load_units(RunConfig(src=src, intent_catalog=catalog)))
+
+
+# Declarations for the ``random_program`` shapes; ``@`` is the unit's segment.
+_DECLARATION = st.one_of(
+    st.builds("{} {}".format,
+              st.sampled_from(["INTEGER", "REAL", "LOGICAL", "CHARACTER", "CHARACTER*8",
+                               "DOUBLE PRECISION"]),
+              st.lists(st.sampled_from(["p0", "x", "k", "f", "r0", "p", "a(n)", "b(10, k)"]),
+                       min_size=1, max_size=3, unique=True).map(", ".join)),
+    st.builds("DIMENSION {}".format, st.sampled_from(["a(n)", "b(10), x(2)"])),
+    st.builds("EXTERNAL {}".format, st.sampled_from(["ext0", "r1, f"])),
+    st.sampled_from(["IMPLICIT NONE", "IMPLICIT INTEGER(A-C, X), CHARACTER*4(D)",
+                     "IMPLICIT REAL(P-R)", "POINTEUR P.@, Q.@", "POINTEUR P.OTHER",
+                     "SEGINI, P", "SEGADJ, P", "SEGACT, Q", "SEGDES, P", "SEGINI, P = Q",
+                     "SEGSUP, Q", "SEGPRT, P"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_UNIT, st.lists(_DECLARATION, max_size=6), st.booleans()),
+                min_size=1, max_size=3))
+def test_unit_summaries_agree_with_frozen_scanners_on_random_programs(shapes):
+    lines = []
+    for i, ((kind, params, statements), declarations, segment) in enumerate(shapes):
+        lines.append(f"      {kind} r{i}({', '.join(params)})")
+        if segment:
+            lines += [f"      SEGMENT, S{i}", "        INTEGER V(N)", "      END SEGMENT"]
+        for statement in declarations + statements:
+            lines += _cards(statement.replace("@", f"S{i}"))
+        lines.append("      END")
+    units = parse_source("\n".join(lines) + "\n", "r.f")
+    summaries_agree_with_frozen_scanners(units, build_project_model(units))
+
+
+def test_units_with_equal_implicit_rules_share_one_table():
+    src = "".join(
+        f"      SUBROUTINE S{i}(X)\n      IMPLICIT INTEGER(A-Z)\n      X = 1\n      END\n"
+        for i in range(3)
+    ) + "      SUBROUTINE T(X)\n      X = 1\n      END\n"
+    _, model = project(src)
+    tables = [model.units[name].implicit_table for name in ("s0", "s1", "s2", "t")]
+    assert tables[0] is tables[1] is tables[2]
+    assert tables[0]["x"] == "integer" and tables[3]["x"] == "real"
 
 
 # --- module imports and catalog ---------------------------------------------

@@ -315,6 +315,26 @@ def test_dump_model_output(capsys):
     assert "call\t" in out
 
 
+def test_a_segment_in_two_included_files_is_an_error(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    segment = "      SEGMENT, REC\n        INTEGER V(N)\n      END SEGMENT\n"
+    (src / "a.seg").write_text(segment)
+    (src / "b.seg").write_text(segment)
+    (src / "a.inc").write_text("      include 'a.seg'\n")
+    # a.seg is met twice, directly and through a.inc: one segment
+    (src / "one.f").write_text("      SUBROUTINE ONE\n      include 'a.inc'\n      END\n")
+    (src / "two.f").write_text("      SUBROUTINE TWO\n      include 'a.seg'\n      END\n")
+    code, out, _ = run(capsys, "dump-model", "--src", str(src))
+    assert code == 0
+    assert [l for l in out.splitlines() if l.startswith("segment")] == [
+        f"segment\trec\t{src / 'a.seg'}"]
+    (src / "two.f").write_text("      SUBROUTINE TWO\n      include 'b.seg'\n      END\n")
+    code, _, err = run(capsys, "dump-model", "--src", str(src))
+    assert code == 1
+    assert err == f"error: segment 'rec' defined in both {src / 'a.seg'} and {src / 'b.seg'}\n"
+
+
 def test_bench_tracer_entry_points_exist():
     # the benchmark's traced run wraps these names; a rename must fail here
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

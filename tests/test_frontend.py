@@ -322,13 +322,17 @@ def test_division_is_not_a_slash_dim():
 # --- unit parsing -----------------------------------------------------------
 
 
+def segment_definitions(unit):
+    return [n.definition for n in unit.body if isinstance(n, A.SegmentDefNode)]
+
+
 def test_listing_style_unit_parses_completely():
     unit = parse_unit(split_logical_lines(LISTING_SOURCE), "newuser.f")
     assert unit.kind == "subroutine"
     assert unit.name == "newuser"
     assert unit.params == ["lib", "name"]
 
-    segs = A.segment_definitions(unit)
+    segs = segment_definitions(unit)
     assert len(segs) == 1
     seg = segs[0]
     assert seg.name == "user"
@@ -372,6 +376,14 @@ def test_source_operand_only_on_copyable_commands():
 def test_malformed_command_is_an_error():
     with pytest.raises(MigrationError):
         classify_statement(stmt("SEGINI, 1BAD"))
+
+
+def test_malformed_implicit_letter_range_is_an_error():
+    node = classify_statement(stmt("IMPLICIT INTEGER(A-C, X), CHARACTER*4(D)"))
+    assert node.rules == [("integer", "a-c,x"), ("character*4", "d")]
+    for bad in ("A-B-C", "AB-C", "A-"):
+        with pytest.raises(MigrationError, match="unparseable implicit statement"):
+            classify_statement(stmt(f"IMPLICIT INTEGER({bad})"))
 
 
 def test_logical_if_call_gets_guard():
@@ -427,9 +439,22 @@ def test_comment_count_is_preserved_by_parsing():
         1 for l in split_logical_lines(LISTING_SOURCE)
         if l.kind == COMMENT
     )
-    seg_comments = sum(len(s.comments) for s in A.segment_definitions(unit))
+    seg_comments = sum(len(s.comments) for s in segment_definitions(unit))
     out_comments = sum(1 for n in unit.body if isinstance(n, A.CommentNode))
     assert out_comments + seg_comments == in_comments
+
+
+def test_leading_comments_open_the_body_of_the_unit_they_precede():
+    src = (
+        "C first A\n\nC second A\n"
+        "      SUBROUTINE A\n      END\n"
+        "C only B\n"
+        "      SUBROUTINE B\n      X = 1\n      END\n"
+    )
+    a, b = parse_source(src, "ab.f")
+    assert [n.text for n in a.body] == [" first A", "", " second A"]
+    assert [type(n) for n in b.body] == [A.CommentNode, A.AssignmentNode]
+    assert b.body[0].text == " only B" and b.body[0].span.start_line == 6
 
 
 def test_island_soundness_opaque_round_trip():

@@ -1,12 +1,13 @@
 """Rewrite catalog, segment module synthesis, and project migration."""
 
 import copy
+import dataclasses
 import re
 from collections import Counter
 
 import pytest
 
-from segmigrate import analysis, target as T
+from segmigrate import analysis, cli, model as model_module, target as T
 from segmigrate.cli import RunConfig, load_units, main
 from segmigrate.emit import RenderConfig, render_unit
 from segmigrate.errors import MigrationError
@@ -360,23 +361,41 @@ def test_negative_pointer_diagnostic():
     assert negative_pointer_uses(clean[0], build_project_model(clean)) == []
 
 
-def test_unit_facts_are_computed_once_per_unit(tmp_path, monkeypatch, capsys):
-    units, _ = load_units(RunConfig(src=BOOKSTORE))
-    names = (
-        "infer_implicit_types", "declared_types", "implicit_rule_table",
-        "classify_external_names",
-    )
-    calls = Counter()
-    for name in names:
-        def counted(*args, _fn=getattr(analysis, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(analysis, name, counted)
+class CountingBody(list):
+    """A unit body that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_each_unit_body_is_scanned_at_most_four_times(tmp_path, monkeypatch, capsys):
+    bodies = {}
+    resolve = cli.resolve_includes
+
+    def counting_resolve(unit, cache):
+        resolved = resolve(unit, cache)
+        bodies[unit.name] = CountingBody(resolved.body)
+        return dataclasses.replace(resolved, body=bodies[unit.name])
+
+    summaries = Counter()
+    summarize = model_module.summarize_unit
+
+    def counting_summarize(unit, model):
+        summaries[unit.name] += 1
+        return summarize(unit, model)
+
+    monkeypatch.setattr(cli, "resolve_includes", counting_resolve)
+    monkeypatch.setattr(model_module, "summarize_unit", counting_summarize)
     argv = ["migrate", "--src", str(BOOKSTORE), "--out", str(tmp_path / "out"),
             "--intent-catalog", str(BOOKSTORE_INTENTS)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert calls == Counter({name: len(units) for name in names})
+    scans = {name: body.iterations for name, body in bodies.items()}
+    assert max(scans.values()) <= 4, scans
+    assert summaries == Counter(dict.fromkeys(bodies, 1))
 
 
 class CountingEdges(list):
