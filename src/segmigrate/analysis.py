@@ -9,7 +9,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import MigrationError
 from .frontend import ast_nodes as A
-from .model import ProjectModel, SegmentDefinition
+from .model import SIZED, ProjectModel, SegmentDefinition, UnitSummary
 
 # --- implicit typing --------------------------------------------------------
 
@@ -121,7 +121,7 @@ class RoutineSpec:
 
     params: List[str]
     # ('r', name) | ('w', name) | ('f', callee, position, name)
-    events: List[Tuple]
+    events: Sequence[Tuple]
 
 
 IntentTable = Dict[Tuple[str, int], str]
@@ -228,29 +228,26 @@ def _callee_intent(callee, cpos, table, routines, catalog) -> str:
     return INOUT  # unknown external: safe over-approximation
 
 
-def infer_intents(model: ProjectModel, units: Sequence[A.ProgramUnitAst]) -> IntentTable:
-    """Intent table for every routine of the project."""
-    routines = {
-        unit.name: RoutineSpec(params=list(unit.params), events=routine_events(unit, model))
-        for unit in units
-        if unit.kind in ("subroutine", "function")
-    }
+def infer_intents(model: ProjectModel) -> IntentTable:
+    """Intent table for every routine of the project, from the unit
+    summaries alone.  A SEGINI or SEGADJ reads the dimensioning variables of
+    its segment: the generated call passes them to intent(in) dummies."""
+    routines = {}
+    for name, summary in model.units.items():
+        if summary.kind in ("subroutine", "function"):
+            events = summary.events
+            if any(ev[0] == SIZED for ev in events):
+                events = [read for ev in events for read in _sized_reads(ev, summary, model)]
+            routines[name] = RoutineSpec(params=list(summary.parameters), events=events)
     return solve_intents(routines, model.intent_catalog)
 
 
-def routine_events(unit: A.ProgramUnitAst, model: ProjectModel) -> List[Tuple]:
-    """Read/write/forward events of one routine, in textual order: those of
-    its statements, less the write of a function result, with a SEGINI or
-    SEGADJ first reading the dimensioning variables of its segment."""
-    pointers = model.units[unit.name].pointers
-    events: List[Tuple] = []
-    for node in unit.body:
-        if isinstance(node, A.EsopeCommandNode) and node.kind in (A.SEGINI, A.SEGADJ):
-            seg = model.segments.get(pointers.get(node.target))
-            if seg is not None:
-                events.extend(("r", v) for v in seg.dimensioning_vars)
-        events.extend(A.unit_events(node, unit.name))
-    return events
+def _sized_reads(event: Tuple, summary: UnitSummary, model: ProjectModel) -> Sequence[Tuple]:
+    """The event, or for a SEGINI/SEGADJ marker, the reads it stands for."""
+    if event[0] != SIZED:
+        return (event,)
+    seg = model.segments.get(summary.segment_of(event[1]))
+    return [("r", v) for v in seg.dimensioning_vars] if seg else ()
 
 
 # --- module imports ---------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -166,7 +167,7 @@ def cmd_migrate(cfg: RunConfig) -> int:
     cfg = cfg.validated_for_migrate()
     render_cfg = cfg.render_config()
     units, model = load_units(cfg)
-    intents = analysis.infer_intents(model, units)
+    intents = analysis.infer_intents(model)
     result = migrate_project(units, model, intents, render_cfg)
     if not result.ok:
         sys.stderr.write(result.format_report())
@@ -178,45 +179,33 @@ def cmd_migrate(cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    """Census of the project; writes nothing."""
+def _require_src(cfg: RunConfig, command: str) -> None:
     if cfg.src is None:
-        raise ConfigError("check needs --src")
+        raise ConfigError(f"{command} needs --src")
     if not cfg.src.is_dir():
         raise ConfigError(f"source directory not found: {cfg.src}")
+
+
+def cmd_check(cfg: RunConfig) -> int:
+    """Census of the project; writes nothing."""
+    _require_src(cfg, "check")
     units, model = load_units(cfg)
 
-    kinds: Dict[str, int] = {}
-    for u in model.units.values():
-        kinds[u.kind] = kinds.get(u.kind, 0) + 1
-    commands: Dict[str, int] = {}
-    for u in model.units.values():
-        for kind in u.esope_statements:
-            commands[kind] = commands.get(kind, 0) + 1
+    kinds = Counter(u.kind for u in model.units.values())
+    commands = Counter(kind for u in model.units.values() for kind in u.esope_statements)
 
-    lines = []
-    for kind in sorted(kinds):
-        lines.append(f"units[{kind}]: {kinds[kind]}")
+    lines = [f"units[{kind}]: {n}" for kind, n in sorted(kinds.items())]
     lines.append(f"segments: {len(model.segments)}")
-    for kind in sorted(commands):
-        lines.append(f"commands[{kind}]: {commands[kind]}")
+    lines += [f"commands[{kind}]: {n}" for kind, n in sorted(commands.items())]
     lines.append(f"includes: {len(model.include_graph)}")
-
-    warning_count = 0
-    for unit in units:
-        for w in negative_pointer_uses(unit, model):
-            lines.append(f"warning: {w}")
-            warning_count += 1
-    lines.append(f"warnings: {warning_count}")
+    warnings = [f"warning: {w}" for unit in units for w in negative_pointer_uses(unit, model)]
+    lines += warnings + [f"warnings: {len(warnings)}"]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_dump_model(cfg: RunConfig) -> int:
-    if cfg.src is None:
-        raise ConfigError("dump-model needs --src")
-    if not cfg.src.is_dir():
-        raise ConfigError(f"source directory not found: {cfg.src}")
+    _require_src(cfg, "dump-model")
     _, model = load_units(cfg)
     sys.stdout.write(dump_model(model))
     return 0

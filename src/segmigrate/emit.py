@@ -92,16 +92,14 @@ def _wrap(line: str, depth: int, cfg: RenderConfig) -> List[str]:
     marker = " &"
     out: List[str] = []
     rest = line
-    first = True
     while len(rest) > limit:
         cut = _split_point(rest, limit - len(marker))
         if cut is None:
             break
         out.append(rest[:cut].rstrip() + marker)
         rest = cont_pad + rest[cut:].lstrip()
-        if not first and len(out) > 200:
+        if len(out) > 200:
             break  # defensive: give up rather than loop
-        first = False
     out.append(rest)
     return out
 

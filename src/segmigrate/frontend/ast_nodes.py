@@ -40,9 +40,9 @@ class StatementFacts(NamedTuple):
     # each of these three holds a name once, in sorted order
     names: Tuple[str, ...] = ()  # referenced; intrinsics and keywords left out
     invoked: Tuple[str, ...] = ()  # each followed by a parenthesis at its level
-    # reads, writes and forwards in textual order.  The unit's events add the
-    # reads of a SEGINI/SEGADJ segment's dimensioning variables and drop the
-    # write of an assignment to the unit's own name, a function result.
+    # reads, writes and forwards in textual order.  The unit summary's events
+    # mark where a SEGINI/SEGADJ reads its segment's dimensioning variables
+    # and drop the write of an assignment to the unit's own name.
     events: Tuple[Event, ...] = ()
     pointers: Tuple[str, ...] = ()  # explicit pointers of dotted accesses
     esope: bool = False  # a dotted access or slash-dim at the top level of a stream
@@ -189,15 +189,6 @@ INTRINSIC_FUNCTIONS = {
     "index", "sign", "iabs", "amax1", "amin1", "max0", "min0",
     "size", "trim", "adjustl", "null",
 }
-
-
-def unit_events(node: Node, unit_name: str) -> Tuple[Event, ...]:
-    """The statement's events as unit ``unit_name`` sees them: an assignment
-    to the unit's own name writes a function result, not a variable."""
-    own = node.facts.events
-    if isinstance(node, AssignmentNode) and own and own[-1] == ("w", unit_name):
-        return own[:-1]
-    return own
 
 
 # --- the statement record ---------------------------------------------------

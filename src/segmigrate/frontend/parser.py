@@ -4,6 +4,7 @@ rewrite are parsed deeply, everything else stays opaque."""
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ..errors import MigrationError, SourceSpan
@@ -73,22 +74,24 @@ def parse_source(source: str, file_id: str = "<input>") -> List[A.ProgramUnitAst
 
 
 def parse_units(lines: List[LogicalLine], file_id: str) -> List[A.ProgramUnitAst]:
+    """The program units of a file.  Comments and preprocessor lines outside
+    every unit open the body of the next unit, or close that of the last."""
     units: List[A.ProgramUnitAst] = []
     i = 0
-    leading: List[LogicalLine] = []
+    outside: List[A.Node] = []
     while i < len(lines):
         line = lines[i]
         if line.kind == STATEMENT and _header_of(line) is not None:
-            # file-level comments ahead of the header open the unit's body
-            body = [A.CommentNode(span=l.span, text=l.text) for l in leading if l.kind == COMMENT]
-            unit, i = _parse_one_unit(lines, i, file_id, body)
-            leading = []
+            unit, i = _parse_one_unit(lines, i, file_id, outside)
+            outside = []
             units.append(unit)
+        elif line.kind == STATEMENT:
+            raise MigrationError("statement outside any program unit", line.span)
         else:
-            if line.kind == STATEMENT:
-                raise MigrationError("statement outside any program unit", line.span)
-            leading.append(line)
-            i += 1
+            node, i = _parse_body_line(lines, i)
+            outside.append(node)
+    if units and outside:
+        units[-1] = replace(units[-1], body=units[-1].body + outside)
     return units
 
 

@@ -4,8 +4,9 @@ per-unit ASTs it links to.
 The dependency model (unit summaries, segments, call edges, include edges)
 stays resident for a whole run.  So do the unit ASTs: ``migrate`` holds
 every unit until the output tree is written.  Each :class:`UnitSummary` is
-filled in one pass over its unit's body; no later stage scans the body
-again for a fact of the unit alone.
+filled in one pass over its unit's body, its read/write events and default
+pointers included.  The intent pass reads only the summaries, and the
+rewrite is the one other pass over a body.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class SegmentDefinition:
 #: a name collection that is only tested for membership, sorted
 Names = Tuple[str, ...]
 
+#: the event ``(SIZED, pointer)``: a SEGINI/SEGADJ reads its segment's dimensioning variables
+SIZED = "d"
+
 
 @dataclass(slots=True)
 class UnitSummary:
@@ -87,6 +91,12 @@ class UnitSummary:
     esope_statements: List[str]  # command kinds, in order
     segments_in_scope: List[str]  # its own definitions, then included ones
     calls: Tuple[Tuple[str, int], ...]  # (callee, argument count), in order
+    events: Tuple[Tuple, ...]  # ast_nodes.Event or SIZED, in order; no function result write
+    default_pointers: Names  # in-scope segment names used with no POINTEUR line
+
+    def segment_of(self, pointer: str) -> Optional[str]:
+        """The segment of a POINTEUR, else the in-scope one a default pointer names."""
+        return self.pointers.get(pointer, pointer if pointer in self.segments_in_scope else None)
 
 
 @dataclass(frozen=True)
@@ -196,15 +206,17 @@ def summarize_unit(unit, model: ProjectModel) -> UnitSummary:
     types: Dict[str, str] = {}
     dims_only: List[str] = []
     rules: List[Tuple[str, str]] = []
-    external, typed, arrays, invoked, assigned, referenced = (set() for _ in range(6))
+    external, typed, arrays, invoked, referenced, used = (set() for _ in range(6))
     defined = {unit.name, *unit.params}
     commands: List[str] = []
     scope: List[str] = []
     calls: List[Tuple[str, int]] = []
+    events: List[Tuple] = []
     for node in unit.body:
         referenced.update(node.facts.names)
         invoked.update(node.facts.invoked)
-        assigned.update(ev[1] for ev in A.unit_events(node, unit.name) if ev[0] == "w")
+        used.update(node.facts.pointers)  # candidate default pointers
+        own = node.facts.events
         if isinstance(node, A.TypeDeclNode):
             for ent in node.entities:
                 defined.add(ent.name)
@@ -224,14 +236,21 @@ def summarize_unit(unit, model: ProjectModel) -> UnitSummary:
         elif isinstance(node, A.CallNode):
             referenced.add(node.callee)
             calls.append((node.callee, len(node.args)))
+        elif isinstance(node, A.AssignmentNode):
+            if own[-1:] == (("w", unit.name),):
+                own = own[:-1]  # the write of a function result
         elif isinstance(node, A.EsopeCommandNode):
             commands.append(node.kind)
+            used.update((node.target, node.source))
+            if node.kind in (A.SEGINI, A.SEGADJ):
+                events.append((SIZED, node.target))
         elif isinstance(node, A.SegmentDefNode):
             seg = node.definition
             register_segment(model, seg)
             scope.append(seg.name)
             defined.add(seg.name)
             defined.update(seg.field_names())
+        events += own
     defined.update(pointers, external)
     declared = {**types, **{p: f"type({seg}), pointer" for p, seg in pointers.items()}}
     for name in dims_only:
@@ -242,8 +261,10 @@ def summarize_unit(unit, model: ProjectModel) -> UnitSummary:
         return_type=unit.return_type, pointers=pointers, declared=declared,
         implicit_table=implicit_table(rules), external=_names(external),
         typed=_names(typed), arrays=_names(arrays), invoked=_names(invoked),
-        assigned=_names(assigned), referenced=_names(referenced), defined=_names(defined),
-        esope_statements=commands, segments_in_scope=scope, calls=tuple(calls),
+        assigned=_names({ev[1] for ev in events if ev[0] == "w"}),
+        referenced=_names(referenced), defined=_names(defined), esope_statements=commands,
+        segments_in_scope=scope, calls=tuple(calls), events=tuple(events),
+        default_pointers=_names(used.intersection(scope) - pointers.keys()),
     )
 
 

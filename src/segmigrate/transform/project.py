@@ -71,6 +71,21 @@ def migrate_project(
     by_file: Dict[str, List[A.ProgramUnitAst]] = {}
     for unit in units:
         by_file.setdefault(unit.file_id, []).append(unit)
+    # pure Fortran 77 projects need no segment runtime
+    support = generate_support_modules() if model.segments else []
+
+    # two sources written to one file would lose one of them
+    sources: Dict[str, List[str]] = {}
+    for file_id in sorted(by_file):
+        sources.setdefault(output_name(file_id), []).append(file_id)
+    for seg_name in sorted(model.segments):
+        sources.setdefault(f"{seg_name}_mod.f90", []).append(model.segments[seg_name].file_id)
+    for name, _ in support:
+        sources.setdefault(name, []).append("the segment runtime")
+    result.errors = [f"{name} would be the output of each of {', '.join(owners)}"
+                     for name, owners in sources.items() if len(owners) > 1]
+    if result.errors:
+        return result
 
     for file_id in sorted(by_file):
         tree = T.TargetNode(T.FILE)
@@ -101,10 +116,8 @@ def migrate_project(
         except MigrationError as exc:
             result.errors.append(str(exc))
 
-    # pure Fortran 77 projects need no segment runtime
-    if model.segments:
-        for name, tree in generate_support_modules():
-            result.outputs.append((name, render_unit(tree, cfg)))
+    for name, tree in support:
+        result.outputs.append((name, render_unit(tree, cfg)))
 
     if result.errors:
         result.outputs = []

@@ -20,18 +20,14 @@ ABSTRACT_MODULE = "segment_mod"
 REGISTRY_MODULE = "segment_registry_mod"
 
 
+_ZERO = {"integer": "0", "real": "0.0", "double precision": "0.0d0", "logical": ".false.",
+         "character": "''"}
+
+
 def zero_value(f: FieldDef) -> str:
-    if f.base_type == "integer":
-        return "0"
-    if f.base_type == "real":
-        return "0.0"
-    if f.base_type == "double precision":
-        return "0.0d0"
-    if f.base_type == "logical":
-        return ".false."
-    if f.base_type == "character":
-        return "''"
-    raise MigrationError(f"no zero value for field type {f.base_type!r}")
+    if f.base_type not in _ZERO:
+        raise MigrationError(f"no zero value for field type {f.base_type!r}")
+    return _ZERO[f.base_type]
 
 
 def field_type(f: FieldDef) -> str:

@@ -7,7 +7,7 @@ comment, or both; nothing is dropped silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import analysis
 from .. import target as T
@@ -38,9 +38,7 @@ class RewriteContext:
     passthrough: int = 0
 
     def segment_of(self, name: str) -> Optional[SegmentDefinition]:
-        seg_name = self.summary.pointers.get(name)
-        if seg_name is None and any(s.name == name for s in self.scope):
-            seg_name = name  # default pointer carries the segment's name
+        seg_name = self.summary.segment_of(name)
         if seg_name is None:
             return None
         if seg_name not in self.model.segments:
@@ -236,15 +234,11 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
                 f"{type_text} {ent.name}", f"type provided by use of {ent.name}_mod"))
             continue
         plain.append((type_text, ent))
-    by_type: Dict[str, List[A.DeclEntity]] = {}
-    order: List[str] = []
+    by_type: Dict[str, List[A.DeclEntity]] = {}  # in order of first use
     for type_text, ent in plain:
-        if type_text not in by_type:
-            by_type[type_text] = []
-            order.append(type_text)
-        by_type[type_text].append(ent)
-    for type_text in order:
-        names = ", ".join(_entity_text(e, ctx) for e in by_type[type_text])
+        by_type.setdefault(type_text, []).append(ent)
+    for type_text, ents in by_type.items():
+        names = ", ".join(_entity_text(e, ctx) for e in ents)
         out.append(T.declaration(f"{type_text} :: {names}"))
     return out
 
@@ -308,18 +302,6 @@ def _inferred_declarations(ctx: RewriteContext) -> List[T.OutputNode]:
     return out
 
 
-def _default_pointer_decls(ctx: RewriteContext) -> List[T.OutputNode]:
-    """Pointers named after a segment exist without any POINTEUR line."""
-    scope_names = {s.name for s in ctx.scope}
-    used = {n for node in ctx.unit.body for n in _default_pointer_uses(node, scope_names, ctx)}
-    return [T.declaration(f"type({n}), pointer :: {n}") for n in sorted(used)]
-
-
-def _default_pointer_uses(node: A.Node, scope_names: Set[str], ctx: RewriteContext) -> List[str]:
-    names = (node.target, node.source) if isinstance(node, A.EsopeCommandNode) else node.facts.pointers
-    return [n for n in names if n in scope_names and n not in ctx.summary.pointers]
-
-
 def compute_unit_uses(ctx: RewriteContext) -> List[str]:
     """Module imports of one migrated unit, alphabetically."""
     model = ctx.model
@@ -359,17 +341,17 @@ def wrap_in_module(ctx: RewriteContext) -> T.TargetNode:
     unit = ctx.unit
     uses = compute_unit_uses(ctx)
 
+    # generated declarations go ahead of the first executable statement;
+    # pointers named after a segment exist without any POINTEUR line
+    decls = _inferred_declarations(ctx) + [
+        T.declaration(f"type({n}), pointer :: {n}") for n in ctx.summary.default_pointers]
     body: List[T.OutputNode] = []
-    inserted_decls = False
     for node in unit.body:
-        if not inserted_decls and _is_executable(node):
-            body.extend(_inferred_declarations(ctx))
-            body.extend(_default_pointer_decls(ctx))
-            inserted_decls = True
-        body.extend(rewrite_statement(node, ctx))
-    if not inserted_decls:
-        body.extend(_inferred_declarations(ctx))
-        body.extend(_default_pointer_decls(ctx))
+        if decls and _is_executable(node):
+            body += decls
+            decls = []
+        body += rewrite_statement(node, ctx)
+    body += decls
 
     if unit.kind == "program":
         top = T.program_node(unit.name)

@@ -838,6 +838,8 @@ def frozen_unit_events(unit, model) -> List[Tuple]:
     seg_by_pointer = {
         p: seg for node in unit.body if isinstance(node, _A.PointerDeclNode) for p, seg in node.entries
     }
+    for name in frozen_segments_in_scope(unit):
+        seg_by_pointer.setdefault(name, name)  # a default pointer
     return [ev for node in unit.body
             for ev in _frozen_statement_events(node, unit, model, seg_by_pointer)]
 

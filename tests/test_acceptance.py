@@ -108,7 +108,7 @@ def test_criterion_2_rewrite_catalog_is_string_exact():
     )
     units = parse_source(src, "newuser.f")
     model = build_project_model(units)
-    intents = infer_intents(model, units)
+    intents = infer_intents(model)
     result = migrate_project(units, model, intents)
     assert result.ok
     body = dict(result.outputs)["newuser.f90"]

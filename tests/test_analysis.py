@@ -4,6 +4,7 @@ import random
 import string
 from dataclasses import fields
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,6 @@ from segmigrate.frontend import ast_nodes as A, lexer
 from segmigrate.frontend.parser import parse_source
 from segmigrate.model import build_project_model, default_implicit_type
 from segmigrate.transform import migrate_project, project as transform_project
-from segmigrate.transform.units import _default_pointer_uses
 
 from helpers import (
     BOOKSTORE,
@@ -218,10 +218,34 @@ def test_intents_from_parsed_source():
         "      END\n"
     )
     units, model = project(src)
-    table = infer_intents(model, units)
+    table = infer_intents(model)
     assert table[("copy", 0)] == IN and table[("copy", 1)] == OUT
     assert table[("top", 0)] == IN and table[("top", 1)] == OUT
 
+
+@pytest.mark.parametrize("command", ["SEGINI", "SEGADJ"])
+def test_sizing_a_segment_reads_its_dimensioning_variables(tmp_path, command):
+    # the generated call passes UBBCNT to an intent(in) dummy whether the
+    # target is the segment's default pointer or a POINTEUR of it
+    (tmp_path / "user.seg").write_text((BOOKSTORE / "user.seg").read_text())
+    (tmp_path / "bydflt.f").write_text(
+        "      SUBROUTINE BYDFLT(UBBCNT)\n"
+        '#include "user.seg"\n'
+        f"      {command}, USER\n"
+        "      UBBCNT = 0\n"
+        "      END\n")
+    (tmp_path / "byptr.f").write_text(
+        "      SUBROUTINE BYPTR(UBBCNT)\n"
+        '#include "user.seg"\n'
+        "      POINTEUR UR.USER\n"
+        f"      {command}, UR\n"
+        "      UBBCNT = 0\n"
+        "      END\n")
+    units, model = load_units(RunConfig(src=tmp_path))
+    table = infer_intents(model)
+    assert table[("bydflt", 0)] == table[("byptr", 0)] == INOUT
+    outputs = dict(migrate_project(units, model, table).outputs)
+    assert "real, intent(inout) :: ubbcnt" in outputs["bydflt.f90"]
 
 def test_fixpoint_agrees_with_inlining_oracle():
     rng = random.Random(20260824)
@@ -305,20 +329,25 @@ def test_solver_work_is_linear_on_a_forwarding_chain(monkeypatch):
 
 
 def agrees_with_frozen_walkers(units, model):
-    """Each statement's record and each unit's events against the walkers
-    that read the streams again."""
+    """Each statement's record, each unit's default pointers and the events
+    the intent pass hands the solver against the walkers that read the
+    streams again."""
     for unit in units:
         scope = {seg.name for seg in segments_in_scope(unit, model)}
         pointers = model.units[unit.name].pointers
-        ctx = SimpleNamespace(summary=SimpleNamespace(pointers=pointers))
+        used = set()
         for node in unit.body:
             assert set(node.facts.names) == frozen_statement_reference_names(node), node
             one = SimpleNamespace(body=[node])
             assert set(node.facts.invoked) == frozen_invoked_names(one), node
-            assert set(_default_pointer_uses(node, scope, ctx)) == set(
-                frozen_default_pointer_uses(node, scope, pointers)), node
             assert node.facts.esope == frozen_esope_touch(node), node
-        assert analysis.routine_events(unit, model) == frozen_unit_events(unit, model)
+            used.update(frozen_default_pointer_uses(node, scope, pointers))
+        assert model.units[unit.name].default_pointers == tuple(sorted(used)), unit.name
+    with mock.patch.object(analysis, "solve_intents", wraps=analysis.solve_intents) as solve:
+        infer_intents(model)
+    routines = solve.call_args.args[0]
+    assert {name: list(spec.events) for name, spec in routines.items()} == {
+        unit.name: frozen_unit_events(unit, model) for unit in units if unit.kind != "program"}
 
 
 @pytest.mark.parametrize("src,catalog", [(BOOKSTORE, BOOKSTORE_INTENTS), (PLAIN77, None)],
@@ -350,7 +379,7 @@ def test_statement_records_agree_with_frozen_walkers_by_hand():
     assert dotted.facts.invoked == () and dotted.facts.pointers == ("p",)  # not k
     assert to_field.facts.invoked == () and to_field.facts.events[-1] == ("r", "p")
     assert result.facts.events[-1] == ("w", "f")
-    assert ("w", "f") not in analysis.routine_events(units[0], model)
+    assert ("w", "f") not in model.units["f"].events
     assert model.units["f"].assigned == ("a", "b", "i", "x")  # not the result f
     assert guarded.facts.events == (("r", "n"), ("f", "logmsg", 0, "k"), ("r", "n"))
     assert read.facts.events == (("w", "a"), ("r", "i"), ("w", "b"))
@@ -427,7 +456,7 @@ def test_each_statement_is_walked_once(monkeypatch):
     for module, name in ((lexer, "walk_tokens"), (transform_project, "walk_tokens"),
                          (A, "stream_names"), (A, "_walk")):
         monkeypatch.setattr(module, name, walked)
-    intents = infer_intents(model, units)
+    intents = infer_intents(model)
     assert migrate_project(units, model, intents).ok
     assert all(len(nodes) == 1 for nodes in built.values())
     in_bodies = {id(node) for unit in units for node in unit.body}
@@ -443,6 +472,8 @@ def summaries_agree_with_frozen_scanners(units, model):
     for unit in units:
         summary = model.units[unit.name]
         got = {f.name: getattr(summary, f.name) for f in fields(summary)}
+        # the events and the default pointers: see agrees_with_frozen_walkers
+        del got["events"], got["default_pointers"]
         assert got == frozen_unit_summary(unit), unit.name
     edges = [(e.caller, e.callee, e.arg_count, e.external) for e in model.call_graph]
     assert edges == frozen_call_edges(units)
@@ -466,7 +497,7 @@ _DECLARATION = st.one_of(
     st.sampled_from(["IMPLICIT NONE", "IMPLICIT INTEGER(A-C, X), CHARACTER*4(D)",
                      "IMPLICIT REAL(P-R)", "POINTEUR P.@, Q.@", "POINTEUR P.OTHER",
                      "SEGINI, P", "SEGADJ, P", "SEGACT, Q", "SEGDES, P", "SEGINI, P = Q",
-                     "SEGSUP, Q", "SEGPRT, P"]),
+                     "SEGSUP, Q", "SEGPRT, P", "SEGINI, @", "SEGADJ, @", "SEGACT, @"]),
 )
 
 
@@ -483,7 +514,9 @@ def test_unit_summaries_agree_with_frozen_scanners_on_random_programs(shapes):
             lines += _cards(statement.replace("@", f"S{i}"))
         lines.append("      END")
     units = parse_source("\n".join(lines) + "\n", "r.f")
-    summaries_agree_with_frozen_scanners(units, build_project_model(units))
+    model = build_project_model(units)
+    summaries_agree_with_frozen_scanners(units, model)
+    agrees_with_frozen_walkers(units, model)
 
 
 def test_units_with_equal_implicit_rules_share_one_table():

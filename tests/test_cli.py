@@ -96,6 +96,37 @@ def test_parse_failure_exits_one_and_writes_nothing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_two_sources_with_one_output_name_are_an_error(tmp_path, capsys):
+    src, out_dir = tmp_path / "src", tmp_path / "out"
+    for sub, name in (("a", "SA"), ("b", "SB")):
+        (src / sub).mkdir(parents=True)
+        (src / sub / "x.f").write_text(f"      SUBROUTINE {name}\n      END\n")
+    (src / "y.f").write_text("      SUBROUTINE SY\n      END\n")
+    code, _, err = run(capsys, "migrate", "--src", str(src), "--out", str(out_dir))
+    assert code == 1
+    errors = [l for l in err.splitlines() if l.startswith("error:")]
+    assert errors == [
+        f"error: x.f90 would be the output of each of {src / 'a' / 'x.f'}, {src / 'b' / 'x.f'}"]
+    assert not out_dir.exists()
+
+
+def test_a_source_named_like_a_generated_module_is_an_error(tmp_path, capsys):
+    src, out_dir = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    (src / "user.seg").write_text((BOOKSTORE / "user.seg").read_text())
+    (src / "user_mod.f").write_text("      SUBROUTINE S\n      include 'user.seg'\n      END\n")
+    (src / "segment_mod.f").write_text("      SUBROUTINE T\n      END\n")
+    code, _, err = run(capsys, "migrate", "--src", str(src), "--out", str(out_dir))
+    assert code == 1
+    errors = [l for l in err.splitlines() if l.startswith("error:")]
+    assert errors == [
+        f"error: segment_mod.f90 would be the output of each of {src / 'segment_mod.f'}, "
+        "the segment runtime",
+        f"error: user_mod.f90 would be the output of each of {src / 'user_mod.f'}, "
+        f"{src / 'user.seg'}",
+    ]
+    assert not out_dir.exists()
+
 def test_plain_f77_migrates_without_catalog(tmp_path, capsys):
     code, out, err = run(
         capsys, "migrate", "--src", str(PLAIN77), "--out", str(tmp_path / "out")

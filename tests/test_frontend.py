@@ -457,6 +457,14 @@ def test_leading_comments_open_the_body_of_the_unit_they_precede():
     assert b.body[0].text == " only B" and b.body[0].span.start_line == 6
 
 
+def test_lines_outside_every_unit_are_parsed_as_body_lines():
+    # an include ahead of a header is resolved like one inside the body
+    src = '#include "u.seg"\n      SUBROUTINE A\n      END\n#endif\nC note\n'
+    (a,) = parse_source(src, "a.f")
+    assert [type(n) for n in a.body] == [A.IncludeNode, A.DirectiveNode, A.CommentNode]
+    assert [n.span.start_line for n in a.body] == [1, 4, 5]
+    assert parse_source("C only a comment\n#endif\n", "c.f") == []
+
 def test_island_soundness_opaque_round_trip():
     """Statements the island grammar does not claim keep their tokens."""
     rng = random.Random(7)
