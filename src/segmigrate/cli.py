@@ -11,14 +11,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import analysis
-from .emit import RenderConfig, write_tree
-from .errors import ConfigError, MigrationError
+from .emit import RenderConfig, TempWarmup, write_tree
+from .errors import ConfigError, MigrationError, MigrationErrors
 from .frontend import ast_nodes as A
 from .frontend.includes import build_fragment_cache, resolve_includes
 from .frontend.lexer import SOURCE_ENCODING, read_source, split_logical_lines
 from .frontend.parser import parse_units
 from .model import ProjectModel, build_project_model, dump_model
-from .transform import migrate_project, negative_pointer_uses
+from .transform import migrate_project, negative_pointer_uses, output_name
 
 #: files parsed as program units
 UNIT_EXTENSIONS = (".f", ".F", ".eso")
@@ -129,21 +129,34 @@ def discover_sources(src: Path) -> List[Path]:
     return [p for p in sorted(src.rglob("*")) if p.is_file() and p.suffix in UNIT_EXTENSIONS]
 
 
-def load_units(cfg: RunConfig) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
-    """Parse, resolve includes, and build the project model."""
-    sources = discover_sources(cfg.src)
+def load_units(
+    cfg: RunConfig, sources: List[Path],
+) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
+    """Parse ``sources``, resolve includes, and build the project model.
+
+    Every source is lexed and parsed before any failure is raised: a
+    MigrationErrors holds each failing file's error, sorted by file and then
+    line.
+    """
     if not sources:
         raise MigrationError(f"no source files under {cfg.src}")
 
     raw_units: List[A.ProgramUnitAst] = []
     include_edges: List[Tuple[str, str]] = []
+    errors: List[Tuple[Tuple[str, int], MigrationError]] = []
     for path in sources:
-        lines = split_logical_lines(read_source(path), str(path))
-        for unit in parse_units(lines, str(path)):
+        try:
+            file_units = parse_units(split_logical_lines(read_source(path), str(path)), str(path))
+        except MigrationError as exc:
+            errors.append(((str(path), exc.span.start_line if exc.span else 0), exc))
+            continue
+        for unit in file_units:
             raw_units.append(unit)
             for node in unit.body:
                 if isinstance(node, A.IncludeNode):
                     include_edges.append((unit.name, node.directive.path))
+    if errors:
+        raise MigrationErrors([exc for _, exc in sorted(errors, key=lambda e: e[0])])
 
     search_paths = [cfg.src] + list(cfg.include_paths)
     include_paths = list(dict.fromkeys(path for _, path in include_edges))
@@ -166,13 +179,19 @@ def load_units(cfg: RunConfig) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
 def cmd_migrate(cfg: RunConfig) -> int:
     cfg = cfg.validated_for_migrate()
     render_cfg = cfg.render_config()
-    units, model = load_units(cfg)
-    intents = analysis.infer_intents(model)
-    result = migrate_project(units, model, intents, render_cfg)
-    if not result.ok:
-        sys.stderr.write(result.format_report())
-        return 1
-    report = write_tree(result.outputs, cfg.out)
+    sources = discover_sources(cfg.src)
+    # a helper creates the temp files write_tree opens while this process parses
+    with TempWarmup(cfg.out, (output_name(str(p)) for p in sources)) as warmup:
+        units, model = load_units(cfg, sources)
+        del sources  # its paths, about 0.5 KB a source, would stay alive through the peak
+        intents = analysis.infer_intents(model)
+        result = migrate_project(units, model, intents, render_cfg)
+        if not result.ok:
+            sys.stderr.write(result.format_report())
+            return 1
+        warmup.wait()
+        report = write_tree(result.outputs, cfg.out)
+        warmup.consumed(name for name, _ in result.outputs)
     if cfg.verbose:
         sys.stdout.write(result.format_report())
     sys.stdout.write(report.format())
@@ -189,7 +208,7 @@ def _require_src(cfg: RunConfig, command: str) -> None:
 def cmd_check(cfg: RunConfig) -> int:
     """Census of the project; writes nothing."""
     _require_src(cfg, "check")
-    units, model = load_units(cfg)
+    units, model = load_units(cfg, discover_sources(cfg.src))
 
     kinds = Counter(u.kind for u in model.units.values())
     commands = Counter(kind for u in model.units.values() for kind in u.esope_statements)
@@ -206,7 +225,7 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_dump_model(cfg: RunConfig) -> int:
     _require_src(cfg, "dump-model")
-    _, model = load_units(cfg)
+    _, model = load_units(cfg, discover_sources(cfg.src))
     sys.stdout.write(dump_model(model))
     return 0
 
@@ -244,7 +263,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
     except MigrationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        errors = exc.errors if isinstance(exc, MigrationErrors) else [exc]
+        sys.stderr.write("".join(f"error: {e}\n" for e in errors))
         return 1
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import MigrationError
 from . import target as T
@@ -142,10 +142,13 @@ class WriteReport:
 
 
 def write_tree(outputs: Sequence[Tuple[str, str]], out_dir: Path) -> WriteReport:
-    """Write rendered files atomically (write-then-rename).
+    """Write rendered files atomically: each goes to ``temp_path(dest)``,
+    opened for writing whether or not it already exists, then is renamed
+    over ``dest``.  Each distinct parent directory is created once.
 
     A second identical run produces byte-identical files.  Any failure is
-    reported per file; callers should exit nonzero when report.ok is false.
+    reported per file, and that file's temp file is removed; callers should
+    exit nonzero when report.ok is false.
     """
     report = WriteReport()
     out_dir = Path(out_dir)
@@ -154,11 +157,14 @@ def write_tree(outputs: Sequence[Tuple[str, str]], out_dir: Path) -> WriteReport
     except OSError as exc:
         report.errors.append(f"{out_dir}: {exc}")
         return report
+    made = {out_dir}
     for rel_path, text in outputs:
         dest = out_dir / rel_path
-        tmp = dest.with_name(dest.name + ".tmp")
+        tmp = temp_path(dest)
         try:
-            dest.parent.mkdir(parents=True, exist_ok=True)
+            if dest.parent not in made:
+                dest.parent.mkdir(parents=True, exist_ok=True)
+                made.add(dest.parent)
             tmp.write_text(text, encoding="utf-8", newline="\n")
             os.replace(tmp, dest)
             report.files.append((str(dest), text.count("\n")))
@@ -169,3 +175,89 @@ def write_tree(outputs: Sequence[Tuple[str, str]], out_dir: Path) -> WriteReport
             except OSError:
                 pass
     return report
+
+
+def temp_path(dest: Path) -> Path:
+    """The file write_tree writes before renaming it over ``dest``."""
+    return dest.with_name(dest.name + ".tmp")
+
+
+class TempWarmup:
+    """Creates ``out_dir`` and an empty temp file for each output name in a
+    forked helper, while the caller goes on parsing.
+
+    Creating an inode costs far more kernel time than opening an existing
+    one, and a single-threaded front end leaves a second CPU idle, so this
+    takes the creations off the critical path.  It is only a warm-up:
+    write_tree writes the same bytes whether or not a temp file exists, so
+    where ``os.fork`` is missing or the helper fails, write_tree creates what
+    is missing itself.  The helper touches nothing but these paths and
+    leaves through ``os._exit``: it never returns into the caller's stack,
+    flushes stdio or runs exit handlers.
+
+    Use it as a context manager around the run; call ``wait`` before
+    write_tree, and ``consumed`` with the names write_tree was given once it
+    returns.  Leaving reaps the helper and removes every temp file write_tree
+    did not consume.  If write_tree never returned, it also removes the
+    directories that did not exist when the run began, if they are empty.
+    """
+
+    def __init__(self, out_dir: Path, names: Iterable[str]) -> None:
+        self.out_dir = Path(out_dir)
+        self.pending = set(names)
+        self.new_dirs: List[Path] = []  # deepest first
+        for directory in (self.out_dir, *self.out_dir.parents):
+            if directory.exists():
+                break
+            self.new_dirs.append(directory)
+        self.pid: Optional[int] = None
+        self.kept = False
+
+    def __enter__(self) -> "TempWarmup":
+        fork = getattr(os, "fork", None)
+        if fork is None or not self.pending:
+            return self
+        try:
+            self.pid = fork()
+        except OSError:
+            return self
+        if self.pid == 0:
+            code = 1
+            try:
+                os.makedirs(self.out_dir, exist_ok=True)
+                for name in self.pending:
+                    tmp = temp_path(self.out_dir / name)
+                    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT, 0o666))
+                code = 0
+            finally:
+                os._exit(code)
+        return self
+
+    def wait(self) -> None:
+        """Reap the helper; its temp files are all made once this returns."""
+        if self.pid is None:
+            return
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:
+            pass  # already reaped
+        self.pid = None
+
+    def consumed(self, names: Iterable[str]) -> None:
+        """write_tree has returned after writing (or removing) these temps."""
+        self.pending.difference_update(names)
+        self.kept = True
+
+    def __exit__(self, *exc_info) -> None:
+        self.wait()
+        for name in self.pending:
+            try:
+                os.unlink(temp_path(self.out_dir / name))
+            except OSError:
+                pass  # consumed after all, or never made
+        if not self.kept:
+            for directory in self.new_dirs:
+                try:
+                    directory.rmdir()
+                except OSError:
+                    break

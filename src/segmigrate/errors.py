@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,6 +32,15 @@ class MigrationError(Exception):
         if span is not None:
             message = f"{span.label()}: {message}"
         super().__init__(message)
+
+
+class MigrationErrors(MigrationError):
+    """Several fatal errors, one per failing file, each reported on its own
+    line."""
+
+    def __init__(self, errors: List[MigrationError]):
+        self.errors = errors
+        super().__init__("\n".join(str(e) for e in errors))
 
 
 class ConfigError(Exception):

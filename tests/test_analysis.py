@@ -23,7 +23,7 @@ from segmigrate.analysis import (
     segments_in_scope,
     solve_intents,
 )
-from segmigrate.cli import RunConfig, load_units
+from segmigrate.cli import RunConfig, discover_sources, load_units
 from segmigrate.errors import MigrationError
 from segmigrate.frontend import ast_nodes as A, lexer
 from segmigrate.frontend.parser import parse_source
@@ -241,7 +241,7 @@ def test_sizing_a_segment_reads_its_dimensioning_variables(tmp_path, command):
         f"      {command}, UR\n"
         "      UBBCNT = 0\n"
         "      END\n")
-    units, model = load_units(RunConfig(src=tmp_path))
+    units, model = load_units(RunConfig(src=tmp_path), discover_sources(tmp_path))
     table = infer_intents(model)
     assert table[("bydflt", 0)] == table[("byptr", 0)] == INOUT
     outputs = dict(migrate_project(units, model, table).outputs)
@@ -353,7 +353,8 @@ def agrees_with_frozen_walkers(units, model):
 @pytest.mark.parametrize("src,catalog", [(BOOKSTORE, BOOKSTORE_INTENTS), (PLAIN77, None)],
                          ids=["bookstore", "plain77"])
 def test_statement_records_agree_with_frozen_walkers_on_goldens(src, catalog):
-    agrees_with_frozen_walkers(*load_units(RunConfig(src=src, intent_catalog=catalog)))
+    agrees_with_frozen_walkers(*load_units(
+        RunConfig(src=src, intent_catalog=catalog), discover_sources(src)))
 
 
 HAND_WRITTEN = """\
@@ -452,7 +453,8 @@ def test_each_statement_is_walked_once(monkeypatch):
         raise AssertionError("a token stream was walked after load_units")
 
     monkeypatch.setattr(A, "statement_facts", counting)
-    units, model = load_units(RunConfig(src=BOOKSTORE, intent_catalog=BOOKSTORE_INTENTS))
+    units, model = load_units(
+        RunConfig(src=BOOKSTORE, intent_catalog=BOOKSTORE_INTENTS), discover_sources(BOOKSTORE))
     for module, name in ((lexer, "walk_tokens"), (transform_project, "walk_tokens"),
                          (A, "stream_names"), (A, "_walk")):
         monkeypatch.setattr(module, name, walked)
@@ -482,7 +484,8 @@ def summaries_agree_with_frozen_scanners(units, model):
 @pytest.mark.parametrize("src,catalog", [(BOOKSTORE, BOOKSTORE_INTENTS), (PLAIN77, None)],
                          ids=["bookstore", "plain77"])
 def test_unit_summaries_agree_with_frozen_scanners_on_goldens(src, catalog):
-    summaries_agree_with_frozen_scanners(*load_units(RunConfig(src=src, intent_catalog=catalog)))
+    summaries_agree_with_frozen_scanners(*load_units(
+        RunConfig(src=src, intent_catalog=catalog), discover_sources(src)))
 
 
 # Declarations for the ``random_program`` shapes; ``@`` is the unit's segment.

@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import segmigrate
+from segmigrate import cli
 from segmigrate.cli import main, parse_config_file
 from segmigrate.errors import ConfigError
 
 from helpers import BOOKSTORE, BOOKSTORE_INTENTS, FIXTURES, PLAIN77
+from test_golden import GOLDEN, tree_bytes
 
 
 def run(capsys, *argv):
@@ -126,6 +128,78 @@ def test_a_source_named_like_a_generated_module_is_an_error(tmp_path, capsys):
         f"{src / 'user.seg'}",
     ]
     assert not out_dir.exists()
+
+
+def test_every_failing_source_gives_its_own_diagnostic(tmp_path, capsys):
+    src, out_dir = tmp_path / "src", tmp_path / "new" / "out"
+    src.mkdir()
+    (src / "c.f").write_text("      SUBROUTINE C\n      Y = 2\n      X = 'AB\n      END\n")
+    (src / "a.f").write_text("     &  X = 1\n      SUBROUTINE A\n      END\n")
+    (src / "ok.f").write_text("      SUBROUTINE OK\n      END\n")
+    (src / "b.f").write_text("      SUBROUTINE B\n      SEGINI\n      END\n")
+    code, out, err = run(capsys, "migrate", "--src", str(src), "--out", str(out_dir))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert lines == [
+        f"error: {src / 'a.f'}:1:1: continuation card with no preceding statement",
+        f"error: {src / 'b.f'}:2:1: malformed Esope command: 'SEGINI'",
+        f"error: {src / 'c.f'}:3:1: unterminated string literal",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
+
+
+def output_tmps(out_dir):
+    return sorted(p.name for p in out_dir.rglob("*.tmp"))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_temp_files_exist_before_write_tree_starts(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    predicted = sorted(p.stem + ".f90.tmp" for p in cli.discover_sources(BOOKSTORE))
+    seen = []
+    real_write_tree = cli.write_tree
+
+    def spy(outputs, out):
+        seen.append(output_tmps(out))
+        return real_write_tree(outputs, out)
+
+    monkeypatch.setattr(cli, "write_tree", spy)
+    code, _, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 0, err
+    assert seen == [predicted]
+    assert output_tmps(out_dir) == []
+
+
+def test_no_temp_file_is_left_after_a_successful_migrate(tmp_path, capsys):
+    src, out_dir = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    (src / "notes.f").write_text("C     only a comment: no unit, no output\n")
+    (src / "main.f").write_text("      PROGRAM MAIN\n      N = 1\n      END\n")
+    code, _, err = run(capsys, "migrate", "--src", str(src), "--out", str(out_dir))
+    assert code == 0, err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["main.f90"]
+
+
+def test_a_failed_run_leaves_an_existing_output_tree_as_it_was(tmp_path, capsys):
+    src, out_dir = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    (src / "orphan.f").write_bytes((FIXTURES / "broken" / "orphan.f").read_bytes())
+    (src / "good.f").write_text("      SUBROUTINE GOOD\n      END\n")
+    out_dir.mkdir()
+    old = b"! written by an earlier run\n"
+    (out_dir / "orphan.f90").write_bytes(old)
+    code, _, err = run(capsys, "migrate", "--src", str(src), "--out", str(out_dir))
+    assert code == 1 and "continuation" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["orphan.f90"]
+    assert (out_dir / "orphan.f90").read_bytes() == old
+
+
+def test_without_fork_the_output_is_the_same(tmp_path, capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    code, _, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 0, err
+    assert tree_bytes(tmp_path / "out") == tree_bytes(GOLDEN / "bookstore")
+
 
 def test_plain_f77_migrates_without_catalog(tmp_path, capsys):
     code, out, err = run(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segmigrate.cli import RunConfig, load_units
+from segmigrate.cli import RunConfig, discover_sources, load_units
 from segmigrate.errors import MigrationError
 from segmigrate.frontend import ast_nodes as A
 from segmigrate.frontend.includes import (
@@ -567,7 +567,7 @@ def test_units_share_the_nodes_of_an_included_file(tmp_path):
         "      SUBROUTINE B(J, K)\n      INTEGER J, K\n"
         "      include 'outer.inc'\n      include 'inner.inc'\n      END\n",
     )
-    units, _ = load_units(RunConfig(src=tmp_path))
+    units, _ = load_units(RunConfig(src=tmp_path), discover_sources(tmp_path))
     a, b = ([n for n in u.body if isinstance(n, A.AssignmentNode)] for u in units)
     assert [len(a), len(b)] == [2, 3]
     assert a[0] is b[0]

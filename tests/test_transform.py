@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from segmigrate import analysis, cli, model as model_module, target as T
-from segmigrate.cli import RunConfig, load_units, main
+from segmigrate.cli import RunConfig, discover_sources, load_units, main
 from segmigrate.emit import RenderConfig, render_unit
 from segmigrate.errors import MigrationError
 from segmigrate.frontend import ast_nodes as A
@@ -288,7 +288,8 @@ def test_template_expansion_leaves_no_placeholders():
 
 
 def test_migration_is_out_of_place():
-    units, model = load_units(RunConfig(src=BOOKSTORE, intent_catalog=BOOKSTORE_INTENTS))
+    units, model = load_units(
+        RunConfig(src=BOOKSTORE, intent_catalog=BOOKSTORE_INTENTS), discover_sources(BOOKSTORE))
     snapshot = copy.deepcopy(units)
     intents = analysis.infer_intents(model)
     assert migrate_project(units, model, intents).ok
