@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import analysis
 from .emit import RenderConfig, TempWarmup, write_tree
@@ -17,8 +17,10 @@ from .frontend import ast_nodes as A
 from .frontend.includes import build_fragment_cache, resolve_includes
 from .frontend.lexer import SOURCE_ENCODING, read_source, split_logical_lines
 from .frontend.parser import parse_units
-from .model import ProjectModel, build_project_model, dump_model
-from .transform import migrate_project, negative_pointer_uses, output_name
+from .model import (
+    ProjectModel, SegmentDefinition, UnitSummary, build_project_model, dump_model, summarize_unit,
+)
+from .transform import MigrationResult, migrate_project, negative_pointer_uses, output_name
 
 #: files parsed as program units
 UNIT_EXTENSIONS = (".f", ".F", ".eso")
@@ -129,69 +131,235 @@ def discover_sources(src: Path) -> List[Path]:
     return [p for p in sorted(src.rglob("*")) if p.is_file() and p.suffix in UNIT_EXTENSIONS]
 
 
-def load_units(
-    cfg: RunConfig, sources: List[Path],
-) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
-    """Parse ``sources``, resolve includes, and build the project model.
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0)) or os.cpu_count() or 1
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Every source is lexed and parsed before any failure is raised: a
-    MigrationErrors holds each failing file's error, sorted by file and then
-    line.
-    """
-    if not sources:
-        raise MigrationError(f"no source files under {cfg.src}")
 
-    raw_units: List[A.ProgramUnitAst] = []
-    include_edges: List[Tuple[str, str]] = []
-    errors: List[Tuple[Tuple[str, int], MigrationError]] = []
+def split_sources(sources: List[Path], count: int) -> List[List[Path]]:
+    """``sources`` cut into at most ``count`` contiguous, non-empty ranges of
+    about equal bytes."""
+    count = min(count, len(sources))
+    if count <= 1:
+        return [sources]
+    sizes = []
     for path in sources:
+        try:
+            sizes.append(path.stat().st_size)
+        except OSError:
+            sizes.append(0)  # reading it fails later, with a diagnostic
+    total, done, start = sum(sizes), 0, 0
+    ranges: List[List[Path]] = []
+    for i, size in enumerate(sizes):
+        done += size
+        later = count - len(ranges) - 1  # ranges still to start after this one
+        rest = len(sources) - i - 1
+        # cut here if this lands nearer the end of the k-th range, k/count of
+        # the bytes, than cutting after the next file would
+        k = len(ranges) + 1
+        nearer = (2 * done + (sizes[i + 1] if rest else 0)) * count >= 2 * total * k
+        if later and rest >= later and (rest == later or nearer):
+            ranges.append(sources[start:i + 1])
+            start = i + 1
+    ranges.append(sources[start:])
+    return ranges
+
+
+class RangeFront(NamedTuple):
+    """What the front end found in one range of the sources, as plain data."""
+
+    summaries: List[UnitSummary]  # of its units, in order
+    # include path -> its segment definitions and nested include paths
+    fragments: Dict[str, Tuple[List[SegmentDefinition], List[str]]]
+    include_edges: List[Tuple[str, str]]  # (unit, include path), in unit order
+    errors: List[Tuple[str, int, str]]  # (file, line, message)
+
+
+def read_range(
+    cfg: RunConfig, paths: Sequence[Path],
+) -> Tuple[List[A.ProgramUnitAst], RangeFront]:
+    """Lex and parse ``paths``, resolve the includes of their units and
+    summarize them.
+
+    Every failure is returned, not raised: each source that does not parse,
+    each include that names a missing or unreadable file, and each include
+    cycle.  The units are returned only if there is none.
+    """
+    if not paths:
+        raise MigrationError(f"no source files under {cfg.src}")
+    raw_units: List[A.ProgramUnitAst] = []
+    requests: List[A.IncludeNode] = []
+    edges: List[Tuple[str, str]] = []
+    errors: List[Tuple[str, int, str]] = []
+    for path in paths:
         try:
             file_units = parse_units(split_logical_lines(read_source(path), str(path)), str(path))
         except MigrationError as exc:
-            errors.append(((str(path), exc.span.start_line if exc.span else 0), exc))
+            errors.append((str(path), exc.span.start_line if exc.span else 0, str(exc)))
             continue
         for unit in file_units:
             raw_units.append(unit)
             for node in unit.body:
                 if isinstance(node, A.IncludeNode):
-                    include_edges.append((unit.name, node.directive.path))
+                    requests.append(node)
+                    edges.append((unit.name, node.directive.path))
+    try:
+        cache = build_fragment_cache(requests, [cfg.src, *cfg.include_paths])
+    except MigrationErrors as exc:
+        errors += ((e.span.file_id, e.span.start_line, str(e)) if e.span else ("", 0, str(e))
+                   for e in exc.errors)
     if errors:
-        raise MigrationErrors([exc for _, exc in sorted(errors, key=lambda e: e[0])])
-
-    search_paths = [cfg.src] + list(cfg.include_paths)
-    include_paths = list(dict.fromkeys(path for _, path in include_edges))
-    cache = build_fragment_cache(include_paths, search_paths)
+        return [], RangeFront([], {}, edges, errors)
+    fragments = {path: (frag.segments, [node.directive.path for node in frag.includes])
+                 for path, frag in cache.items()}
     units = [resolve_includes(u, cache) for u in raw_units]
+    return units, RangeFront([summarize_unit(u) for u in units], fragments, edges, [])
 
-    model = build_project_model(units, [s for p in sorted(cache) for s in cache[p].segments])
-    model.include_graph.extend(include_edges)
-    for frag in cache.values():
-        for nested in frag.includes:
-            model.include_graph.append((frag.path, nested))
 
+def merge_ranges(cfg: RunConfig, fronts: Sequence[RangeFront]) -> ProjectModel:
+    """The project model of the front end of every range, in range order.
+
+    The front-end errors of all ranges are raised together, once each,
+    sorted by file and then line; then the model's own errors.
+    """
+    errors = sorted({e for front in fronts for e in front.errors})
+    if errors:
+        raise MigrationErrors([MigrationError(message) for _, _, message in errors])
+    fragments: Dict[str, Tuple[List[SegmentDefinition], List[str]]] = {}
+    for front in fronts:
+        for path, fragment in front.fragments.items():
+            fragments.setdefault(path, fragment)  # the same file, whichever range read it
+    model = build_project_model(
+        [s for front in fronts for s in front.summaries],
+        [s for path in sorted(fragments) for s in fragments[path][0]],
+    )
+    model.include_graph = [edge for front in fronts for edge in front.include_edges]
+    model.include_graph += [(path, nested) for path in sorted(fragments)
+                            for nested in fragments[path][1]]
     if cfg.intent_catalog:
         if not cfg.intent_catalog.is_file():
             raise ConfigError(f"intent catalog not found: {cfg.intent_catalog}")
         model.intent_catalog = analysis.load_intent_catalog(read_source(cfg.intent_catalog))
-    return units, model
+    return model
+
+
+def load_units(
+    cfg: RunConfig, sources: List[Path],
+) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
+    """Parse ``sources``, resolve includes, and build the project model, all
+    in this process.
+
+    Every source is lexed and parsed, and every include loaded, before any
+    failure is raised: a MigrationErrors holds them all, sorted by file and
+    then line.
+    """
+    units, front = read_range(cfg, sources)
+    return units, merge_ranges(cfg, [front])
+
+
+def migrate_range(
+    cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[Path],
+    exchange: Callable, modules: bool,
+) -> MigrationResult:
+    """The pipeline over one range of the sources.  ``exchange(units, front)``
+    turns the range's units and front end into the whole project's model and
+    intents; the range's own files are then rewritten and rendered, and with
+    ``modules`` the generated modules too."""
+    units, front = read_range(cfg, paths)
+    model, intents = exchange(units, front)
+    return migrate_project(units, model, intents, render_cfg, modules)
+
+
+def migrate_sources(
+    cfg: RunConfig, render_cfg: RenderConfig, sources: List[Path],
+) -> MigrationResult:
+    """Migrate ``sources``, one contiguous range per usable CPU.
+
+    This process takes the first range and forks a worker for each other
+    one.  Each process parses its range; the workers send up their unit
+    summaries, fragment segments and include edges.  This process merges
+    them into the project model, solves the intents and sends each worker
+    what it lacks; each process then rewrites and renders its own files, and
+    the workers send up their outputs.  Unit ASTs never leave the process
+    that parsed them.  Every worker is reaped before this returns or raises.
+    """
+    ranges = split_sources(sources, usable_cpus() if hasattr(os, "fork") else 1)
+    workers = []
+    try:
+        try:
+            if len(ranges) > 1:
+                from .workers import Worker
+
+                for paths in ranges[1:]:
+                    workers.append(Worker.start(
+                        lambda pipe, paths=paths: _serve(cfg, render_cfg, paths, pipe), workers))
+        except OSError:  # no process to spare: this one takes every range
+            for worker in workers:
+                worker.stop()
+            workers, ranges = [], [sources]
+
+        def exchange(units, front):
+            fronts = [front, *(worker.receive() for worker in workers)]
+            model = merge_ranges(cfg, fronts)
+            summaries, segments = list(model.units.values()), list(model.segments.values())
+            start = len(front.summaries)
+            for worker, worker_front in zip(workers, fronts[1:]):
+                end = start + len(worker_front.summaries)
+                worker.pipe.send("model", (summaries[:start], summaries[end:], segments,
+                                           model.intent_catalog))
+                start = end
+            # the workers build their models while the intents are solved
+            intents = analysis.infer_intents(model)
+            for worker in workers:
+                worker.pipe.send("intents", intents)
+            return model, intents
+
+        result = migrate_range(cfg, render_cfg, ranges[0], exchange, modules=True)
+        if not result.conflicts:  # a name clash fails the run before any file counts
+            for worker in workers:
+                result.merge(worker.receive())
+        return result
+    finally:
+        for worker in workers:
+            worker.stop()
+
+
+def _serve(cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[Path], parent) -> None:
+    """The body of a worker, talking to the parent over the pipe ``parent``."""
+    import gc
+
+    def exchange(units, front):
+        parent.send("front", front)
+        _, (before, after, segments, catalog) = parent.receive()
+        # all of it lives until this process ends, so no collection need scan it
+        gc.freeze()
+        model = build_project_model([*before, *front.summaries, *after], segments)
+        model.intent_catalog = catalog
+        _, intents = parent.receive()
+        return model, intents
+
+    result = migrate_range(cfg, render_cfg, paths, exchange, modules=False)
+    parent.send("files", result.files)
 
 
 def cmd_migrate(cfg: RunConfig) -> int:
     cfg = cfg.validated_for_migrate()
     render_cfg = cfg.render_config()
     sources = discover_sources(cfg.src)
-    # a helper creates the temp files write_tree opens while this process parses
+    # a helper creates the temp files write_tree opens while the ranges are migrated
     with TempWarmup(cfg.out, (output_name(str(p)) for p in sources)) as warmup:
-        units, model = load_units(cfg, sources)
-        del sources  # its paths, about 0.5 KB a source, would stay alive through the peak
-        intents = analysis.infer_intents(model)
-        result = migrate_project(units, model, intents, render_cfg)
+        result = migrate_sources(cfg, render_cfg, sources)
+        del sources  # its paths, about 0.5 KB a source, would stay alive through the write
         if not result.ok:
             sys.stderr.write(result.format_report())
             return 1
+        outputs = result.outputs
         warmup.wait()
-        report = write_tree(result.outputs, cfg.out)
-        warmup.consumed(name for name, _ in result.outputs)
+        report = write_tree(outputs, cfg.out)
+        warmup.consumed(name for name, _ in outputs)
     if cfg.verbose:
         sys.stdout.write(result.format_report())
     sys.stdout.write(report.format())

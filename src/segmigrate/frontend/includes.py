@@ -3,11 +3,12 @@ between traceability marker comments."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..errors import MigrationError
+from ..errors import MigrationError, MigrationErrors, SourceSpan
 from ..model import SegmentDefinition
 from . import ast_nodes as A
 from .lexer import read_source, split_logical_lines
@@ -25,7 +26,7 @@ class Fragment:
     path: str
     statements: List[A.Node] = field(default_factory=list)
     segments: List[SegmentDefinition] = field(default_factory=list)
-    includes: List[str] = field(default_factory=list)  # nested include paths
+    includes: List[A.IncludeNode] = field(default_factory=list)  # nested directives, in order
 
 
 FragmentCache = Dict[str, Fragment]
@@ -44,53 +45,107 @@ def find_include_file(path: str, search_paths: Sequence[Path]) -> Path:
 
 
 def build_fragment_cache(
-    include_paths: Sequence[str],
+    requests: Iterable[Union[str, A.IncludeNode]],
     search_paths: Sequence[Path],
 ) -> FragmentCache:
     """Load and flatten every included file; the one include loader.
 
-    Nested includes are resolved recursively; a cycle is a fatal error.
+    ``requests`` are include paths, or the include directives that ask for
+    them.  Nested includes are resolved recursively.  Every include that
+    names a missing or unreadable file is an error at the directive that
+    asked for it, and every fragment that includes itself through a chain of
+    includes is an error at its include that starts the shortest such
+    chain.  All of them are raised together, once every request is loaded.
     """
-    cache: FragmentCache = {}
-    for path in include_paths:
-        _load_fragment(path, search_paths, cache, stack=[])
-    return cache
+    loader = _Loader(search_paths)
+    for request in requests:
+        if isinstance(request, A.IncludeNode):
+            loader.load(request.directive.path, request.span, [])
+        else:
+            loader.load(request, None, [])
+    if loader.cyclic:
+        for path in sorted(loader.cache):
+            loader.report_cycle(path)
+    if loader.errors:
+        raise MigrationErrors(loader.errors)
+    return loader.cache
 
 
-def _load_fragment(path, search_paths, cache, stack) -> Fragment:
-    if path in cache:
-        return cache[path]
-    if path in stack:
-        cycle = " -> ".join(stack + [path])
-        raise MigrationError(f"include cycle: {cycle}")
-    resolved = find_include_file(path, search_paths)
-    lines = split_logical_lines(read_source(resolved), str(resolved))
-    raw = parse_fragment(lines, str(resolved))
+class _Loader:
+    def __init__(self, search_paths: Sequence[Path]) -> None:
+        self.search_paths = search_paths
+        self.cache: FragmentCache = {}
+        self.errors: List[MigrationError] = []
+        # path -> the error to repeat at each directive asking for it, or
+        # None once an error located in the file itself has been reported
+        self.failed: Dict[str, Optional[str]] = {}
+        self.cyclic = False  # some directive named a fragment still loading
 
-    frag = Fragment(path=path)
-    for node in raw.body:
-        if isinstance(node, A.CommentNode):
-            continue  # comments in included files are not copied
-        if isinstance(node, A.SegmentDefNode):
-            frag.segments.append(node.definition)
-            continue
-        if isinstance(node, A.IncludeNode):
-            nested = _load_fragment(
-                node.directive.path, search_paths, cache, stack + [path]
-            )
-            frag.includes.append(nested.path)
-            frag.statements.append(
-                A.CommentNode(span=node.span, text=BEGIN_MARK.format(path=nested.path))
-            )
-            frag.statements.extend(nested.statements)
-            frag.statements.append(
-                A.CommentNode(span=node.span, text=END_MARK.format(path=nested.path))
-            )
-            frag.segments.extend(nested.segments)
-            continue
-        frag.statements.append(node)
-    cache[path] = frag
-    return frag
+    def load(self, path: str, span: Optional[SourceSpan], stack: List[str]) -> Optional[Fragment]:
+        if path in self.cache:
+            return self.cache[path]
+        if path in stack:
+            self.cyclic = True  # reported by report_cycle once loading is done
+            return None
+        if path not in self.failed:
+            try:
+                resolved = find_include_file(path, self.search_paths)
+                lines = split_logical_lines(read_source(resolved), str(resolved))
+                raw = parse_fragment(lines, str(resolved))
+            except MigrationError as exc:
+                self.failed[path] = None if exc.span else str(exc)
+                if exc.span:
+                    self.errors.append(exc)
+            else:
+                return self._flatten(path, raw.body, stack + [path])
+        if self.failed[path] is not None:
+            self.errors.append(MigrationError(self.failed[path], span))
+        return None
+
+    def _flatten(self, path: str, body: Sequence[A.Node], stack: List[str]) -> Fragment:
+        frag = Fragment(path=path)
+        for node in body:
+            if isinstance(node, A.CommentNode):
+                continue  # comments in included files are not copied
+            if isinstance(node, A.SegmentDefNode):
+                frag.segments.append(node.definition)
+                continue
+            if isinstance(node, A.IncludeNode):
+                frag.includes.append(node)
+                nested = self.load(node.directive.path, node.span, stack)
+                if nested is not None:
+                    frag.statements.append(
+                        A.CommentNode(span=node.span, text=BEGIN_MARK.format(path=nested.path))
+                    )
+                    frag.statements.extend(nested.statements)
+                    frag.statements.append(
+                        A.CommentNode(span=node.span, text=END_MARK.format(path=nested.path))
+                    )
+                    frag.segments.extend(nested.segments)
+                continue
+            frag.statements.append(node)
+        self.cache[path] = frag
+        return frag
+
+    def report_cycle(self, path: str) -> None:
+        """The shortest chain of includes leading from ``path`` back to it,
+        found breadth-first with each fragment's includes in order.  It
+        depends only on the files, so a fragment loaded by several runs over
+        different sources is reported the same way by each."""
+        seen = set()
+        queue = deque((node, [path, node.directive.path]) for node in self.cache[path].includes)
+        while queue:
+            first, chain = queue.popleft()
+            last = chain[-1]
+            if last == path:
+                self.errors.append(
+                    MigrationError(f"include cycle: {' -> '.join(chain)}", first.span))
+                return
+            if last in seen or last not in self.cache:
+                continue
+            seen.add(last)
+            queue.extend((first, chain + [node.directive.path])
+                         for node in self.cache[last].includes)
 
 
 def resolve_includes(unit: A.ProgramUnitAst, cache: FragmentCache) -> A.ProgramUnitAst:

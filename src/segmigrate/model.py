@@ -2,11 +2,13 @@
 per-unit ASTs it links to.
 
 The dependency model (unit summaries, segments, call edges, include edges)
-stays resident for a whole run.  So do the unit ASTs: ``migrate`` holds
-every unit until the output tree is written.  Each :class:`UnitSummary` is
-filled in one pass over its unit's body, its read/write events and default
-pointers included.  The intent pass reads only the summaries, and the
-rewrite is the one other pass over a body.
+stays resident for a whole run.  So do the unit ASTs, each in the process
+that parsed it: ``migrate`` holds every unit until the output tree is
+written.  Each :class:`UnitSummary` is filled in one pass over its unit's
+body, its read/write events and default pointers included; it is plain
+data, so a summary built in one process can be merged into the model of
+another.  The intent pass reads only the summaries, and the rewrite is the
+one other pass over a body.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import MigrationError
+from .errors import MigrationError, SourceSpan
 from .frontend.lexer import ExprToken
 
 
@@ -75,6 +77,7 @@ class UnitSummary:
     kind: str  # program | subroutine | function
     parameters: List[str]
     file_id: str
+    span: SourceSpan
     return_type: Optional[str]
     pointers: Dict[str, str]  # POINTEUR name -> segment name
     # explicit types, a POINTEUR winning over an INTEGER declaration (the
@@ -89,6 +92,7 @@ class UnitSummary:
     referenced: Names
     defined: Names  # the unit, its dummies, declarations, segments, fields
     esope_statements: List[str]  # command kinds, in order
+    definitions: Tuple[SegmentDefinition, ...]  # the segments it defines, in order
     segments_in_scope: List[str]  # its own definitions, then included ones
     calls: Tuple[Tuple[str, int], ...]  # (callee, argument count), in order
     events: Tuple[Tuple, ...]  # ast_nodes.Event or SIZED, in order; no function result write
@@ -171,16 +175,19 @@ def build_project_model(
 ) -> ProjectModel:
     """Collect every unit, segment and call edge of a project.
 
-    ``units`` are parsed :class:`ProgramUnitAst` objects (included fragments
-    already registered as fragments, not passed here); ``segments`` are
-    those of the included files.  Symbols referenced but nowhere defined are
-    flagged external on their call edges.
+    ``units`` are parsed :class:`ProgramUnitAst` objects with their includes
+    resolved, or the :class:`UnitSummary` of such a unit built elsewhere, in
+    project order; ``segments`` are those of the included files.  Symbols
+    referenced but nowhere defined are flagged external on their call edges.
     """
     model = ProjectModel()
     for unit in units:
         if unit.name in model.units:
             raise MigrationError(f"unit {unit.name!r} defined twice", unit.span)
-        model.units[unit.name] = summarize_unit(unit, model)
+        summary = unit if isinstance(unit, UnitSummary) else summarize_unit(unit)
+        model.units[unit.name] = summary
+        for seg in summary.definitions:
+            register_segment(model, seg)
     for seg in segments:
         existing = model.segments.get(seg.name)
         if existing is None:
@@ -197,9 +204,8 @@ def build_project_model(
     return model
 
 
-def summarize_unit(unit, model: ProjectModel) -> UnitSummary:
-    """The summary of ``unit``, from one pass over its body.  The segments
-    the unit defines are registered with ``model`` as the pass meets them."""
+def summarize_unit(unit) -> UnitSummary:
+    """The summary of ``unit``, from one pass over its body."""
     from .frontend import ast_nodes as A
 
     pointers: Dict[str, str] = {}
@@ -209,7 +215,7 @@ def summarize_unit(unit, model: ProjectModel) -> UnitSummary:
     external, typed, arrays, invoked, referenced, used = (set() for _ in range(6))
     defined = {unit.name, *unit.params}
     commands: List[str] = []
-    scope: List[str] = []
+    definitions: List[SegmentDefinition] = []
     calls: List[Tuple[str, int]] = []
     events: List[Tuple] = []
     for node in unit.body:
@@ -246,8 +252,7 @@ def summarize_unit(unit, model: ProjectModel) -> UnitSummary:
                 events.append((SIZED, node.target))
         elif isinstance(node, A.SegmentDefNode):
             seg = node.definition
-            register_segment(model, seg)
-            scope.append(seg.name)
+            definitions.append(seg)
             defined.add(seg.name)
             defined.update(seg.field_names())
         events += own
@@ -255,15 +260,17 @@ def summarize_unit(unit, model: ProjectModel) -> UnitSummary:
     declared = {**types, **{p: f"type({seg}), pointer" for p, seg in pointers.items()}}
     for name in dims_only:
         declared.setdefault(name, "")  # typed by implicit rule, dimensioned here
+    scope = [seg.name for seg in definitions]
     scope += [n for n in unit.extra_segments_in_scope if n not in scope]
     return UnitSummary(
         name=unit.name, kind=unit.kind, parameters=unit.params, file_id=unit.file_id,
-        return_type=unit.return_type, pointers=pointers, declared=declared,
+        span=unit.span, return_type=unit.return_type, pointers=pointers, declared=declared,
         implicit_table=implicit_table(rules), external=_names(external),
         typed=_names(typed), arrays=_names(arrays), invoked=_names(invoked),
         assigned=_names({ev[1] for ev in events if ev[0] == "w"}),
         referenced=_names(referenced), defined=_names(defined), esope_statements=commands,
-        segments_in_scope=scope, calls=tuple(calls), events=tuple(events),
+        definitions=tuple(definitions), segments_in_scope=scope, calls=tuple(calls),
+        events=tuple(events),
         default_pointers=_names(used.intersection(scope) - pointers.keys()),
     )
 

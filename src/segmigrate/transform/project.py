@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import analysis
 from .. import target as T
@@ -27,15 +27,45 @@ class FileStats:
     passthrough: int = 0
 
 
+class FileOutcome(NamedTuple):
+    """What migrating one source file, or making one generated module, gave:
+    its output name and text and its stats, or its error."""
+
+    source: str
+    name: str
+    text: Optional[str] = None
+    stats: Optional[FileStats] = None
+    error: Optional[str] = None
+
+
 @dataclass
 class MigrationResult:
-    outputs: List[Tuple[str, str]] = field(default_factory=list)  # (name, text)
-    stats: List[FileStats] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)
+    files: List[FileOutcome] = field(default_factory=list)  # one per source file, in file order
+    modules: List[FileOutcome] = field(default_factory=list)  # the generated modules
+    conflicts: List[str] = field(default_factory=list)  # output names given twice
+
+    @property
+    def errors(self) -> List[str]:
+        return self.conflicts + [o.error for o in self.files + self.modules if o.error]
+
+    @property
+    def stats(self) -> List[FileStats]:
+        return [o.stats for o in self.files + self.modules if o.stats]
+
+    @property
+    def outputs(self) -> List[Tuple[str, str]]:
+        """(name, text) of every output, or nothing when anything failed."""
+        if self.errors:
+            return []
+        return [(o.name, o.text) for o in self.files + self.modules]
 
     @property
     def ok(self) -> bool:
         return not self.errors
+
+    def merge(self, files: Sequence[FileOutcome]) -> None:
+        """Add source files migrated by another call, keeping file order."""
+        self.files = sorted(self.files + list(files), key=lambda o: o.source)
 
     def format_report(self) -> str:
         lines = []
@@ -59,11 +89,15 @@ def migrate_project(
     model: ProjectModel,
     intents: Dict[Tuple[str, int], str],
     cfg: Optional[RenderConfig] = None,
+    modules: bool = True,
 ) -> MigrationResult:
-    """Migrate every unit and synthesize all generated modules.
+    """Migrate the source files of ``units`` and, with ``modules``, check
+    that no two outputs share a name and synthesize all generated modules.
 
-    Any error makes the whole result unusable: no outputs are returned so a
-    caller cannot write a half-migrated project.
+    ``model`` is the whole project's; ``units`` may be those of some of its
+    files, when another call migrates the rest and only one call passes
+    ``modules``.  Any error makes the whole result unusable: it has no
+    outputs, so a caller cannot write a half-migrated project.
     """
     cfg = cfg or RenderConfig()
     result = MigrationResult()
@@ -72,20 +106,21 @@ def migrate_project(
     for unit in units:
         by_file.setdefault(unit.file_id, []).append(unit)
     # pure Fortran 77 projects need no segment runtime
-    support = generate_support_modules() if model.segments else []
+    support = generate_support_modules() if modules and model.segments else []
 
-    # two sources written to one file would lose one of them
-    sources: Dict[str, List[str]] = {}
-    for file_id in sorted(by_file):
-        sources.setdefault(output_name(file_id), []).append(file_id)
-    for seg_name in sorted(model.segments):
-        sources.setdefault(f"{seg_name}_mod.f90", []).append(model.segments[seg_name].file_id)
-    for name, _ in support:
-        sources.setdefault(name, []).append("the segment runtime")
-    result.errors = [f"{name} would be the output of each of {', '.join(owners)}"
-                     for name, owners in sources.items() if len(owners) > 1]
-    if result.errors:
-        return result
+    if modules:
+        # two sources written to one file would lose one of them
+        sources: Dict[str, List[str]] = {}
+        for file_id in sorted({u.file_id for u in model.units.values()}):
+            sources.setdefault(output_name(file_id), []).append(file_id)
+        for seg_name in sorted(model.segments):
+            sources.setdefault(f"{seg_name}_mod.f90", []).append(model.segments[seg_name].file_id)
+        for name, _ in support:
+            sources.setdefault(name, []).append("the segment runtime")
+        result.conflicts = [f"{name} would be the output of each of {', '.join(owners)}"
+                            for name, owners in sources.items() if len(owners) > 1]
+        if result.conflicts:
+            return result
 
     for file_id in sorted(by_file):
         tree = T.TargetNode(T.FILE)
@@ -99,28 +134,26 @@ def migrate_project(
                 stats.rewritten += ctx.rewritten
                 stats.removed += ctx.removed
                 stats.passthrough += ctx.passthrough
-            result.outputs.append((stats.output, render_unit(tree, cfg)))
-            result.stats.append(stats)
+            result.files.append(
+                FileOutcome(file_id, stats.output, render_unit(tree, cfg), stats))
         except MigrationError as exc:
-            result.errors.append(str(exc))
+            result.files.append(FileOutcome(file_id, stats.output, error=str(exc)))
+    if not modules:
+        return result
 
     for seg_name in sorted(model.segments):
+        seg = model.segments[seg_name]
         name = f"{seg_name}_mod.f90"
         try:
             tree = T.TargetNode(T.FILE)
-            tree.add(migrate_segment(model.segments[seg_name]))
-            result.outputs.append((name, render_unit(tree, cfg)))
-            result.stats.append(
-                FileStats(source=model.segments[seg_name].file_id, output=name, rewritten=1)
-            )
+            tree.add(migrate_segment(seg))
+            stats = FileStats(source=seg.file_id, output=name, rewritten=1)
+            result.modules.append(FileOutcome(seg.file_id, name, render_unit(tree, cfg), stats))
         except MigrationError as exc:
-            result.errors.append(str(exc))
+            result.modules.append(FileOutcome(seg.file_id, name, error=str(exc)))
 
     for name, tree in support:
-        result.outputs.append((name, render_unit(tree, cfg)))
-
-    if result.errors:
-        result.outputs = []
+        result.modules.append(FileOutcome("the segment runtime", name, render_unit(tree, cfg)))
     return result
 
 

@@ -1101,7 +1101,7 @@ def frozen_unit_summary(unit) -> Dict[str, object]:
     assigned = {ev[1] for ev in frozen_unit_events(unit, None) if ev[0] == "w"}
     return {
         "name": unit.name, "kind": unit.kind, "parameters": list(unit.params),
-        "file_id": unit.file_id, "return_type": unit.return_type,
+        "file_id": unit.file_id, "span": unit.span, "return_type": unit.return_type,
         "pointers": frozen_pointer_segments(unit),
         "declared": frozen_declared_types(unit),
         "implicit_table": frozen_implicit_rule_table(unit),
@@ -1113,6 +1113,7 @@ def frozen_unit_summary(unit) -> Dict[str, object]:
         "referenced": tuple(sorted(frozen_referenced_symbols(unit))),
         "defined": tuple(sorted(frozen_defined_symbols(unit))),
         "esope_statements": [n.kind for n in unit.body if isinstance(n, _A.EsopeCommandNode)],
+        "definitions": tuple(n.definition for n in unit.body if isinstance(n, _A.SegmentDefNode)),
         "segments_in_scope": frozen_segments_in_scope(unit),
         "calls": tuple((n.callee, len(n.args)) for n in unit.body if isinstance(n, _A.CallNode)),
     }

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import segmigrate
-from segmigrate import cli
+from segmigrate import cli, workers
 from segmigrate.cli import main, parse_config_file
 from segmigrate.errors import ConfigError
 
@@ -449,3 +449,326 @@ def test_bench_tracer_entry_points_exist():
     assert tracer.ENTRY_POINTS
     for _layer, module_name, attr in tracer.ENTRY_POINTS:
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+
+
+# --- the sources split into ranges, one process each -------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+BAD_REWRITE = "      SUBROUTINE BAD(P)\n      SEGINI, P\n      END\n"
+
+
+def load_corpus_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # its dataclasses look their module up
+    return module
+
+
+def force_ranges(monkeypatch, count):
+    """Split the sources of the next runs into ``count`` ranges at most."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: count)
+
+
+def count_workers(monkeypatch):
+    started = []
+    start = workers.Worker.start
+
+    def counting(*args):
+        worker = start(*args)
+        started.append(worker.pid)
+        return worker
+
+    monkeypatch.setattr(workers.Worker, "start", counting)
+    return started
+
+
+def in_a_worker(parent_pid, effect, real):
+    """A stand-in for a stage that has ``effect`` in workers only."""
+    def stage(*args):
+        if os.getpid() != parent_pid:
+            effect()
+        return real(*args)
+    return stage
+
+
+def assert_nothing_left(root):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child at all, running or unreaped
+    assert sorted(root.rglob("*.tmp")) == []
+
+
+def run_in_ranges(tmp_path, capsys, monkeypatch, count, *argv):
+    """(exit code, stdout, stderr, output tree) of one run in ``count`` ranges."""
+    force_ranges(monkeypatch, count)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, *argv)
+    tree = tree_bytes(out) if out.exists() else None
+    if out.exists():
+        for path in sorted(out.rglob("*"), reverse=True):
+            path.rmdir() if path.is_dir() else path.unlink()
+        out.rmdir()
+    return code, stdout, stderr, tree
+
+
+def assert_split_changes_nothing(tmp_path, capsys, monkeypatch, src, *extra):
+    argv = ["migrate", "--src", str(src), "--out", str(tmp_path / "out"), *extra]
+    one = run_in_ranges(tmp_path, capsys, monkeypatch, 1, *argv)
+    started = count_workers(monkeypatch) if hasattr(os, "fork") else []
+    three = run_in_ranges(tmp_path, capsys, monkeypatch, 3, *argv)
+    assert three == one
+    if hasattr(os, "fork"):
+        assert len(started) == min(3, len(cli.discover_sources(src))) - 1
+    assert_nothing_left(tmp_path)
+    return one
+
+
+def test_split_sources_gives_contiguous_ranges_of_about_equal_bytes(tmp_path):
+    paths = []
+    for i, size in enumerate([10, 10, 10, 70, 10, 10, 30, 50]):
+        paths.append(tmp_path / f"s{i}.f")
+        paths[-1].write_bytes(b"x" * size)
+    assert cli.split_sources(paths, 1) == [paths]
+    assert cli.split_sources(paths, 2) == [paths[:4], paths[4:]]
+    assert cli.split_sources(paths, 3) == [paths[:4], paths[4:6], paths[6:]]
+    assert cli.split_sources(paths[:2], 3) == [paths[:1], paths[1:2]]
+    # every range keeps at least one source, however the bytes fall
+    assert cli.split_sources(paths[3:6], 3) == [paths[3:4], paths[4:5], paths[5:6]]
+
+
+@pytest.mark.parametrize("src, extra", [
+    (BOOKSTORE, ["--intent-catalog", str(BOOKSTORE_INTENTS)]), (PLAIN77, []),
+], ids=["bookstore", "plain77"])
+def test_split_runs_give_the_golden_bytes(tmp_path, capsys, monkeypatch, src, extra):
+    code, out, err, tree = assert_split_changes_nothing(
+        tmp_path, capsys, monkeypatch, src, "--verbose", *extra)
+    assert code == 0, err
+    assert tree == tree_bytes(GOLDEN / src.name)
+
+
+@pytest.mark.parametrize("workload, units", [
+    ("esope_tree", 12), ("forward_chain", 12), ("plain77_bulk", 3),
+])
+def test_split_runs_agree_on_generated_trees(tmp_path, capsys, monkeypatch, workload, units):
+    corpus = load_corpus_module().generate(workload, 3, units=units)
+    corpus.write(tmp_path / "src")
+    (tmp_path / "external.intents").write_text(corpus.catalog)
+    code, _, err, tree = assert_split_changes_nothing(
+        tmp_path, capsys, monkeypatch, tmp_path / "src",
+        "--intent-catalog", str(tmp_path / "external.intents"))
+    assert code == 0, err
+    assert sorted(tree) == corpus.expected_outputs()
+
+
+def test_split_runs_keep_the_file_order_of_one_run(tmp_path, capsys, monkeypatch):
+    # sorted as paths, a/c.f comes first; sorted as names, a-b.f does
+    src = tmp_path / "src"
+    write_tree_of(src, {name: f"      SUBROUTINE {unit}\n      END\n" for name, unit in
+                        (("a/c.f", "C"), ("a-b.f", "B"), ("z.f", "Z"))})
+    code, out, err, _ = assert_split_changes_nothing(tmp_path, capsys, monkeypatch, src,
+                                                     "--verbose")
+    assert code == 0, err
+    assert out.index("a-b.f ->") < out.index("c.f ->")
+
+
+def write_tree_of(src, files):
+    for name, text in files.items():
+        (src / name).parent.mkdir(parents=True, exist_ok=True)
+        (src / name).write_text(text)
+
+
+BROKEN_TREES = {
+    "front end": {
+        "a.f": "      SUBROUTINE A\n      include 'gone.inc'\n      END\n",
+        "b.f": "      SUBROUTINE B\n      SEGINI\n      END\n",
+        "c.f": "      SUBROUTINE C\n      include 'x.inc'\n      END\n",
+        "d.f": "      SUBROUTINE D\n      END\n",
+        "e.f": "      SUBROUTINE E\n      include 'y.inc'\n      include 'bad.inc'\n      END\n",
+        "f.f": "      SUBROUTINE F\n      include 'lost.inc'\n      END\n",
+        "x.inc": "      include 'y.inc'\n",
+        "y.inc": "      INTEGER K\n      include 'x.inc'\n",
+        "bad.inc": "     &  K = 1\n",
+    },
+    "unit defined twice": {
+        "a.f": "      SUBROUTINE S\n      END\n",
+        "b.f": "      SUBROUTINE T\n      END\n",
+        "c.f": "      SUBROUTINE U\n      END\n      SUBROUTINE S\n      END\n",
+        "d.f": "      SUBROUTINE S\n      END\n",
+    },
+    "segment defined twice": {
+        "a.f": "      SUBROUTINE A\n      SEGMENT, REC\n      INTEGER V(N)\n      END SEGMENT\n"
+               "      END\n",
+        "b.f": "      SUBROUTINE B\n      END\n",
+        "c.f": "      SUBROUTINE C\n      SEGMENT, REC\n      INTEGER W(N)\n      END SEGMENT\n"
+               "      END\n",
+    },
+    "rewrite": {
+        "a.f": "      SUBROUTINE A\n      END\n",
+        "b.f": "      SUBROUTINE B\n      END\n",
+        "c.f": BAD_REWRITE.replace("BAD", "C"),
+        "d.f": BAD_REWRITE.replace("BAD", "D"),
+    },
+    "output name": {
+        "a/x.f": "      SUBROUTINE SA\n      END\n",
+        "b/x.f": "      SUBROUTINE SB\n      END\n",
+        "y.f": "      SUBROUTINE SY\n      END\n",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_TREES))
+def test_split_runs_report_the_same_errors(tmp_path, capsys, monkeypatch, name):
+    src = tmp_path / "src"
+    write_tree_of(src, BROKEN_TREES[name])
+    code, out, err, tree = assert_split_changes_nothing(tmp_path, capsys, monkeypatch, src)
+    assert code == 1 and tree is None and "error: " in err
+
+
+def test_split_runs_report_the_broken_fixture_the_same(tmp_path, capsys, monkeypatch):
+    code, _, err, tree = assert_split_changes_nothing(
+        tmp_path, capsys, monkeypatch, FIXTURES / "broken")
+    assert code == 1 and tree is None and "continuation" in err
+
+
+def test_split_front_end_errors_are_every_range_s_in_file_order(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "src"
+    write_tree_of(src, BROKEN_TREES["front end"])
+    code, _, err, _ = run_in_ranges(tmp_path, capsys, monkeypatch, 3, "migrate",
+                                    "--src", str(src), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: {src / 'a.f'}:2:1: include file 'gone.inc' not found; tried: {src / 'gone.inc'}",
+        f"error: {src / 'b.f'}:2:1: malformed Esope command: 'SEGINI'",
+        f"error: {src / 'bad.inc'}:1:1: continuation card with no preceding statement",
+        f"error: {src / 'f.f'}:2:1: include file 'lost.inc' not found; tried: {src / 'lost.inc'}",
+        f"error: {src / 'x.inc'}:1:1: include cycle: x.inc -> y.inc -> x.inc",
+        f"error: {src / 'y.inc'}:2:1: include cycle: y.inc -> x.inc -> y.inc",
+    ]
+
+
+def test_split_model_errors_name_the_same_unit(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "src"
+    write_tree_of(src, BROKEN_TREES["unit defined twice"])
+    _, _, err, _ = run_in_ranges(tmp_path, capsys, monkeypatch, 3, "migrate",
+                                 "--src", str(src), "--out", str(tmp_path / "out"))
+    assert err == f"error: {src / 'c.f'}:3:1: unit 's' defined twice\n"
+    write_tree_of(tmp_path / "seg", BROKEN_TREES["segment defined twice"])
+    _, _, err, _ = run_in_ranges(tmp_path, capsys, monkeypatch, 3, "migrate",
+                                 "--src", str(tmp_path / "seg"), "--out", str(tmp_path / "out"))
+    assert err == "error: segment 'rec' defined twice\n"
+
+
+@pytest.mark.parametrize("command", ["check", "dump-model"])
+def test_split_leaves_check_and_dump_model_alone(tmp_path, capsys, monkeypatch, command):
+    outputs = []
+    for count in (1, 3):
+        force_ranges(monkeypatch, count)
+        outputs.append(run(capsys, command, "--src", str(BOOKSTORE)))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert_nothing_left(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["check", "migrate"])
+def test_every_missing_include_is_located(tmp_path, capsys, command):
+    src, out_dir = tmp_path / "src", tmp_path / "out"
+    write_tree_of(src, {
+        "a.f": "      SUBROUTINE A\n      include 'gone.inc'\n      END\n",
+        "b.f": "      SUBROUTINE B\n      N = 1\n      include 'lost.inc'\n      END\n",
+    })
+    code, out, err = run(capsys, command, "--src", str(src), "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: {src / 'a.f'}:2:1: include file 'gone.inc' not found; tried: {src / 'gone.inc'}",
+        f"error: {src / 'b.f'}:3:1: include file 'lost.inc' not found; tried: {src / 'lost.inc'}",
+    ]
+    assert not out_dir.exists()
+
+
+def test_a_failed_fork_leaves_one_range(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    force_ranges(monkeypatch, 3)
+    code, _, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 0, err
+    assert tree_bytes(tmp_path / "out") == tree_bytes(GOLDEN / "bookstore")
+
+
+@needs_fork
+def test_no_process_is_left_after_a_split_migrate(tmp_path, capsys, monkeypatch):
+    force_ranges(monkeypatch, 3)
+    code, _, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 0, err
+    assert_nothing_left(tmp_path)
+
+
+@needs_fork
+def test_no_process_is_left_after_a_front_end_failure(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "src"
+    write_tree_of(src, {"a.f": "      SUBROUTINE A\n      END\n",
+                        "b.f": "      SUBROUTINE B\n      END\n",
+                        "c.f": "     &  X = 1\n      SUBROUTINE C\n      END\n"})
+    force_ranges(monkeypatch, 3)
+    code, _, err = run(capsys, "migrate", "--src", str(src), "--out", str(tmp_path / "out"))
+    assert code == 1 and "continuation" in err
+    assert not (tmp_path / "out").exists()
+    assert_nothing_left(tmp_path)
+
+
+@needs_fork
+def test_no_process_is_left_after_a_rewrite_failure_in_a_worker(tmp_path, capsys, monkeypatch):
+    src, out_dir = tmp_path / "src", tmp_path / "out"
+    write_tree_of(src, {"a.f": "      SUBROUTINE A\n      END\n",
+                        "z.f": BAD_REWRITE})
+    force_ranges(monkeypatch, 2)
+    started = count_workers(monkeypatch)
+    code, _, err = run(capsys, "migrate", "--src", str(src), "--out", str(out_dir))
+    assert code == 1 and f"{src / 'z.f'}" in err and len(started) == 1
+    assert not out_dir.exists()
+    assert_nothing_left(tmp_path)
+
+
+@needs_fork
+def test_no_process_is_left_after_an_interrupt(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    real = cli.parse_units
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(cli, "parse_units", interrupted)
+    force_ranges(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        migrate_bookstore(tmp_path, capsys)
+    assert not (tmp_path / "out").exists()
+    assert_nothing_left(tmp_path)
+
+
+@needs_fork
+def test_a_worker_s_exception_comes_up_with_its_traceback(tmp_path, capsys, monkeypatch):
+    def boom():
+        raise ValueError("boom in a worker")
+
+    monkeypatch.setattr(cli, "parse_units", in_a_worker(os.getpid(), boom, cli.parse_units))
+    force_ranges(monkeypatch, 2)
+    with pytest.raises(RuntimeError) as err:
+        migrate_bookstore(tmp_path, capsys)
+    assert "Traceback" in str(err.value) and "ValueError: boom in a worker" in str(err.value)
+    assert capsys.readouterr() == ("", "")
+    assert not (tmp_path / "out").exists()
+    assert_nothing_left(tmp_path)
+
+
+@needs_fork
+def test_a_worker_that_exits_without_replying_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "parse_units",
+                        in_a_worker(os.getpid(), lambda: os._exit(7), cli.parse_units))
+    force_ranges(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="exited with status 7 without replying"):
+        migrate_bookstore(tmp_path, capsys)
+    assert not (tmp_path / "out").exists()
+    assert_nothing_left(tmp_path)

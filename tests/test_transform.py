@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from segmigrate import analysis, cli, model as model_module, target as T
+from segmigrate import analysis, cli, target as T
 from segmigrate.cli import RunConfig, discover_sources, load_units, main
 from segmigrate.emit import RenderConfig, render_unit
 from segmigrate.errors import MigrationError
@@ -392,14 +392,14 @@ def test_each_unit_body_is_scanned_at_most_twice(tmp_path, monkeypatch, capsys):
         return dataclasses.replace(resolved, body=bodies[unit.name])
 
     summaries = Counter()
-    summarize = model_module.summarize_unit
+    summarize = cli.summarize_unit
 
-    def counting_summarize(unit, model):
+    def counting_summarize(unit):
         summaries[unit.name] += 1
-        return summarize(unit, model)
+        return summarize(unit)
 
     monkeypatch.setattr(cli, "resolve_includes", counting_resolve)
-    monkeypatch.setattr(model_module, "summarize_unit", counting_summarize)
+    monkeypatch.setattr(cli, "summarize_unit", counting_summarize)
     argv = ["migrate", "--src", str(BOOKSTORE), "--out", str(tmp_path / "out"),
             "--intent-catalog", str(BOOKSTORE_INTENTS)]
     assert main(argv) == 0
