@@ -281,7 +281,7 @@ _CATALOG_LINE_RE = re.compile(r"^([a-z][a-z0-9_]*)\(([a-z, ]*)\)$", re.IGNORECAS
 def load_intent_catalog(text: str) -> Dict[str, List[str]]:
     """Plain text, one line per routine: ``name(intent,intent,...)``."""
     catalog: Dict[str, List[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

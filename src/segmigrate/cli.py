@@ -16,7 +16,7 @@ from .errors import ConfigError, MigrationError, MigrationErrors
 from .frontend import ast_nodes as A
 from .frontend.includes import build_fragment_cache, resolve_includes
 from .frontend.lexer import SOURCE_ENCODING, read_source, split_logical_lines
-from .frontend.parser import parse_units
+from .frontend.parser import StatementTable, parse_units
 from .model import (
     ProjectModel, SegmentDefinition, UnitSummary, build_project_model, dump_model, summarize_unit,
 )
@@ -71,7 +71,7 @@ def parse_config_file(text: str, base: Path) -> Dict[str, object]:
     def path(value: str) -> Path:
         return base / os.fsdecode(value.encode(SOURCE_ENCODING))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -182,7 +182,8 @@ def read_range(
     cfg: RunConfig, paths: Sequence[Path],
 ) -> Tuple[List[A.ProgramUnitAst], RangeFront]:
     """Lex and parse ``paths``, resolve the includes of their units and
-    summarize them.
+    summarize them.  The sources and the files they include share one
+    statement table, which lives as long as this call.
 
     Every failure is returned, not raised: each source that does not parse,
     each include that names a missing or unreadable file, and each include
@@ -194,9 +195,11 @@ def read_range(
     requests: List[A.IncludeNode] = []
     edges: List[Tuple[str, str]] = []
     errors: List[Tuple[str, int, str]] = []
+    table: StatementTable = {}
     for path in paths:
         try:
-            file_units = parse_units(split_logical_lines(read_source(path), str(path)), str(path))
+            file_units = parse_units(
+                split_logical_lines(read_source(path), str(path)), str(path), table)
         except MigrationError as exc:
             errors.append((str(path), exc.span.start_line if exc.span else 0, str(exc)))
             continue
@@ -207,7 +210,7 @@ def read_range(
                     requests.append(node)
                     edges.append((unit.name, node.directive.path))
     try:
-        cache = build_fragment_cache(requests, [cfg.src, *cfg.include_paths])
+        cache = build_fragment_cache(requests, [cfg.src, *cfg.include_paths], table)
     except MigrationErrors as exc:
         errors += ((e.span.file_id, e.span.start_line, str(e)) if e.span else ("", 0, str(e))
                    for e in exc.errors)

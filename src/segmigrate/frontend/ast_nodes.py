@@ -11,7 +11,10 @@ that includes a file holds that file's nodes, not copies of them.
 Every node carries its :class:`StatementFacts` in ``node.facts``, built
 once by :func:`statement_facts` when the node is constructed: the one walk
 over the statement's folded token streams.  The model, the analysis and the
-rewriter read the record instead of walking the streams again.
+rewriter read the record instead of walking the streams again.  A statement
+whose text the parser has classified before in the same range is a
+:meth:`Node.restamped` twin of the first node: its own span and label, the
+first node's content and record.
 """
 
 from __future__ import annotations
@@ -59,6 +62,18 @@ class Node:
 
     def __post_init__(self):
         object.__setattr__(self, "facts", statement_facts(self))
+
+    def restamped(self, span: SourceSpan, label: Optional[int]) -> "Node":
+        """This statement at ``span`` with ``label``: a new node sharing its
+        other fields and its ``facts`` with this one, built without a walk."""
+        twin = object.__new__(type(self))
+        put = object.__setattr__
+        put(twin, "span", span)
+        put(twin, "label", label)
+        put(twin, "facts", self.facts)
+        for name in self.__match_args__[2:]:  # the init fields after span and label
+            put(twin, name, getattr(self, name))
+        return twin
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,7 @@ from ..errors import MigrationError, MigrationErrors, SourceSpan
 from ..model import SegmentDefinition
 from . import ast_nodes as A
 from .lexer import read_source, split_logical_lines
-from .parser import parse_fragment
+from .parser import StatementTable, parse_fragment
 
 BEGIN_MARK = '[seg-migrate] begin include "{path}"'
 END_MARK = '[seg-migrate] end include "{path}"'
@@ -47,6 +47,7 @@ def find_include_file(path: str, search_paths: Sequence[Path]) -> Path:
 def build_fragment_cache(
     requests: Iterable[Union[str, A.IncludeNode]],
     search_paths: Sequence[Path],
+    table: Optional[StatementTable] = None,
 ) -> FragmentCache:
     """Load and flatten every included file; the one include loader.
 
@@ -56,8 +57,9 @@ def build_fragment_cache(
     asked for it, and every fragment that includes itself through a chain of
     includes is an error at its include that starts the shortest such
     chain.  All of them are raised together, once every request is loaded.
+    The fragments are parsed with the statement table ``table``, if given.
     """
-    loader = _Loader(search_paths)
+    loader = _Loader(search_paths, {} if table is None else table)
     for request in requests:
         if isinstance(request, A.IncludeNode):
             loader.load(request.directive.path, request.span, [])
@@ -72,8 +74,9 @@ def build_fragment_cache(
 
 
 class _Loader:
-    def __init__(self, search_paths: Sequence[Path]) -> None:
+    def __init__(self, search_paths: Sequence[Path], table: StatementTable) -> None:
         self.search_paths = search_paths
+        self.table = table
         self.cache: FragmentCache = {}
         self.errors: List[MigrationError] = []
         # path -> the error to repeat at each directive asking for it, or
@@ -91,7 +94,7 @@ class _Loader:
             try:
                 resolved = find_include_file(path, self.search_paths)
                 lines = split_logical_lines(read_source(resolved), str(resolved))
-                raw = parse_fragment(lines, str(resolved))
+                raw = parse_fragment(lines, str(resolved), self.table)
             except MigrationError as exc:
                 self.failed[path] = None if exc.span else str(exc)
                 if exc.span:

@@ -7,6 +7,10 @@ before the rules apply.
 Tokens are immutable and interned: every equal lexeme of a run is one
 shared ``Token`` object.  Code compares them with the shared constants
 (``LPAREN``, ``DOT``, ``SLASH``, ...), never with a freshly built token.
+Once every lexeme of a statement is interned, ``tokenize`` maps the
+statement with one ``findall``.  Interning goes on above the lexer: the
+parser shares the classified content of each distinct statement text of a
+range (see ``parser.classify_statement``).
 """
 
 from __future__ import annotations
@@ -102,20 +106,26 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
         # a continuation card may still follow, so a statement's comment waits
         (out if pending is None else held).append(LogicalLine(COMMENT, text, span))
 
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    def card_span() -> SourceSpan:
+        return SourceSpan(file_id, lineno, 1, lineno, max(1, len(line.rstrip())))
+
+    # only a newline ends a card: a form feed or a vertical tab is blank space
+    cards = source.split("\n")
+    if cards[-1] == "":
+        cards.pop()
+    for lineno, raw in enumerate(cards, start=1):
         line = expand_tabs(raw)
-        span = SourceSpan(file_id, lineno, 1, lineno, max(1, len(line.rstrip())))
         first = line[0] if line else ""
 
         if not line.strip():
-            comment("", span)
+            comment("", card_span())
             continue
         if first in ("C", "c", "*", "!"):
-            comment(line[1:].rstrip(), span)
+            comment(line[1:].rstrip(), card_span())
             continue
         if first == "#":
             flush()
-            out.append(LogicalLine(DIRECTIVE, line.rstrip(), span))
+            out.append(LogicalLine(DIRECTIVE, line.rstrip(), card_span()))
             continue
 
         label_field = line[0:5]
@@ -123,14 +133,14 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
         body = line[6:72]
         continued = bool(cont_field.strip()) and cont_field != "0"
         if continued and pending is None:
-            raise MigrationError("continuation card with no preceding statement", span)
+            raise MigrationError("continuation card with no preceding statement", card_span())
 
         if "!" in body:
             # an inline comment; a literal may be open since an earlier card
             before = pending["text"] if continued else ""
             code = _code_part(before + body)[len(before):]
             if not (continued or code.strip() or label_field.strip()):
-                comment(body[len(code) + 1 :].rstrip(), span)
+                comment(body[len(code) + 1 :].rstrip(), card_span())
                 continue
             body = code
 
@@ -145,7 +155,7 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
             try:
                 label = int(label_field.strip())
             except ValueError:
-                raise MigrationError(f"bad statement label {label_field.strip()!r}", span)
+                raise MigrationError(f"bad statement label {label_field.strip()!r}", card_span())
         pending = {"text": body.rstrip(), "label": label, "start": lineno, "end": lineno}
 
     flush()
@@ -250,16 +260,18 @@ _LOGICAL_OP = r"(?ai:\.(?:eqv|neqv|eq|ne|lt|le|gt|ge|and|or|not|xor|true|false)\
 # but for a number (INT or REAL).  A number leaves the dot of ``1.eq.2``
 # alone.  A ``dotnum`` (``.5``) is a REAL only where no value precedes it,
 # which ``tokenize`` decides.
-_LEXEME_RE = re.compile(
-    r"\s*(?:"
+_LEXEMES = (
     r"""(?P<string>'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))"""
     r"|(?P<name>(?i:[a-z_][a-z0-9_]*))"
     r"|(?P<number>\d+(?:(?!" + _LOGICAL_OP + r")\.\d*)?(?:[eEdD][+-]?\d+)?)"
     r"|(?P<op>" + _LOGICAL_OP + r"|\*\*|//|=>|[-+*/=])"
     r"|(?P<dotnum>\.\d+(?:[eEdD][+-]?\d+)?)"
     r"|(?P<punct>[(),:%$.])"
-    r"|(?P<stray>\S))"
+    r"|(?P<stray>\S)"
 )
+_LEXEME_RE = re.compile(r"\s*(?:" + _LEXEMES + ")")
+# the same matches with one unnamed group, so ``findall`` yields the lexemes
+_LEXEMES_RE = re.compile(r"\s*(" + re.sub(r"\(\?P<\w+>", "(?:", _LEXEMES) + ")")
 
 # The intern tables: source lexeme -> token, and token -> its one shared
 # object.  They only grow with the distinct lexemes of the input, and sharing
@@ -271,6 +283,10 @@ _SHARED: Dict[Token, Token] = {t: t for t in (LPAREN, RPAREN, COMMA, DOT, SLASH,
 def tokenize(text: str, span: Optional[SourceSpan] = None) -> List[Token]:
     """Tokenize one statement body.  Identifiers are lowercased; string
     literals keep their quotes and case."""
+    try:  # one call if every lexeme is interned
+        return [_BY_LEXEME[lexeme] for lexeme in _LEXEMES_RE.findall(text)]
+    except KeyError:  # a new lexeme, a stray character or a ``dotnum``
+        pass
     toks: List[Token] = []
     pos = 0
     while True:

@@ -1,11 +1,20 @@
 """Island-grammar parser: Esope constructs and the host declarations we must
-rewrite are parsed deeply, everything else stays opaque."""
+rewrite are parsed deeply, everything else stays opaque.
+
+Legacy code repeats its statements (POINTEUR, SEGACT, IMPLICIT, CONTINUE,
+shared declarations), so each distinct statement text is parsed once per
+statement table.  The caller owns the table and decides how long it lives:
+``cli.read_range`` makes one per range of sources and shares it with the
+include loader, so it is dropped with the range's front end; ``parse_units``
+or ``parse_fragment`` given none makes one for the call.  The table is never
+module-level, so a library caller's memory does not grow from run to run.
+"""
 
 from __future__ import annotations
 
 import re
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import MigrationError, SourceSpan
 from ..model import FieldDef, SegmentDefinition
@@ -67,28 +76,36 @@ _BLANKS_RE = re.compile(r"\s+")
 
 _IF = Token(NAME, "if")
 
+#: stripped statement text -> the node first classified from it
+StatementTable = Dict[str, A.Node]
+
 
 def parse_source(source: str, file_id: str = "<input>") -> List[A.ProgramUnitAst]:
     """Parse a whole file into its program units."""
     return parse_units(split_logical_lines(source, file_id), file_id)
 
 
-def parse_units(lines: List[LogicalLine], file_id: str) -> List[A.ProgramUnitAst]:
-    """The program units of a file.  Comments and preprocessor lines outside
-    every unit open the body of the next unit, or close that of the last."""
+def parse_units(
+    lines: List[LogicalLine], file_id: str, table: Optional[StatementTable] = None,
+) -> List[A.ProgramUnitAst]:
+    """The program units of a file, parsed with the statement table
+    ``table``.  Comments and preprocessor lines outside every unit open the
+    body of the next unit, or close that of the last."""
+    if table is None:
+        table = {}
     units: List[A.ProgramUnitAst] = []
     i = 0
     outside: List[A.Node] = []
     while i < len(lines):
         line = lines[i]
         if line.kind == STATEMENT and _header_of(line) is not None:
-            unit, i = _parse_one_unit(lines, i, file_id, outside)
+            unit, i = _parse_one_unit(lines, i, file_id, outside, table)
             outside = []
             units.append(unit)
         elif line.kind == STATEMENT:
             raise MigrationError("statement outside any program unit", line.span)
         else:
-            node, i = _parse_body_line(lines, i)
+            node, i = _parse_body_line(lines, i, table)
             outside.append(node)
     if units and outside:
         units[-1] = replace(units[-1], body=units[-1].body + outside)
@@ -103,12 +120,16 @@ def parse_unit(lines: List[LogicalLine], file_id: str = "<input>") -> A.ProgramU
     return units[0]
 
 
-def parse_fragment(lines: List[LogicalLine], file_id: str) -> A.ProgramUnitAst:
+def parse_fragment(
+    lines: List[LogicalLine], file_id: str, table: Optional[StatementTable] = None,
+) -> A.ProgramUnitAst:
     """Parse an included fragment: a headerless statement sequence."""
+    if table is None:
+        table = {}
     body: List[A.Node] = []
     i = 0
     while i < len(lines):
-        node, i = _parse_body_line(lines, i)
+        node, i = _parse_body_line(lines, i, table)
         body.append(node)
     span = lines[0].span if lines else SourceSpan(file_id, 1, 1, 1, 1)
     return A.ProgramUnitAst(
@@ -138,7 +159,8 @@ def _split_params(raw: Optional[str]) -> List[str]:
     return [p.strip().lower() for p in raw.split(",")]
 
 
-def _parse_one_unit(lines: List[LogicalLine], i: int, file_id: str, body: List[A.Node]):
+def _parse_one_unit(lines: List[LogicalLine], i: int, file_id: str, body: List[A.Node],
+                    table: StatementTable):
     header = lines[i]
     kind, name, params, rtype = _header_of(header)
     i += 1
@@ -149,7 +171,7 @@ def _parse_one_unit(lines: List[LogicalLine], i: int, file_id: str, body: List[A
             end_span = line.span
             i += 1
             break
-        node, i = _parse_body_line(lines, i)
+        node, i = _parse_body_line(lines, i, table)
         body.append(node)
     if end_span is None:
         raise MigrationError(f"missing END for unit {name!r}", header.span)
@@ -163,7 +185,7 @@ def _parse_one_unit(lines: List[LogicalLine], i: int, file_id: str, body: List[A
     )
 
 
-def _parse_body_line(lines: List[LogicalLine], i: int) -> Tuple[A.Node, int]:
+def _parse_body_line(lines: List[LogicalLine], i: int, table: StatementTable) -> Tuple[A.Node, int]:
     line = lines[i]
     if line.kind == COMMENT:
         return A.CommentNode(span=line.span, text=line.text), i + 1
@@ -186,14 +208,25 @@ def _parse_body_line(lines: List[LogicalLine], i: int) -> Tuple[A.Node, int]:
             j += 1
         raise MigrationError("unterminated SEGMENT block (no END SEGMENT)", line.span)
 
-    return classify_statement(line), i + 1
+    return classify_statement(line, table), i + 1
 
 
-def classify_statement(line: LogicalLine) -> A.Node:
+def classify_statement(line: LogicalLine, table: Optional[StatementTable] = None) -> A.Node:
+    """The node of one statement.  A text already in ``table`` is not parsed
+    again: its node is the stored one restamped with this line's span and
+    label.  A text that fails is never stored, so each of its occurrences
+    fails at its own line."""
     text = line.text.strip()
-    span = line.span
-    label = line.label
+    if table is None:
+        return _classify(text, line.span, line.label)
+    node = table.get(text)
+    if node is not None:
+        return node.restamped(line.span, line.label)
+    node = table[text] = _classify(text, line.span, line.label)
+    return node
 
+
+def _classify(text: str, span: SourceSpan, label: Optional[int]) -> A.Node:
     m = _POINTEUR_RE.match(text)
     if m:
         return A.PointerDeclNode(span=span, label=label, entries=_parse_pointer_list(m.group(1), span))

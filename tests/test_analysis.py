@@ -3,6 +3,7 @@
 import random
 import string
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -26,6 +27,7 @@ from segmigrate.analysis import (
 from segmigrate.cli import RunConfig, discover_sources, load_units
 from segmigrate.errors import MigrationError
 from segmigrate.frontend import ast_nodes as A, lexer
+from segmigrate.frontend.lexer import read_source, split_logical_lines
 from segmigrate.frontend.parser import parse_source
 from segmigrate.model import build_project_model, default_implicit_type
 from segmigrate.transform import migrate_project, project as transform_project
@@ -442,14 +444,16 @@ def test_statement_records_agree_with_frozen_walkers_on_random_programs(shapes):
 
 
 def test_each_statement_is_walked_once(monkeypatch):
-    built = {}
+    """One walk per distinct statement text of a range; a repeat shares the
+    first node's record, and no stream is walked after ``load_units``."""
     build = A.statement_facts
+    walked = []
 
     def counting(node):
-        built.setdefault(id(node), []).append(node)
+        walked.append(node)
         return build(node)
 
-    def walked(*args):
+    def walking(*args):
         raise AssertionError("a token stream was walked after load_units")
 
     monkeypatch.setattr(A, "statement_facts", counting)
@@ -457,12 +461,30 @@ def test_each_statement_is_walked_once(monkeypatch):
         RunConfig(src=BOOKSTORE, intent_catalog=BOOKSTORE_INTENTS), discover_sources(BOOKSTORE))
     for module, name in ((lexer, "walk_tokens"), (transform_project, "walk_tokens"),
                          (A, "stream_names"), (A, "_walk")):
-        monkeypatch.setattr(module, name, walked)
+        monkeypatch.setattr(module, name, walking)
     intents = infer_intents(model)
     assert migrate_project(units, model, intents).ok
-    assert all(len(nodes) == 1 for nodes in built.values())
-    in_bodies = {id(node) for unit in units for node in unit.body}
-    assert in_bodies <= built.keys()
+    monkeypatch.undo()
+
+    texts = {}  # (file, line) -> text of the statement starting there
+    for file_id in {node.span.file_id for unit in units for node in unit.body}:
+        for line in split_logical_lines(read_source(Path(file_id)), file_id):
+            texts[file_id, line.span.start_line] = line.text.strip()
+
+    def text(node):
+        return texts[node.span.file_id, node.span.start_line]
+
+    def statements(nodes):
+        return [node for node in nodes if not isinstance(
+            node, (A.CommentNode, A.DirectiveNode, A.IncludeNode, A.SegmentDefNode))]
+
+    in_bodies = statements(node for unit in units for node in unit.body)
+    walked = [text(node) for node in statements(walked)]
+    assert sorted(walked) == sorted({text(node) for node in in_bodies})
+    assert len(in_bodies) > len(walked)  # some statements repeat
+    for unit in units:
+        for node in unit.body:
+            assert node.facts is build(node), node
 
 
 # --- the unit summary -------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour."""
 
+import gc
 import importlib
 import importlib.util
 import os
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import segmigrate
-from segmigrate import cli, workers
+from segmigrate import analysis, cli, workers
 from segmigrate.cli import main, parse_config_file
-from segmigrate.errors import ConfigError
+from segmigrate.errors import ConfigError, MigrationError
 
 from helpers import BOOKSTORE, BOOKSTORE_INTENTS, FIXTURES, PLAIN77
 from test_golden import GOLDEN, tree_bytes
@@ -772,3 +773,79 @@ def test_a_worker_that_exits_without_replying_is_an_error(tmp_path, capsys, monk
         migrate_bookstore(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
     assert_nothing_left(tmp_path)
+
+
+# --- statements repeated within a range --------------------------------------
+
+
+@pytest.mark.parametrize("command", ["check", "migrate"])
+def test_a_bad_statement_in_two_files_fails_at_each_line(tmp_path, capsys, monkeypatch, command):
+    src, out_dir = tmp_path / "src", tmp_path / "out"
+    write_tree_of(src, {
+        "a.f": "      SUBROUTINE A(P)\n      SEGINI, P, Q\n      END\n",
+        "b.f": "      SUBROUTINE B(P)\n      N = 1\n      SEGINI, P, Q\n      END\n",
+    })
+    force_ranges(monkeypatch, 1)  # one range: both files share one statement table
+    code, out, err = run(capsys, command, "--src", str(src), "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: {src / 'a.f'}:2:1: malformed Esope command: 'SEGINI, P, Q'",
+        f"error: {src / 'b.f'}:3:1: malformed Esope command: 'SEGINI, P, Q'",
+    ]
+    assert not out_dir.exists()
+
+
+def test_repeated_statements_keep_their_own_labels(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "src"
+    write_tree_of(src, {"p.f": "      PROGRAM P\n      DO 10 I = 1, 2\n   10 CONTINUE\n"
+                                "      DO 20 I = 1, 2\n   20 CONTINUE\n      CONTINUE\n"
+                                "      END\n"})
+    force_ranges(monkeypatch, 1)
+    code, _, err = run(capsys, "migrate", "--src", str(src), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    lines = [line.strip() for line in (tmp_path / "out" / "p.f90").read_text().splitlines()]
+    assert [line for line in lines if line.endswith("continue")] == [
+        "10 continue", "20 continue", "continue"]
+
+
+def test_a_form_feed_shifts_no_line(tmp_path, capsys):
+    src = tmp_path / "src"
+    write_tree_of(src, {
+        "a.f": "      SUBROUTINE A(X)\n\f\n      SEGINI, P, Q\n      END\n",
+        "b.f": "      SUBROUTINE B(X)\n      X = 1\f\n      SEGINI, P, Q\n      END\n",
+    })
+    code, _, err = run(capsys, "check", "--src", str(src))
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: {src / 'a.f'}:3:1: malformed Esope command: 'SEGINI, P, Q'",
+        f"error: {src / 'b.f'}:3:1: malformed Esope command: 'SEGINI, P, Q'",
+    ]
+
+
+def test_a_form_feed_card_migrates_as_a_blank_line(tmp_path, capsys):
+    trees = []
+    for blank in ("", "\f"):
+        src, out = tmp_path / f"src{len(trees)}", tmp_path / f"out{len(trees)}"
+        write_tree_of(src, {"a.f": f"      SUBROUTINE A(X)\n{blank}\n      X = 1\n      END\n"})
+        assert run(capsys, "migrate", "--src", str(src), "--out", str(out))[0] == 0
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
+
+
+def test_config_and_catalog_lines_end_only_at_a_newline(tmp_path):
+    with pytest.raises(ConfigError, match="config line 2:"):
+        parse_config_file("\f\nindent_width = wide\n", tmp_path)
+    with pytest.raises(MigrationError, match="intent catalog line 2:"):
+        analysis.load_intent_catalog("\f\nfoo(sideways)\n")
+
+
+def test_a_migrate_leaves_no_cyclic_garbage(tmp_path, capsys):
+    cfg = cli.RunConfig(src=BOOKSTORE, out=tmp_path / "out", intent_catalog=BOOKSTORE_INTENTS)
+    gc.collect()
+    gc.disable()  # so that no collection during the run hides a cycle
+    try:
+        assert cli.cmd_migrate(cfg) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

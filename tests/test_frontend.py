@@ -2,14 +2,15 @@
 
 import operator
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segmigrate.cli import RunConfig, discover_sources, load_units
+from segmigrate.cli import RunConfig, discover_sources, load_units, read_range
 from segmigrate.errors import MigrationError
-from segmigrate.frontend import ast_nodes as A
+from segmigrate.frontend import ast_nodes as A, lexer
 from segmigrate.frontend.includes import (
     BEGIN_MARK,
     END_MARK,
@@ -34,7 +35,7 @@ from segmigrate.frontend.lexer import (
     split_logical_lines,
     tokenize,
 )
-from segmigrate.frontend.parser import classify_statement, parse_source, parse_unit
+from segmigrate.frontend.parser import classify_statement, parse_source, parse_unit, parse_units
 from segmigrate.transform.tokens import render_tokens
 
 from helpers import OracleLexError, oracle_scan_expression, oracle_tokenize
@@ -163,6 +164,22 @@ def test_comment_card_inside_a_continued_statement_follows_it():
     assert comment == A.CommentNode(span=lines[2].span, text="     note")
 
 
+@pytest.mark.parametrize("blank", ["\f", "\v", "\x1c", "\x85", "\u2028"])
+def test_only_a_newline_ends_a_card(blank):
+    source = f"      SUBROUTINE A(X)\n{blank}\n      X = 1{blank}\n      Y = 2\n      END\n"
+    lines = split_logical_lines(source)
+    assert [(l.kind, l.text, l.span.start_line) for l in lines] == [
+        (STATEMENT, "SUBROUTINE A(X)", 1), (COMMENT, "", 2), (STATEMENT, "X = 1", 3),
+        (STATEMENT, "Y = 2", 4), (STATEMENT, "END", 5),
+    ]
+
+
+def test_a_file_has_no_card_after_its_last_newline():
+    assert split_logical_lines("") == []
+    assert len(split_logical_lines("      END\n")) == 1
+    assert len(split_logical_lines("      END\n\n")) == 2
+
+
 # --- include detection ------------------------------------------------------
 
 
@@ -275,6 +292,10 @@ def _oracle_fold(text):
 @settings(max_examples=500, deadline=None)
 @given(_BODY)
 def test_lexer_agrees_with_frozen_character_scanner(text):
+    # cold, every lexeme new: the scanning loop; the table refills as it runs
+    lexer._BY_LEXEME.clear()
+    assert _fold(text) == _oracle_fold(text)
+    # warm, every lexeme interned: the one-call path, unless a lexeme never is
     assert _fold(text) == _oracle_fold(text)
 
 
@@ -479,6 +500,39 @@ def test_island_soundness_opaque_round_trip():
         node = classify_statement(stmt(text))
         if isinstance(node, A.OpaqueNode):
             assert node.tokens == scan_expression(tokenize(text))
+
+
+def test_a_repeated_statement_shares_its_content_and_keeps_its_place(tmp_path):
+    (tmp_path / "a.f").write_text(
+        "      SUBROUTINE A(X)\n      X = X + P.F(1)\n   10 X = X + P.F(1)\n      END\n")
+    (tmp_path / "b.f").write_text(
+        "      SUBROUTINE B(X)\n      INCLUDE 'c.inc'\n   20   X = X + P.F(1)\n      END\n")
+    (tmp_path / "c.inc").write_text("      INTEGER K\n      X = X + P.F(1)\n")
+    units, _ = read_range(RunConfig(src=tmp_path), discover_sources(tmp_path))
+    nodes = [node for unit in units for node in unit.body if not isinstance(node, A.CommentNode)]
+    assert [(Path(n.span.file_id).name, n.span.start_line, n.label) for n in nodes] == [
+        ("a.f", 2, None), ("a.f", 3, 10), ("c.inc", 1, None), ("c.inc", 2, None),
+        ("b.f", 3, 20)]
+    first, *repeats = [n for n in nodes if isinstance(n, A.AssignmentNode)]
+    assert len(repeats) == 3
+    for node in repeats:
+        assert node is not first
+        assert replace(node, span=first.span, label=first.label) == first
+        assert node.rhs is first.rhs and node.facts is first.facts
+        assert node.facts == A.statement_facts(node) != A.NO_FACTS
+
+
+def test_the_caller_owns_the_statement_table():
+    source = "      SUBROUTINE A\n      X = 1\n      X = 1\n      END\n"
+    table = {}
+    first = parse_units(split_logical_lines(source, "a.f"), "a.f", table)[0].body
+    assert list(table) == ["X = 1"] and table["X = 1"] is first[0]
+    again = parse_units(split_logical_lines(source, "b.f"), "b.f", table)[0].body
+    assert [n.span.file_id for n in again] == ["b.f", "b.f"]
+    assert again[0].lhs is first[0].lhs and list(table) == ["X = 1"]
+    # with no table given, each call parses afresh
+    once, twice = (parse_source(source)[0].body[0] for _ in range(2))
+    assert once.lhs is not twice.lhs is not first[0].lhs
 
 
 # --- include resolution -----------------------------------------------------

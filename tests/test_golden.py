@@ -44,3 +44,11 @@ def test_check_report_matches_golden(monkeypatch, capsys):
     assert main(["check", "--src", BOOKSTORE.name]) == 0
     expected = (GOLDEN / "check_bookstore.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_check_diagnostics_match_golden(monkeypatch, capsys):
+    # the located format every front-end error keeps, whichever range read it
+    monkeypatch.chdir(FIXTURES)
+    assert main(["check", "--src", "broken"]) == 1
+    expected = (GOLDEN / "check_broken.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().err == expected
