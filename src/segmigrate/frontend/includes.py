@@ -57,9 +57,10 @@ def build_fragment_cache(
     asked for it, and every fragment that includes itself through a chain of
     includes is an error at its include that starts the shortest such
     chain.  All of them are raised together, once every request is loaded.
-    The fragments are parsed with the statement table ``table``, if given.
+    The fragments are parsed with the statement table ``table``, if given
+    (see ``parser.parse_fragment``).
     """
-    loader = _Loader(search_paths, {} if table is None else table)
+    loader = _Loader(search_paths, table)
     for request in requests:
         if isinstance(request, A.IncludeNode):
             loader.load(request.directive.path, request.span, [])
@@ -74,7 +75,7 @@ def build_fragment_cache(
 
 
 class _Loader:
-    def __init__(self, search_paths: Sequence[Path], table: StatementTable) -> None:
+    def __init__(self, search_paths: Sequence[Path], table: Optional[StatementTable]) -> None:
         self.search_paths = search_paths
         self.table = table
         self.cache: FragmentCache = {}

@@ -7,10 +7,9 @@ before the rules apply.
 Tokens are immutable and interned: every equal lexeme of a run is one
 shared ``Token`` object.  Code compares them with the shared constants
 (``LPAREN``, ``DOT``, ``SLASH``, ...), never with a freshly built token.
-Once every lexeme of a statement is interned, ``tokenize`` maps the
-statement with one ``findall``.  Interning goes on above the lexer: the
-parser shares the classified content of each distinct statement text of a
-range (see ``parser.classify_statement``).
+Interning goes on above the lexer: the parser shares the classified
+content of each distinct statement text of a range (see
+``parser.classify_statement``).
 """
 
 from __future__ import annotations
@@ -260,18 +259,16 @@ _LOGICAL_OP = r"(?ai:\.(?:eqv|neqv|eq|ne|lt|le|gt|ge|and|or|not|xor|true|false)\
 # but for a number (INT or REAL).  A number leaves the dot of ``1.eq.2``
 # alone.  A ``dotnum`` (``.5``) is a REAL only where no value precedes it,
 # which ``tokenize`` decides.
-_LEXEMES = (
+_LEXEME_RE = re.compile(
+    r"\s*(?:"
     r"""(?P<string>'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))"""
     r"|(?P<name>(?i:[a-z_][a-z0-9_]*))"
     r"|(?P<number>\d+(?:(?!" + _LOGICAL_OP + r")\.\d*)?(?:[eEdD][+-]?\d+)?)"
     r"|(?P<op>" + _LOGICAL_OP + r"|\*\*|//|=>|[-+*/=])"
     r"|(?P<dotnum>\.\d+(?:[eEdD][+-]?\d+)?)"
     r"|(?P<punct>[(),:%$.])"
-    r"|(?P<stray>\S)"
+    r"|(?P<stray>\S))"
 )
-_LEXEME_RE = re.compile(r"\s*(?:" + _LEXEMES + ")")
-# the same matches with one unnamed group, so ``findall`` yields the lexemes
-_LEXEMES_RE = re.compile(r"\s*(" + re.sub(r"\(\?P<\w+>", "(?:", _LEXEMES) + ")")
 
 # The intern tables: source lexeme -> token, and token -> its one shared
 # object.  They only grow with the distinct lexemes of the input, and sharing
@@ -283,10 +280,6 @@ _SHARED: Dict[Token, Token] = {t: t for t in (LPAREN, RPAREN, COMMA, DOT, SLASH,
 def tokenize(text: str, span: Optional[SourceSpan] = None) -> List[Token]:
     """Tokenize one statement body.  Identifiers are lowercased; string
     literals keep their quotes and case."""
-    try:  # one call if every lexeme is interned
-        return [_BY_LEXEME[lexeme] for lexeme in _LEXEMES_RE.findall(text)]
-    except KeyError:  # a new lexeme, a stray character or a ``dotnum``
-        pass
     toks: List[Token] = []
     pos = 0
     while True:

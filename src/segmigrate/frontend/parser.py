@@ -211,14 +211,12 @@ def _parse_body_line(lines: List[LogicalLine], i: int, table: StatementTable) ->
     return classify_statement(line, table), i + 1
 
 
-def classify_statement(line: LogicalLine, table: Optional[StatementTable] = None) -> A.Node:
+def classify_statement(line: LogicalLine, table: StatementTable) -> A.Node:
     """The node of one statement.  A text already in ``table`` is not parsed
     again: its node is the stored one restamped with this line's span and
     label.  A text that fails is never stored, so each of its occurrences
     fails at its own line."""
     text = line.text.strip()
-    if table is None:
-        return _classify(text, line.span, line.label)
     node = table.get(text)
     if node is not None:
         return node.restamped(line.span, line.label)
