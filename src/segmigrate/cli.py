@@ -305,15 +305,20 @@ def migrate_sources(
             workers, ranges = [], [sources]
 
         def exchange(units, front):
+            # a worker gets the other ranges' summaries without their events,
+            # which only the intent solve, here, reads.  This range's copies
+            # are made while the workers finish their front ends; a worker's
+            # range goes to the other workers only.
+            thin = [_without_events(front.summaries)]
             fronts = [front, *(worker.receive() for worker in workers)]
+            if len(workers) > 1:
+                thin += [_without_events(f.summaries) for f in fronts[1:]]
             model = merge_ranges(cfg, fronts)
-            summaries, segments = list(model.units.values()), list(model.segments.values())
-            start = len(front.summaries)
-            for worker, worker_front in zip(workers, fronts[1:]):
-                end = start + len(worker_front.summaries)
-                worker.pipe.send("model", (summaries[:start], summaries[end:], segments,
-                                           model.intent_catalog))
-                start = end
+            segments = list(model.segments.values())
+            for i, worker in enumerate(workers, start=1):
+                worker.pipe.send("model", ([s for part in thin[:i] for s in part],
+                                           [s for part in thin[i + 1:] for s in part],
+                                           segments, model.intent_catalog))
             # the workers build their models while the intents are solved
             intents = analysis.infer_intents(model)
             for worker in workers:
@@ -328,6 +333,10 @@ def migrate_sources(
     finally:
         for worker in workers:
             worker.stop()
+
+
+def _without_events(summaries: Sequence[UnitSummary]) -> List[UnitSummary]:
+    return [replace(s, events=()) for s in summaries]
 
 
 def _serve(cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[Path], parent) -> None:

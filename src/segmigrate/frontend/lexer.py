@@ -9,7 +9,10 @@ shared ``Token`` object.  Code compares them with the shared constants
 (``LPAREN``, ``DOT``, ``SLASH``, ...), never with a freshly built token.
 Interning goes on above the lexer: the parser shares the classified
 content of each distinct statement text of a range (see
-``parser.classify_statement``).
+``parser.classify_statement``), and inside a unit it looks a statement's
+text up in that table before it tries the include and SEGMENT patterns, so
+a repeated line is neither matched nor tokenized again.  Only whether the
+line is the unit's END is decided first (see ``parser``).
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ def read_source(path: Path) -> str:
         )
 
 
-@dataclass(frozen=True)
-class LogicalLine:
-    """One statement (continuations merged), comment, or directive."""
+class LogicalLine(NamedTuple):
+    """One statement (continuations merged), comment, or directive; a plain
+    tuple, since one is built per statement of every file."""
 
     kind: str
     text: str
@@ -89,14 +92,9 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
     def flush():
         nonlocal pending
         if pending is not None:
-            out.append(
-                LogicalLine(
-                    kind=STATEMENT,
-                    text=pending["text"].rstrip(),
-                    span=SourceSpan(file_id, pending["start"], 1, pending["end"], 72),
-                    label=pending["label"],
-                )
-            )
+            out.append(LogicalLine(
+                STATEMENT, pending["text"].rstrip(),
+                SourceSpan(file_id, pending["start"], 1, pending["end"], 72), pending["label"]))
             pending = None
         out.extend(held)
         held.clear()
@@ -323,9 +321,10 @@ def _intern(kind: str, lexeme: str) -> Token:
 
 def scan_expression(tokens: Sequence[Token], span: Optional[SourceSpan] = None) -> List[ExprToken]:
     """Fold dotted accesses and slash-dims into structured tokens; every
-    other token passes through unchanged."""
+    other token passes through unchanged.  Only a ``.`` or a ``/`` right
+    after ``(`` can start one, so a stream holding neither is not walked."""
     toks = list(tokens)
-    if DOT not in toks and SLASH not in toks:
+    if DOT not in toks and (SLASH not in toks or (LPAREN, SLASH) not in zip(toks, toks[1:])):
         return toks  # nothing to fold
     out: List[ExprToken] = []
     i = 0

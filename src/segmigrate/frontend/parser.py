@@ -8,6 +8,13 @@ statement table.  The caller owns the table and decides how long it lives:
 include loader, so it is dropped with the range's front end; ``parse_units``
 or ``parse_fragment`` given none makes one for the call.  The table is never
 module-level, so a library caller's memory does not grow from run to run.
+
+Inside a unit, a statement line is looked up in the table before any other
+pattern is tried.  That is safe because an include line and a SEGMENT line
+never reach the table: they are recognized before a statement is classified.
+An END line does: ``parse_fragment`` stores every statement of an included
+file, END included, as an ordinary one.  So whether a line ends its unit is
+decided before the lookup.
 """
 
 from __future__ import annotations
@@ -167,10 +174,17 @@ def _parse_one_unit(lines: List[LogicalLine], i: int, file_id: str, body: List[A
     end_span = None
     while i < len(lines):
         line = lines[i]
-        if line.kind == STATEMENT and _END_RE.match(line.text.strip()):
-            end_span = line.span
-            i += 1
-            break
+        if line.kind == STATEMENT:
+            text = line.text.strip()
+            if _END_RE.match(text):  # before the lookup: a fragment's END is stored
+                end_span = line.span
+                i += 1
+                break
+            node = table.get(text)
+            if node is not None:
+                body.append(node.restamped(line.span, line.label))
+                i += 1
+                continue
         node, i = _parse_body_line(lines, i, table)
         body.append(node)
     if end_span is None:

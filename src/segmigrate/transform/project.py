@@ -15,6 +15,7 @@ from ..frontend import ast_nodes as A
 from ..frontend.lexer import NAME, INT, OP, EQUALS, MINUS, DottedAccess, ExprToken, Token, walk_tokens
 from ..model import ProjectModel
 from .segments import generate_support_modules, migrate_segment
+from .tokens import GapTable
 from .units import make_context, wrap_in_module
 
 
@@ -122,6 +123,7 @@ def migrate_project(
         if result.conflicts:
             return result
 
+    gaps: GapTable = {}  # the renderer's spacing decisions, one per token pair
     for file_id in sorted(by_file):
         tree = T.TargetNode(T.FILE)
         stats = FileStats(source=file_id, output=output_name(file_id))
@@ -129,7 +131,7 @@ def migrate_project(
             for i, unit in enumerate(by_file[file_id]):
                 if i > 0:
                     tree.add(T.blank())
-                ctx = make_context(unit, model, intents)
+                ctx = make_context(unit, model, intents, gaps)
                 tree.add(wrap_in_module(ctx))
                 stats.rewritten += ctx.rewritten
                 stats.removed += ctx.removed

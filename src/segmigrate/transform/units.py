@@ -7,7 +7,7 @@ comment, or both; nothing is dropped silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import analysis
 from .. import target as T
@@ -16,7 +16,7 @@ from ..frontend import ast_nodes as A
 from ..frontend.lexer import ExprToken, Token
 from ..model import (ProjectModel, SegmentDefinition, UnitSummary, default_implicit_type,
                      format_type, segment_for_field)
-from .tokens import render_tokens
+from .tokens import GapTable, render_tokens
 
 MARK = "[seg-migrate]"
 
@@ -33,6 +33,7 @@ class RewriteContext:
     scope: List[SegmentDefinition]
     classification: Dict[str, str]
     types: List[analysis.TypeAssignment]
+    gaps: GapTable  # shared by the units of one migrate
     rewritten: int = 0
     removed: int = 0
     passthrough: int = 0
@@ -55,18 +56,22 @@ class RewriteContext:
             )
         return seg.default_pointer
 
+    def render(self, stream: Sequence[ExprToken]) -> str:
+        return render_tokens(stream, self.resolve_field, self.gaps)
+
 
 def make_context(
     unit: A.ProgramUnitAst,
     model: ProjectModel,
     intents: Dict[Tuple[str, int], str],
+    gaps: Optional[GapTable] = None,
 ) -> RewriteContext:
     scope = analysis.segments_in_scope(unit, model)
     # classification first: its errors were reported before typing errors
     classification = analysis.classify_external_names(unit, model)
     types = analysis.infer_implicit_types(unit, model, scope)
     return RewriteContext(unit, model, intents, model.units[unit.name], scope,
-                          classification, types)
+                          classification, types, {} if gaps is None else gaps)
 
 
 def _stmt(text: str, label: Optional[int]) -> T.TargetNode:
@@ -111,7 +116,7 @@ def rewrite_statement(node: A.Node, ctx: RewriteContext) -> List[T.OutputNode]:
         return _rewrite_assignment(node, ctx)
     if isinstance(node, A.OpaqueNode):
         _count_esope_touch(node, ctx)
-        text = render_tokens(node.tokens, ctx.resolve_field)
+        text = ctx.render(node.tokens)
         return [_stmt(text, node.label)]
     if isinstance(node, A.IncludeNode):
         raise MigrationError("unresolved include reached the rewriter", node.span)
@@ -203,7 +208,7 @@ def _interface_block(name: str, ctx: RewriteContext) -> Optional[T.TargetNode]:
 def _entity_text(ent: A.DeclEntity, ctx: RewriteContext) -> str:
     if not ent.dims:
         return ent.name
-    dims = ", ".join(render_tokens(d, ctx.resolve_field) for d in ent.dims)
+    dims = ", ".join(ctx.render(d) for d in ent.dims)
     return f"{ent.name}({dims})"
 
 
@@ -246,20 +251,20 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
 def _guard_prefix(guard: Optional[List[ExprToken]], ctx: RewriteContext) -> str:
     if not guard:
         return ""
-    return f"if ({render_tokens(guard, ctx.resolve_field)}) "
+    return f"if ({ctx.render(guard)}) "
 
 
 def _rewrite_call(node: A.CallNode, ctx: RewriteContext) -> List[T.OutputNode]:
     _count_esope_touch(node, ctx)
-    args = ", ".join(render_tokens(a, ctx.resolve_field) for a in node.args)
+    args = ", ".join(ctx.render(a) for a in node.args)
     text = f"{_guard_prefix(node.guard, ctx)}call {node.callee}({args})"
     return [_stmt(text, node.label)]
 
 
 def _rewrite_assignment(node: A.AssignmentNode, ctx: RewriteContext) -> List[T.OutputNode]:
     _count_esope_touch(node, ctx)
-    lhs = render_tokens(node.lhs, ctx.resolve_field)
-    rhs = render_tokens(node.rhs, ctx.resolve_field)
+    lhs = ctx.render(node.lhs)
+    rhs = ctx.render(node.rhs)
     text = f"{_guard_prefix(node.guard, ctx)}{lhs} = {rhs}"
     return [_stmt(text, node.label)]
 

@@ -1124,3 +1124,82 @@ def frozen_call_edges(units) -> List[Tuple[str, str, int, bool]]:
     names = {u.name for u in units}
     return [(u.name, n.callee, len(n.args), n.callee not in names)
             for u in units for n in u.body if isinstance(n, _A.CallNode)]
+
+
+# --- frozen renderer ----------------------------------------------------------
+#
+# The token renderer as it stood before its spacing decisions were kept in a
+# gap table: every gap is decided afresh from the two tokens around it.  It
+# carries the rule that a group after an operator, `=` or a comma stands
+# apart.  It takes live folded streams as input.
+
+_ORACLE_SPACED_KEYWORDS = {"if", "elseif", "while", "where", "then", "case"}
+_ORACLE_TIGHT_OPS = {"**", "//"}
+
+
+def oracle_render_tokens(stream, resolve_field) -> str:
+    out: List[str] = []
+    prev = None
+    prev_unary = False
+    for t in stream:
+        piece = _oracle_render_one(t, resolve_field)
+        if out and _oracle_space_before(prev, t, prev_unary):
+            out.append(" ")
+        out.append(piece)
+        prev_unary = _oracle_is_unary(prev, t)
+        prev = t
+    return "".join(out)
+
+
+def _oracle_render_one(t, resolve_field) -> str:
+    if isinstance(t, _Token):
+        return t.value
+    if isinstance(t, _Dotted):
+        pointer = t.pointer if t.pointer else resolve_field(t.field)
+        base = f"{pointer}%{t.field}"
+        if t.subscripts:
+            subs = ", ".join(oracle_render_tokens(s, resolve_field) for s in t.subscripts)
+            return f"{base}({subs})"
+        return base
+    inner = _oracle_render_one(t.base, resolve_field)
+    return f"size({inner}, dim={t.dim})"
+
+
+def _oracle_text(t) -> str:
+    return t.value if isinstance(t, _Token) else ""
+
+
+def _oracle_is_unary(prev, t) -> bool:
+    if not (isinstance(t, _Token) and t.kind == "op" and t.value in ("+", "-")):
+        return False
+    if prev is None:
+        return True
+    p = _oracle_text(prev)
+    return p in ("(", ",", "=", ":") or (isinstance(prev, _Token) and prev.kind == "op")
+
+
+def _oracle_space_before(prev, t, prev_unary: bool) -> bool:
+    p = _oracle_text(prev)
+    if prev_unary:
+        return False
+    if isinstance(t, _Token):
+        if t.kind == "punct":
+            if t.value == "(":
+                return (p in _ORACLE_SPACED_KEYWORDS or p == ","
+                        or isinstance(prev, _Token) and prev.kind == "op"
+                        and p not in _ORACLE_TIGHT_OPS)
+            return t.value not in (")", ",", ":", ".", "%")
+        if t.kind == "op":
+            if t.value in _ORACLE_TIGHT_OPS:
+                return False
+            if t.value == "*" and p in ("(", ","):
+                return False
+            return p != "("
+    if p in ("(", ":", ".", "%"):
+        return False
+    if isinstance(prev, _Token):
+        if prev.kind == "op":
+            return prev.value not in _ORACLE_TIGHT_OPS
+        if prev.kind == "punct":
+            return prev.value in (",", ")")
+    return True

@@ -562,6 +562,25 @@ def test_split_runs_agree_on_generated_trees(tmp_path, capsys, monkeypatch, work
     assert sorted(tree) == corpus.expected_outputs()
 
 
+@needs_fork
+def test_no_other_unit_s_events_reach_a_worker(tmp_path, capsys, monkeypatch):
+    sent = []
+    send = workers.Pipe.send
+
+    def spy(pipe, kind, payload):
+        if kind == "model":  # in this process only: a worker's list is its own copy
+            sent.append(payload)
+        send(pipe, kind, payload)
+
+    monkeypatch.setattr(workers.Pipe, "send", spy)
+    force_ranges(monkeypatch, 3)
+    code, _, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 0, err
+    assert len(sent) == 2
+    for before, after, _segments, _catalog in sent:
+        assert before and all(s.events == () for s in before + after)
+
+
 def test_split_runs_keep_the_file_order_of_one_run(tmp_path, capsys, monkeypatch):
     # sorted as paths, a/c.f comes first; sorted as names, a-b.f does
     src = tmp_path / "src"

@@ -35,10 +35,12 @@ from segmigrate.frontend.lexer import (
     split_logical_lines,
     tokenize,
 )
-from segmigrate.frontend.parser import classify_statement, parse_source, parse_unit, parse_units
+from segmigrate.frontend.parser import (
+    classify_statement, parse_fragment, parse_source, parse_unit, parse_units,
+)
 from segmigrate.transform.tokens import render_tokens
 
-from helpers import OracleLexError, oracle_scan_expression, oracle_tokenize
+from helpers import OracleLexError, oracle_render_tokens, oracle_scan_expression, oracle_tokenize
 
 LISTING_SOURCE = """\
       SUBROUTINE NEWUSER(LIB,NAME)
@@ -295,6 +297,21 @@ def test_lexer_agrees_with_frozen_character_scanner(text):
     assert _fold(text) == _oracle_fold(text)
 
 
+#: one gap table for every example, as a migrate shares one across its units
+_GAPS = {}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BODY)
+def test_renderer_agrees_with_frozen_renderer(text):
+    try:
+        stream = scan_expression(tokenize(text))
+    except MigrationError:
+        return
+    resolve = lambda field: "dflt"
+    assert render_tokens(stream, resolve, _GAPS) == oracle_render_tokens(stream, resolve)
+
+
 # --- island folding ---------------------------------------------------------
 
 
@@ -529,6 +546,35 @@ def test_the_caller_owns_the_statement_table():
     # with no table given, each call parses afresh
     once, twice = (parse_source(source)[0].body[0] for _ in range(2))
     assert once.lhs is not twice.lhs is not first[0].lhs
+
+
+def test_a_fragment_s_end_in_the_table_still_ends_a_unit():
+    table = {}
+    parse_fragment(split_logical_lines("      X = 1\n      END\n", "f.inc"), "f.inc", table)
+    assert "END" in table  # a fragment's END is an ordinary statement
+    source = "      SUBROUTINE A\n      X = 1\n      END\n      SUBROUTINE B\n      END\n"
+    units = parse_units(split_logical_lines(source, "a.f"), "a.f", table)
+    assert [(u.name, u.span.end_line) for u in units] == [("a", 3), ("b", 5)]
+    assert [type(n) for n in units[0].body] == [A.AssignmentNode]
+
+
+def test_a_repeated_include_or_segment_line_keeps_its_meaning():
+    source = (
+        "      SUBROUTINE A\n"
+        "      INCLUDE 'c.inc'\n"
+        "      SEGMENT, X\n        INTEGER N\n      END SEGMENT\n"
+        "      N = 1\n"
+        "      INCLUDE 'c.inc'\n"
+        "      SEGMENT, X\n        INTEGER N\n      END SEGMENT\n"
+        "      END\n"
+    )
+    table = {}
+    parse_fragment(split_logical_lines("      N = 1\n      INTEGER N\n", "f.inc"), "f.inc", table)
+    for file_id in ("a.f", "b.f"):  # the second file meets each text again
+        body = parse_units(split_logical_lines(source, file_id), file_id, table)[0].body
+        assert [type(n) for n in body] == [A.IncludeNode, A.SegmentDefNode, A.AssignmentNode,
+                                           A.IncludeNode, A.SegmentDefNode]
+        assert [n.span.start_line for n in body] == [2, 3, 6, 7, 8]
 
 
 # --- include resolution -----------------------------------------------------

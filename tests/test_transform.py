@@ -12,6 +12,7 @@ from segmigrate.cli import RunConfig, discover_sources, load_units, main
 from segmigrate.emit import RenderConfig, render_unit
 from segmigrate.errors import MigrationError
 from segmigrate.frontend import ast_nodes as A
+from segmigrate.frontend.lexer import scan_expression, tokenize
 from segmigrate.frontend.parser import parse_source
 from segmigrate.model import build_project_model
 from segmigrate.transform import (
@@ -24,6 +25,8 @@ from segmigrate.transform import (
     rewrite_statement,
     wrap_in_module,
 )
+
+from segmigrate.transform import units as units_mod
 
 from helpers import BOOKSTORE, BOOKSTORE_INTENTS
 
@@ -135,6 +138,52 @@ def test_dotted_and_slash_dim_expression_rewrites():
     assert render_tokens([A.DottedAccess("ur", "ubb", (sub,))]) == "ur%ubb(i)"
     slash = A.SlashDim(A.DottedAccess("ur", "ubb"), 1)
     assert render_tokens([slash]) == "size(ur%ubb, dim=1)"
+
+
+def _rendered(text):
+    return render_tokens(scan_expression(tokenize(text)))
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("Y * (X + 1)", "y * (x + 1)"),
+    ("(X - 1) / (X + 1)", "(x - 1) / (x + 1)"),
+    (".NOT. (X .GT. Y) .AND. (N .EQ. 1)", ".not. (x .gt. y) .and. (n .eq. 1)"),
+    ("PARAMETER (M = (2))", "parameter(m = (2))"),
+    ("CALL G(A, (B))", "call g(a, (b))"),
+])
+def test_a_group_after_an_operator_equals_or_comma_stands_apart(source, expected):
+    assert _rendered(source) == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("X = -(Y)", "x = -(y)"),
+    ("2**(N - 1)", "2**(n - 1)"),
+    ("F(-1)", "f(-1)"),
+    ("A(I)", "a(i)"),
+    ("WRITE(*,*) X", "write(*,*) x"),
+    ("IF (X .GT. 1) Y = 2", "if (x .gt. 1) y = 2"),
+])
+def test_a_group_after_a_sign_a_tight_operator_or_a_name_stays_tight(source, expected):
+    assert _rendered(source) == expected
+
+
+def test_one_gap_table_serves_every_stream_of_a_migrate(monkeypatch):
+    tables, tokens = [], 0
+    real = units_mod.render_tokens
+
+    def spy(stream, resolve_field=None, gaps=None):
+        nonlocal tokens
+        tables.append(gaps)
+        tokens += len(stream)
+        return real(stream, resolve_field, gaps)
+
+    monkeypatch.setattr(units_mod, "render_tokens", spy)
+    units, model = load_units(RunConfig(src=BOOKSTORE, intent_catalog=BOOKSTORE_INTENTS),
+                              discover_sources(BOOKSTORE))
+    assert migrate_project(units, model, analysis.infer_intents(model)).ok
+    assert len(tables) > 100 and all(t is tables[0] for t in tables)
+    # one entry per distinct pair, far fewer than the gaps rendered
+    assert 0 < 2 * len(tables[0]) < tokens
 
 
 def test_unknown_command_target_is_an_error():
