@@ -8,11 +8,11 @@ Tokens are immutable and interned: every equal lexeme of a run is one
 shared ``Token`` object.  Code compares them with the shared constants
 (``LPAREN``, ``DOT``, ``SLASH``, ...), never with a freshly built token.
 Interning goes on above the lexer: the parser shares the classified
-content of each distinct statement text of a range (see
-``parser.classify_statement``), and inside a unit it looks a statement's
-text up in that table before it tries the include and SEGMENT patterns, so
-a repeated line is neither matched nor tokenized again.  Only whether the
-line is the unit's END is decided first (see ``parser``).
+content of each distinct statement text of a range, and it looks every
+statement line up in that table in one place, in a unit, a fragment or
+between units alike, before it tries the include, SEGMENT or any other
+pattern.  So a repeated line is neither matched nor tokenized again.  Only
+whether the line is its unit's END is decided first (see ``parser``).
 """
 
 from __future__ import annotations

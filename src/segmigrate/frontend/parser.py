@@ -1,6 +1,15 @@
 """Island-grammar parser: Esope constructs and the host declarations we must
 rewrite are parsed deeply, everything else stays opaque.
 
+Each statement kind has one rule.  Every type, in a type statement, a
+segment field, a FUNCTION header or an IMPLICIT rule, is the pattern
+``_TYPE_SPEC`` read by ``_type_spec``; a return type and a rule's type are
+kept spelled by ``model.format_type``.  A ``*len`` on a type other than
+CHARACTER goes through the table ``_SIZED_TYPES``: REAL*8 is DOUBLE
+PRECISION, a ``*4`` is the default type, and any other length is an error
+at its statement.  A CALL and an assignment, under a logical IF or not, are
+built by ``_call_or_assignment``; any other statement stays opaque, whole.
+
 Legacy code repeats its statements (POINTEUR, SEGACT, IMPLICIT, CONTINUE,
 shared declarations), so each distinct statement text is parsed once per
 statement table.  The caller owns the table and decides how long it lives:
@@ -9,12 +18,11 @@ include loader, so it is dropped with the range's front end; ``parse_units``
 or ``parse_fragment`` given none makes one for the call.  The table is never
 module-level, so a library caller's memory does not grow from run to run.
 
-Inside a unit, a statement line is looked up in the table before any other
-pattern is tried.  That is safe because an include line and a SEGMENT line
-never reach the table: they are recognized before a statement is classified.
-An END line does: ``parse_fragment`` stores every statement of an included
-file, END included, as an ordinary one.  So whether a line ends its unit is
-decided before the lookup.
+``_parse_body_line`` is the one place a statement line is looked up in the
+table, before any pattern is tried, in every context.  An include line and
+a SEGMENT line never reach the table.  An END line does: ``parse_fragment``
+stores a fragment's END as an ordinary statement.  So ``_parse_one_unit``
+decides whether a line ends its unit before the lookup.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import MigrationError, SourceSpan
-from ..model import FieldDef, SegmentDefinition
+from ..model import FieldDef, SegmentDefinition, format_type
 from . import ast_nodes as A
 from .lexer import (
     COMMENT,
@@ -45,13 +53,17 @@ from .lexer import (
     _collect_group,
 )
 
+#: a type name and its optional ``*len``; every pattern naming a type uses it
+_TYPE_SPEC = (
+    r"(?P<base>integer|real|logical|double\s+precision|character)"
+    r"(?:\s*\*\s*(?P<len>\d+|\(\s*\*\s*\)))?"
+)
 _PROGRAM_RE = re.compile(r"^program\s+([a-z][a-z0-9_]*)\s*$", re.IGNORECASE)
 _SUBROUTINE_RE = re.compile(
     r"^subroutine\s+([a-z][a-z0-9_]*)\s*(\(([^)]*)\))?\s*$", re.IGNORECASE
 )
 _FUNCTION_RE = re.compile(
-    r"^(?:(integer|real|logical|double\s+precision|character(?:\s*\*\s*\d+)?)\s+)?"
-    r"function\s+([a-z][a-z0-9_]*)\s*\(([^)]*)\)\s*$",
+    rf"^(?:{_TYPE_SPEC}\s+)?function\s+(?P<name>[a-z][a-z0-9_]*)\s*\((?P<params>[^)]*)\)\s*$",
     re.IGNORECASE,
 )
 _SEGMENT_START_RE = re.compile(r"^segment\s*,?\s*([a-z][a-z0-9_]*)\s*$", re.IGNORECASE)
@@ -63,25 +75,23 @@ _ESOPE_CMD_RE = re.compile(
     re.IGNORECASE,
 )
 _ESOPE_CMD_HEAD_RE = re.compile(r"^(segini|segact|segadj|segsup|segprt|segdes)\b", re.IGNORECASE)
-_TYPE_DECL_RE = re.compile(
-    r"^(integer|real|logical|double\s+precision|character)"
-    r"(\s*\*\s*(\d+|\(\s*\*\s*\)))?\s+([a-z].*)$",
-    re.IGNORECASE,
-)
+_TYPE_DECL_RE = re.compile(rf"^{_TYPE_SPEC}\s+(?P<entities>[a-z].*)$", re.IGNORECASE)
 _DIMENSION_RE = re.compile(r"^dimension\s+(.+)$", re.IGNORECASE)
 _EXTERNAL_RE = re.compile(r"^external\s+(.+)$", re.IGNORECASE)
 _IMPLICIT_RE = re.compile(r"^implicit\s+(.+)$", re.IGNORECASE)
-_CALL_RE = re.compile(r"^call\s+([a-z][a-z0-9_]*)\s*(\(.*\))?\s*$", re.IGNORECASE)
 _END_RE = re.compile(r"^end(\s+(subroutine|function|program)(\s+[a-z][a-z0-9_]*)?)?\s*$", re.IGNORECASE)
-_IMPLICIT_RULE_RE = re.compile(
-    r"(integer|real|logical|double\s+precision|character(?:\s*\*\s*\d+)?)\s*\(([^)]*)\)",
-    re.IGNORECASE,
-)
+# the letters hold no `*`, so the `(*)` of CHARACTER*(*) is never a letter list
+_IMPLICIT_RULE_RE = re.compile(rf"{_TYPE_SPEC}\s*\((?P<letters>[^)*]*)\)", re.IGNORECASE)
 _LETTER_RANGE_RE = re.compile(r"[^-]-[^-]")
 _POINTER_ENTRY_RE = re.compile(r"^([a-z][a-z0-9_]*)\.([a-z][a-z0-9_]*)$")
 _BLANKS_RE = re.compile(r"\s+")
 
+#: the ``*len`` table of every type but CHARACTER: (type, length) -> the type it is
+_SIZED_TYPES = {("real", 8): "double precision", ("real", 4): "real",
+                ("integer", 4): "integer", ("logical", 4): "logical"}
+
 _IF = Token(NAME, "if")
+_CALL = Token(NAME, "call")
 
 #: stripped statement text -> the node first classified from it
 StatementTable = Dict[str, A.Node]
@@ -105,15 +115,16 @@ def parse_units(
     outside: List[A.Node] = []
     while i < len(lines):
         line = lines[i]
-        if line.kind == STATEMENT and _header_of(line) is not None:
-            unit, i = _parse_one_unit(lines, i, file_id, outside, table)
-            outside = []
-            units.append(unit)
-        elif line.kind == STATEMENT:
-            raise MigrationError("statement outside any program unit", line.span)
-        else:
+        if line.kind != STATEMENT:
             node, i = _parse_body_line(lines, i, table)
             outside.append(node)
+            continue
+        header = _header_of(line)
+        if header is None:
+            raise MigrationError("statement outside any program unit", line.span)
+        unit, i = _parse_one_unit(lines, i, header, file_id, outside, table)
+        outside = []
+        units.append(unit)
     if units and outside:
         units[-1] = replace(units[-1], body=units[-1].body + outside)
     return units
@@ -144,7 +155,10 @@ def parse_fragment(
     )
 
 
-def _header_of(line: LogicalLine) -> Optional[Tuple[str, str, List[str], Optional[str]]]:
+_Header = Tuple[str, str, List[str], Optional[str]]  # kind, name, dummies, return type
+
+
+def _header_of(line: LogicalLine) -> Optional[_Header]:
     text = line.text.strip()
     m = _PROGRAM_RE.match(text)
     if m:
@@ -155,8 +169,8 @@ def _header_of(line: LogicalLine) -> Optional[Tuple[str, str, List[str], Optiona
         return ("subroutine", m.group(1).lower(), params, None)
     m = _FUNCTION_RE.match(text)
     if m:
-        rtype = _BLANKS_RE.sub(" ", m.group(1).lower()) if m.group(1) else None
-        return ("function", m.group(2).lower(), _split_params(m.group(3)), rtype)
+        rtype = format_type(*_type_spec(m, line.span)) if m["base"] else None
+        return ("function", m["name"].lower(), _split_params(m["params"]), rtype)
     return None
 
 
@@ -166,30 +180,24 @@ def _split_params(raw: Optional[str]) -> List[str]:
     return [p.strip().lower() for p in raw.split(",")]
 
 
-def _parse_one_unit(lines: List[LogicalLine], i: int, file_id: str, body: List[A.Node],
-                    table: StatementTable):
-    header = lines[i]
-    kind, name, params, rtype = _header_of(header)
+def _parse_one_unit(lines: List[LogicalLine], i: int, header: _Header, file_id: str,
+                    body: List[A.Node], table: StatementTable):
+    kind, name, params, rtype = header
+    start = lines[i].span
     i += 1
     end_span = None
     while i < len(lines):
         line = lines[i]
-        if line.kind == STATEMENT:
-            text = line.text.strip()
-            if _END_RE.match(text):  # before the lookup: a fragment's END is stored
-                end_span = line.span
-                i += 1
-                break
-            node = table.get(text)
-            if node is not None:
-                body.append(node.restamped(line.span, line.label))
-                i += 1
-                continue
+        # before the lookup: a fragment's END is stored
+        if line.kind == STATEMENT and _END_RE.match(line.text.strip()):
+            end_span = line.span
+            i += 1
+            break
         node, i = _parse_body_line(lines, i, table)
         body.append(node)
     if end_span is None:
-        raise MigrationError(f"missing END for unit {name!r}", header.span)
-    span = SourceSpan(file_id, header.span.start_line, 1, end_span.end_line, end_span.end_col)
+        raise MigrationError(f"missing END for unit {name!r}", start)
+    span = SourceSpan(file_id, start.start_line, 1, end_span.end_line, end_span.end_col)
     return (
         A.ProgramUnitAst(
             name=name, kind=kind, params=params, body=body, span=span,
@@ -200,42 +208,37 @@ def _parse_one_unit(lines: List[LogicalLine], i: int, file_id: str, body: List[A
 
 
 def _parse_body_line(lines: List[LogicalLine], i: int, table: StatementTable) -> Tuple[A.Node, int]:
+    """The node of line ``i`` and the index of the line after it.  A
+    statement whose text is in ``table`` is not parsed again: its node is the
+    stored one restamped with this line's span and label.  A text that fails
+    is never stored, so each of its occurrences fails at its own line."""
     line = lines[i]
     if line.kind == COMMENT:
         return A.CommentNode(span=line.span, text=line.text), i + 1
+    text = line.text.strip()
+    node = table.get(text) if line.kind == STATEMENT else None
+    if node is not None:
+        return node.restamped(line.span, line.label), i + 1
     include = detect_include(line)
     if include is not None:
         return A.IncludeNode(span=line.span, directive=include), i + 1
     if line.kind == DIRECTIVE:
         return A.DirectiveNode(span=line.span, text=line.text), i + 1
 
-    text = line.text.strip()
     if _SEGMENT_START_RE.match(text):
-        j = i
-        block = []
-        while j < len(lines):
-            block.append(lines[j])
+        for j in range(i, len(lines)):
             if lines[j].kind == STATEMENT and _SEGMENT_END_RE.match(lines[j].text.strip()):
-                seg = parse_segment_definition(block)
-                seg.file_id = line.span.file_id
+                seg = parse_segment_definition(lines[i : j + 1])
                 return A.SegmentDefNode(span=line.span, definition=seg), j + 1
-            j += 1
         raise MigrationError("unterminated SEGMENT block (no END SEGMENT)", line.span)
 
-    return classify_statement(line, table), i + 1
+    node = table[text] = _classify(text, line.span, line.label)
+    return node, i + 1
 
 
 def classify_statement(line: LogicalLine, table: StatementTable) -> A.Node:
-    """The node of one statement.  A text already in ``table`` is not parsed
-    again: its node is the stored one restamped with this line's span and
-    label.  A text that fails is never stored, so each of its occurrences
-    fails at its own line."""
-    text = line.text.strip()
-    node = table.get(text)
-    if node is not None:
-        return node.restamped(line.span, line.label)
-    node = table[text] = _classify(text, line.span, line.label)
-    return node
+    """The node of one statement line, looked up in and stored to ``table``."""
+    return _parse_body_line([line], 0, table)[0]
 
 
 def _classify(text: str, span: SourceSpan, label: Optional[int]) -> A.Node:
@@ -278,78 +281,63 @@ def _classify(text: str, span: SourceSpan, label: Optional[int]) -> A.Node:
 
     m = _TYPE_DECL_RE.match(text)
     if m and not _FUNCTION_RE.match(text):
-        base = _BLANKS_RE.sub(" ", m.group(1).lower())
-        char_len: Optional[object] = None
-        if m.group(3):
-            char_len = "*" if "*" in m.group(3) and not m.group(3).isdigit() else int(m.group(3))
-        entities = _parse_decl_entities(m.group(4), span)
+        base, char_len, entities = _type_statement(m, span)
         return A.TypeDeclNode(span=span, label=label, base_type=base, char_len=char_len, entities=entities)
 
-    m = _CALL_RE.match(text)
-    if m:
-        return _make_call(m, span, label)
-
     tokens = scan_expression(tokenize(text, span), span)
-
-    if tokens and tokens[0] == _IF and len(tokens) > 1 and tokens[1] == LPAREN:
+    guard, rest = None, tokens
+    if tokens[:2] == [_IF, LPAREN]:
         guard, j = _collect_group(tokens, 1, span)
         rest = tokens[j:]
-        if rest and not (isinstance(rest[0], Token) and rest[0].kind == NAME and rest[0].value == "then"):
-            inner = _classify_if_body(rest, span, label, guard)
-            if inner is not None:
-                return inner
-
-    k = _top_level_assign_index(tokens)
-    if k is not None:
-        head = tokens[0]
-        if isinstance(head, Token) and head.kind == NAME and head.value in A.STATEMENT_KEYWORDS:
-            return A.OpaqueNode(span=span, label=label, tokens=tokens)
-        return A.AssignmentNode(span=span, label=label, lhs=tokens[:k], rhs=tokens[k + 1 :])
-
-    return A.OpaqueNode(span=span, label=label, tokens=tokens)
+    node = _call_or_assignment(rest, guard, span, label)
+    return A.OpaqueNode(span=span, label=label, tokens=tokens) if node is None else node
 
 
-def _classify_if_body(rest: List[ExprToken], span, label, guard: List[ExprToken]):
-    if not rest:
-        return None
-    head = rest[0]
-    if isinstance(head, Token) and head.kind == NAME and head.value == "call":
-        if len(rest) >= 2 and isinstance(rest[1], Token) and rest[1].kind == NAME:
-            args: List[List[ExprToken]] = []
-            if len(rest) >= 3 and rest[2] == LPAREN:
-                inner, _ = _collect_group(rest, 2, span)
-                args = split_top_commas(inner)
-            return A.CallNode(span=span, label=label, callee=rest[1].value, args=args, guard=guard)
-        return None
-    k = _top_level_assign_index(rest)
-    if k is not None:
-        hd = rest[0]
-        if isinstance(hd, Token) and hd.kind == NAME and hd.value in A.STATEMENT_KEYWORDS:
+def _call_or_assignment(tokens: List[ExprToken], guard: Optional[List[ExprToken]],
+                        span: SourceSpan, label: Optional[int]) -> Optional[A.Node]:
+    """The CALL (the callee, an optional argument group and nothing after it)
+    or the assignment (a top-level ``=`` after no statement keyword) that
+    ``tokens`` make under ``guard``, else None."""
+    head = tokens[0] if tokens else None
+    if head == _CALL and len(tokens) > 1 and isinstance(tokens[1], Token) and tokens[1].kind == NAME:
+        inner, end = _collect_group(tokens, 2, span) if tokens[2:3] == [LPAREN] else ([], 2)
+        if end != len(tokens):
             return None
-        return A.AssignmentNode(span=span, label=label, lhs=rest[:k], rhs=rest[k + 1 :], guard=guard)
-    return None
+        return A.CallNode(span=span, label=label, callee=tokens[1].value,
+                          args=split_top_commas(inner), guard=guard)
+    k = _top_level_assign_index(tokens)
+    if k is None or isinstance(head, Token) and head.kind == NAME and head.value in A.STATEMENT_KEYWORDS:
+        return None
+    return A.AssignmentNode(span=span, label=label, lhs=tokens[:k], rhs=tokens[k + 1 :], guard=guard)
 
 
 def _top_level_assign_index(tokens: List[ExprToken]) -> Optional[int]:
     depth = 0
     for idx, t in enumerate(tokens):
-        if isinstance(t, Token):
-            if t == LPAREN:
-                depth += 1
-            elif t == RPAREN:
-                depth -= 1
-            elif depth == 0 and t == EQUALS:
-                return idx
+        depth += (t == LPAREN) - (t == RPAREN)
+        if depth == 0 and t == EQUALS:
+            return idx
     return None
 
 
-def _make_call(m, span, label) -> A.CallNode:
-    callee = m.group(1).lower()
-    args: List[List[ExprToken]] = []
-    if m.group(2):
-        inner_toks = tokenize(m.group(2)[1:-1], span)
-        args = [list(scan_expression(p, span)) for p in split_top_commas(inner_toks)]
-    return A.CallNode(span=span, label=label, callee=callee, args=args)
+def _type_spec(m: re.Match, span: SourceSpan) -> Tuple[str, Optional[object]]:
+    """The base type and the character length (an int, ``"*"`` or None) of
+    a matched ``_TYPE_SPEC``."""
+    base, size = _BLANKS_RE.sub(" ", m["base"].lower()), m["len"]
+    if size is not None:
+        size = int(size) if size.isdigit() else "*"
+    if base == "character" or size is None:
+        return base, size
+    if (base, size) not in _SIZED_TYPES:
+        spec = m.string[m.start("base"):m.end("len")]
+        raise MigrationError(f"unsupported type length: {spec!r}", span)
+    return _SIZED_TYPES[base, size], None
+
+
+def _type_statement(m: re.Match, span: SourceSpan) -> Tuple[str, Optional[object], List[A.DeclEntity]]:
+    """The base type, character length and entities of a matched ``_TYPE_DECL_RE``."""
+    base, char_len = _type_spec(m, span)
+    return base, char_len, _parse_decl_entities(m["entities"], span)
 
 
 def _parse_pointer_list(raw: str, span) -> List[Tuple[str, str]]:
@@ -367,11 +355,12 @@ def _parse_implicit(rest: str, original: str, span, label) -> A.ImplicitDeclNode
     rest = rest.strip()
     if rest.lower() == "none":
         return A.ImplicitDeclNode(span=span, label=label, none=True, original=original)
-    rules: List[Tuple[str, str]] = []
-    for m in _IMPLICIT_RULE_RE.finditer(rest):
-        rules.append((_BLANKS_RE.sub(" ", m.group(1).lower()), m.group(2).replace(" ", "").lower()))
+    rules = [(format_type(*_type_spec(m, span)), m["letters"].replace(" ", "").lower())
+             for m in _IMPLICIT_RULE_RE.finditer(rest)]
     ranges = [part for _, letters in rules for part in letters.split(",") if "-" in part]
-    if not rules or not all(_LETTER_RANGE_RE.fullmatch(part) for part in ranges):
+    # an assumed length types no name
+    if (not rules or any(t == format_type("character", "*") for t, _ in rules)
+            or not all(_LETTER_RANGE_RE.fullmatch(part) for part in ranges)):
         raise MigrationError(f"unparseable implicit statement: {original!r}", span)
     return A.ImplicitDeclNode(span=span, label=label, rules=rules, original=original)
 
@@ -419,12 +408,8 @@ def parse_segment_definition(lines: List[LogicalLine]) -> SegmentDefinition:
         dm = _TYPE_DECL_RE.match(text)
         if not dm:
             raise MigrationError(f"unsupported segment field declaration: {text!r}", line.span)
-        base = _BLANKS_RE.sub(" ", dm.group(1).lower())
-        char_len: Optional[object] = None
-        if dm.group(3):
-            char_len = "*" if not dm.group(3).isdigit() else int(dm.group(3))
-        for ent in _parse_decl_entities(dm.group(4), line.span):
-            raw_fields.append((ent.name, base, char_len, ent.dims, None))
+        base, char_len, entities = _type_statement(dm, line.span)
+        raw_fields += [(ent.name, base, char_len, ent.dims, None) for ent in entities]
 
     if not raw_fields:
         raise MigrationError(f"segment {name!r} has no field to manage", stmts[0].span)

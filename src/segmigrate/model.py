@@ -13,7 +13,6 @@ one other pass over a body.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -299,15 +298,12 @@ _TABLES: Dict[Tuple[Tuple[str, str], ...], Dict[str, str]] = {}
 
 
 def implicit_table(rules: Sequence[Tuple[str, str]]) -> Dict[str, str]:
-    """Per-letter type map after applying IMPLICIT ``rules`` (type, letters)
-    on top of the default rule."""
+    """Per-letter type map after applying IMPLICIT ``rules`` (type, letters),
+    each type spelled by :func:`format_type`, on top of the default rule."""
     key = tuple(rules)
     if key not in _TABLES:
         table = {letter: default_implicit_type(letter) for letter in "abcdefghijklmnopqrstuvwxyz"}
         for type_name, letters in rules:
-            m = re.match(r"character\s*\*\s*(\d+)", type_name)
-            if m:
-                type_name = format_type("character", m.group(1))
             for letter in _expand_letters(letters):
                 table[letter] = type_name
         _TABLES[key] = table

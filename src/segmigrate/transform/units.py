@@ -231,10 +231,7 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
             out.append(T.declaration(
                 f"{type_text}, intent({intent}) :: {_entity_text(ent, ctx)}"))
             continue
-        if (
-            ctx.classification.get(ent.name) == analysis.RETURN_TYPE_DECL
-            and ent.name in ctx.model.functions()
-        ):
+        if _typed_by_use(ent.name, ctx):
             out.append(_removed(
                 f"{type_text} {ent.name}", f"type provided by use of {ent.name}_mod"))
             continue
@@ -246,6 +243,16 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
         names = ", ".join(_entity_text(e, ctx) for e in ents)
         out.append(T.declaration(f"{type_text} :: {names}"))
     return out
+
+
+def _typed_by_use(name: str, ctx: RewriteContext) -> bool:
+    """Whether the type of ``name`` comes with the use of its module: it
+    names another project function, not a dummy, which the unit invokes or
+    names EXTERNAL."""
+    return (name in ctx.model.functions() and name != ctx.unit.name
+            and name not in ctx.unit.params
+            and ctx.classification.get(name) in (analysis.RETURN_TYPE_DECL,
+                                                 analysis.EXTERNAL_ROUTINE_DECL))
 
 
 def _guard_prefix(guard: Optional[List[ExprToken]], ctx: RewriteContext) -> str:
@@ -316,6 +323,8 @@ def compute_unit_uses(ctx: RewriteContext) -> List[str]:
     # implicitly typed locals get a generated declaration, so they count;
     # module functions do not, their type comes with the use
     defined |= {a.symbol for a in ctx.types if a.origin != analysis.FUNCTION_RETURN}
+    # a function typed here still comes with its module
+    defined -= {name for name in ctx.classification if _typed_by_use(name, ctx)}
     # segment names and fields resolve through use, not local definitions
     for seg in ctx.scope:
         defined.discard(seg.name)

@@ -1203,3 +1203,206 @@ def _oracle_space_before(prev, t, prev_unary: bool) -> bool:
         if prev.kind == "punct":
             return prev.value in (",", ")")
     return True
+
+
+# --- frozen statement classifier --------------------------------------------
+#
+# The statement classifier as it stood when a CALL had two parsers (a
+# pattern for the bare form, a token walk for the form under a logical IF)
+# and a type statement took any ``*len`` after any type name.  It takes text
+# and builds live AST nodes with the live lexer, so it checks the rules that
+# pick a node, not the lexer.
+
+from segmigrate.errors import MigrationError as _MigrationError  # noqa: E402
+from segmigrate.frontend.lexer import (  # noqa: E402
+    _collect_group as _live_collect_group,
+    scan_expression as _live_scan_expression,
+    split_top_commas as _live_split_top_commas,
+    tokenize as _live_tokenize,
+)
+
+_F_FUNCTION_RE = re.compile(
+    r"^(?:(integer|real|logical|double\s+precision|character(?:\s*\*\s*\d+)?)\s+)?"
+    r"function\s+([a-z][a-z0-9_]*)\s*\(([^)]*)\)\s*$",
+    re.IGNORECASE,
+)
+_F_POINTEUR_RE = re.compile(r"^pointeur\s+(.+)$", re.IGNORECASE)
+_F_ESOPE_CMD_RE = re.compile(
+    r"^(segini|segact|segadj|segsup|segprt|segdes)\s*,?\s*"
+    r"([a-z][a-z0-9_]*)\s*(?:=\s*([a-z][a-z0-9_]*))?\s*$",
+    re.IGNORECASE,
+)
+_F_ESOPE_CMD_HEAD_RE = re.compile(r"^(segini|segact|segadj|segsup|segprt|segdes)\b", re.IGNORECASE)
+_F_TYPE_DECL_RE = re.compile(
+    r"^(integer|real|logical|double\s+precision|character)"
+    r"(\s*\*\s*(\d+|\(\s*\*\s*\)))?\s+([a-z].*)$",
+    re.IGNORECASE,
+)
+_F_DIMENSION_RE = re.compile(r"^dimension\s+(.+)$", re.IGNORECASE)
+_F_EXTERNAL_RE = re.compile(r"^external\s+(.+)$", re.IGNORECASE)
+_F_IMPLICIT_RE = re.compile(r"^implicit\s+(.+)$", re.IGNORECASE)
+_F_CALL_RE = re.compile(r"^call\s+([a-z][a-z0-9_]*)\s*(\(.*\))?\s*$", re.IGNORECASE)
+_F_IMPLICIT_RULE_RE = re.compile(
+    r"(integer|real|logical|double\s+precision|character(?:\s*\*\s*\d+)?)\s*\(([^)]*)\)",
+    re.IGNORECASE,
+)
+_F_LETTER_RANGE_RE = re.compile(r"[^-]-[^-]")
+_F_POINTER_ENTRY_RE = re.compile(r"^([a-z][a-z0-9_]*)\.([a-z][a-z0-9_]*)$")
+_F_BLANKS_RE = re.compile(r"\s+")
+_F_IF = _Token("name", "if")
+_F_EQUALS = _Token("op", "=")
+
+
+def oracle_classify(text: str, span, label=None):
+    """The node of one stripped statement text, as the frozen rules pick it."""
+    m = _F_POINTEUR_RE.match(text)
+    if m:
+        return _A.PointerDeclNode(span=span, label=label,
+                                  entries=_oracle_pointer_list(m.group(1), span))
+
+    if _F_ESOPE_CMD_HEAD_RE.match(text):
+        m = _F_ESOPE_CMD_RE.match(text)
+        if not m:
+            raise _MigrationError(f"malformed Esope command: {text!r}", span)
+        keyword = m.group(1).lower()
+        target = m.group(2).lower()
+        source = m.group(3).lower() if m.group(3) else None
+        kind = keyword
+        if source is not None:
+            if keyword == "segini":
+                kind = _A.SEGINI_COPY
+            elif keyword == "segact":
+                kind = _A.SEGACT_MOVE
+            else:
+                raise _MigrationError(f"{keyword} does not take a source operand", span)
+        return _A.EsopeCommandNode(
+            span=span, label=label, kind=kind, target=target, source=source, original=text)
+
+    m = _F_IMPLICIT_RE.match(text)
+    if m:
+        return _oracle_implicit(m.group(1), text, span, label)
+
+    m = _F_EXTERNAL_RE.match(text)
+    if m:
+        names = [n.strip().lower() for n in m.group(1).split(",")]
+        return _A.ExternalDeclNode(span=span, label=label, names=names)
+
+    m = _F_DIMENSION_RE.match(text)
+    if m:
+        entities = _oracle_decl_entities(m.group(1), span)
+        return _A.TypeDeclNode(span=span, label=label, base_type=None, entities=entities)
+
+    m = _F_TYPE_DECL_RE.match(text)
+    if m and not _F_FUNCTION_RE.match(text):
+        base = _F_BLANKS_RE.sub(" ", m.group(1).lower())
+        char_len = None
+        if m.group(3):
+            char_len = "*" if "*" in m.group(3) and not m.group(3).isdigit() else int(m.group(3))
+        entities = _oracle_decl_entities(m.group(4), span)
+        return _A.TypeDeclNode(span=span, label=label, base_type=base, char_len=char_len,
+                               entities=entities)
+
+    m = _F_CALL_RE.match(text)
+    if m:
+        args = []
+        if m.group(2):
+            inner = _live_tokenize(m.group(2)[1:-1], span)
+            args = [list(_live_scan_expression(p, span)) for p in _live_split_top_commas(inner)]
+        return _A.CallNode(span=span, label=label, callee=m.group(1).lower(), args=args)
+
+    tokens = _live_scan_expression(_live_tokenize(text, span), span)
+
+    if tokens and tokens[0] == _F_IF and len(tokens) > 1 and tokens[1] == _LP:
+        guard, j = _live_collect_group(tokens, 1, span)
+        rest = tokens[j:]
+        if rest and not (isinstance(rest[0], _Token) and rest[0].kind == "name"
+                         and rest[0].value == "then"):
+            inner = _oracle_if_body(rest, span, label, guard)
+            if inner is not None:
+                return inner
+
+    k = _oracle_assign_index(tokens)
+    if k is not None:
+        head = tokens[0]
+        if (isinstance(head, _Token) and head.kind == "name"
+                and head.value in _A.STATEMENT_KEYWORDS):
+            return _A.OpaqueNode(span=span, label=label, tokens=tokens)
+        return _A.AssignmentNode(span=span, label=label, lhs=tokens[:k], rhs=tokens[k + 1:])
+
+    return _A.OpaqueNode(span=span, label=label, tokens=tokens)
+
+
+def _oracle_if_body(rest, span, label, guard):
+    head = rest[0]
+    if isinstance(head, _Token) and head.kind == "name" and head.value == "call":
+        if len(rest) >= 2 and isinstance(rest[1], _Token) and rest[1].kind == "name":
+            args = []
+            if len(rest) >= 3 and rest[2] == _LP:
+                inner, _ = _live_collect_group(rest, 2, span)
+                args = _live_split_top_commas(inner)
+            return _A.CallNode(span=span, label=label, callee=rest[1].value, args=args,
+                               guard=guard)
+        return None
+    k = _oracle_assign_index(rest)
+    if k is not None:
+        if (isinstance(head, _Token) and head.kind == "name"
+                and head.value in _A.STATEMENT_KEYWORDS):
+            return None
+        return _A.AssignmentNode(span=span, label=label, lhs=rest[:k], rhs=rest[k + 1:],
+                                 guard=guard)
+    return None
+
+
+def _oracle_assign_index(tokens):
+    depth = 0
+    for idx, t in enumerate(tokens):
+        if isinstance(t, _Token):
+            if t == _LP:
+                depth += 1
+            elif t == _RP:
+                depth -= 1
+            elif depth == 0 and t == _F_EQUALS:
+                return idx
+    return None
+
+
+def _oracle_pointer_list(raw, span):
+    entries = []
+    for item in raw.split(","):
+        item = item.strip().lower()
+        m = _F_POINTER_ENTRY_RE.match(item)
+        if not m:
+            raise _MigrationError(f"malformed POINTEUR entry {item!r}", span)
+        entries.append((m.group(1), m.group(2)))
+    return entries
+
+
+def _oracle_implicit(rest, original, span, label):
+    rest = rest.strip()
+    if rest.lower() == "none":
+        return _A.ImplicitDeclNode(span=span, label=label, none=True, original=original)
+    rules = [(_F_BLANKS_RE.sub(" ", m.group(1).lower()), m.group(2).replace(" ", "").lower())
+             for m in _F_IMPLICIT_RULE_RE.finditer(rest)]
+    ranges = [part for _, letters in rules for part in letters.split(",") if "-" in part]
+    if not rules or not all(_F_LETTER_RANGE_RE.fullmatch(part) for part in ranges):
+        raise _MigrationError(f"unparseable implicit statement: {original!r}", span)
+    return _A.ImplicitDeclNode(span=span, label=label, rules=rules, original=original)
+
+
+def _oracle_decl_entities(raw, span):
+    entities = []
+    for part in _live_split_top_commas(_live_tokenize(raw, span)):
+        if not part or part[0].kind != "name":
+            raise _MigrationError(f"malformed declaration entity in {raw!r}", span)
+        name = part[0].value
+        dims = ()
+        if len(part) > 1:
+            if part[1] != _LP:
+                raise _MigrationError(f"malformed declaration entity in {raw!r}", span)
+            inner, j = _live_collect_group(part, 1, span)
+            if j != len(part):
+                raise _MigrationError(f"trailing junk after declaration entity {name!r}", span)
+            dims = tuple(tuple(_live_scan_expression(p, span))
+                         for p in _live_split_top_commas(inner))
+        entities.append(_A.DeclEntity(name=name, dims=dims))
+    return entities

@@ -1,15 +1,17 @@
 """Lexer, parser, and include-resolution tests."""
 
+import dataclasses
 import operator
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from segmigrate.cli import RunConfig, discover_sources, load_units, read_range
-from segmigrate.errors import MigrationError
+from segmigrate.errors import MigrationError, SourceSpan
 from segmigrate.frontend import ast_nodes as A
 from segmigrate.frontend.includes import (
     BEGIN_MARK,
@@ -35,12 +37,16 @@ from segmigrate.frontend.lexer import (
     split_logical_lines,
     tokenize,
 )
+from segmigrate.frontend import parser
 from segmigrate.frontend.parser import (
     classify_statement, parse_fragment, parse_source, parse_unit, parse_units,
 )
+from segmigrate.model import format_type
 from segmigrate.transform.tokens import render_tokens
 
-from helpers import OracleLexError, oracle_render_tokens, oracle_scan_expression, oracle_tokenize
+from helpers import (
+    OracleLexError, oracle_classify, oracle_render_tokens, oracle_scan_expression, oracle_tokenize,
+)
 
 LISTING_SOURCE = """\
       SUBROUTINE NEWUSER(LIB,NAME)
@@ -414,10 +420,240 @@ def test_malformed_command_is_an_error():
 
 def test_malformed_implicit_letter_range_is_an_error():
     node = classify_statement(stmt("IMPLICIT INTEGER(A-C, X), CHARACTER*4(D)"), {})
-    assert node.rules == [("integer", "a-c,x"), ("character*4", "d")]
+    assert node.rules == [("integer", "a-c,x"), ("character(len=4)", "d")]
     for bad in ("A-B-C", "AB-C", "A-"):
         with pytest.raises(MigrationError, match="unparseable implicit statement"):
             classify_statement(stmt(f"IMPLICIT INTEGER({bad})"), {})
+
+
+# --- one type spec at every site -------------------------------------------
+
+
+@pytest.mark.parametrize("text, base", [
+    ("REAL*8 A", "double precision"), ("REAL * 8 A", "double precision"),
+    ("REAL*4 A", "real"), ("INTEGER*4 A", "integer"), ("LOGICAL*4 A", "logical"),
+])
+def test_a_length_on_a_numeric_type_gives_its_own_type(text, base):
+    node = classify_statement(stmt(text), {})
+    assert (node.base_type, node.char_len) == (base, None)
+
+
+@pytest.mark.parametrize("text", [
+    "INTEGER*2 N", "LOGICAL*1 L", "REAL*16 X", "DOUBLE PRECISION*8 D", "REAL*(*) X"])
+def test_any_other_length_on_a_numeric_type_is_an_error_at_its_statement(text):
+    with pytest.raises(MigrationError, match="unsupported type length") as caught:
+        parse_source(f"      SUBROUTINE S(X)\n      {text}\n      END\n", "s.f")
+    assert caught.value.span.start_line == 2
+
+
+def test_a_segment_field_takes_the_same_type_spec():
+    src = ("      SUBROUTINE S(X)\n      SEGMENT, SEG\n      REAL*8 V(N)\n"
+           "      CHARACTER*(*) C\n      END SEGMENT\n      END\n")
+    (seg,) = segment_definitions(parse_source(src, "s.f")[0])
+    assert [(f.base_type, f.char_len) for f in seg.fields] == [
+        ("double precision", None), ("character", "*")]
+    with pytest.raises(MigrationError, match="unsupported type length") as caught:
+        parse_source(src.replace("REAL*8", "INTEGER*2"), "s.f")
+    assert caught.value.span.start_line == 3
+
+
+@pytest.mark.parametrize("header, return_type", [
+    ("REAL*8 FUNCTION F(X)", "double precision"),
+    ("CHARACTER*(*) FUNCTION F(X)", "character(len=*)"),
+    ("CHARACTER*8 FUNCTION F(X)", "character(len=8)"),
+    ("CHARACTER * 8 FUNCTION F(X)", "character(len=8)"),
+    ("CHARACTER FUNCTION F(X)", "character(len=1)"),
+    ("DOUBLE  PRECISION FUNCTION F(X)", "double precision"),
+    ("FUNCTION F(X)", None),
+])
+def test_a_function_header_takes_the_same_type_spec(header, return_type):
+    (unit,) = parse_source(f"      {header}\n      F = X\n      END\n", "f.f")
+    assert (unit.kind, unit.return_type) == ("function", return_type)
+
+
+def test_an_implicit_rule_takes_the_same_type_spec():
+    node = classify_statement(stmt("IMPLICIT REAL*8 (A-H,O-Z), CHARACTER*2 (S)"), {})
+    assert node.rules == [("double precision", "a-h,o-z"), ("character(len=2)", "s")]
+    for bad in ("CHARACTER*(*) (A)", "CHARACTER*(*)"):
+        with pytest.raises(MigrationError, match="unparseable implicit statement"):
+            classify_statement(stmt(f"IMPLICIT {bad}"), {})
+    with pytest.raises(MigrationError, match="unsupported type length"):
+        classify_statement(stmt("IMPLICIT INTEGER*2 (I-N)"), {})
+
+
+# --- the classifier against the frozen one ---------------------------------
+#
+# Statement texts from a small grammar: CALLs and assignments, under a
+# logical IF or not; type and IMPLICIT statements with every length form;
+# keyword statements; and junk.  Each example is tagged with the named
+# change its form may show against the frozen classifier, or None.
+
+_ATOM = st.sampled_from([
+    "X", "1", "2.5", "'S'", "P.F", "P.F(I, 2)", "A(/1)", "P.G(/2)", "-X", "MAX(X, Y)",
+    "(X + 1)", "A(I)", "X .GT. 0"])
+_EXPR = st.one_of(_ATOM, st.builds(
+    "{} {} {}".format, _ATOM, st.sampled_from(["+", "*", "/", ".AND.", "//"]), _ATOM))
+_ARGS = st.lists(_EXPR, min_size=1, max_size=3).map(", ".join)
+_GUARD = st.sampled_from(["C", "X .GT. 0", "P.F .EQ. 1", "A(/1) .NE. N", "(X)"])
+_ASSIGNMENT = st.builds(
+    "{} = {}".format,
+    st.sampled_from(["X", "A(I)", "P.F", "P.F(I)", "IF", "DO 10 I", "CALL", "THEN", "A(/1)"]),
+    _EXPR)
+_TYPE_NAME = st.sampled_from(
+    ["INTEGER", "REAL", "LOGICAL", "DOUBLE PRECISION", "double  precision", "CHARACTER"])
+_LENGTH = st.sampled_from(["", "*1", "*2", "*4", "*8", "*16", " * 8", "*40", "*(*)", "*( * )"])
+_KEYWORD_STATEMENT = st.sampled_from([
+    "DIMENSION A(10), B(N)", "EXTERNAL F, G", "POINTEUR P.SEG, Q.SEG", "SEGINI, P",
+    "SEGACT, P=Q", "SEGSUP, P=Q", "GOTO 10", "CONTINUE", "RETURN", "DO 10 I = 1, N",
+    "WRITE(*,*) X, P.F", "READ(5,*) X", "COMMON /B/ X, Y", "DATA X /1/", "END", "ELSE",
+    "END IF", "IMPLICIT NONE", "FORMAT(I5)", "PARAMETER (N = 10)", "SAVE"])
+
+
+def _length_case(type_name, length):
+    """``"real*8"``, ``"default"`` (a ``*4`` on INTEGER, REAL or LOGICAL),
+    ``"unsupported length"``, or None for no length or a CHARACTER one."""
+    base = " ".join(type_name.lower().split())
+    size = length.strip(" *")
+    if base == "character" or not length:
+        return None
+    if (base, size) == ("real", "8"):
+        return "real*8"
+    if size == "4" and base != "double precision":
+        return "default"
+    return "unsupported length"
+
+
+@st.composite
+def _call_statement(draw):
+    guarded = draw(st.booleans())
+    args = draw(st.one_of(st.just(""), st.just("()"), _ARGS.map("({})".format),
+                          _ARGS.map("({}".format)))
+    unclosed = args.count("(") > args.count(")")
+    tail = "" if unclosed else draw(st.sampled_from(["", " Y", "(Y)", ")", " = 1"]))
+    text = f"CALL {draw(st.sampled_from(['F', 'FOO', 'IF', 'END']))}{args}{tail}"
+    if guarded:  # the frozen guarded form already failed on an unclosed group
+        case = "guarded call tail" if tail and (args or tail != "(Y)") else None
+        text = f"IF ({draw(_GUARD)}) {text}"
+    elif unclosed:
+        case = "unclosed call group"
+    else:  # the frozen pattern matched when the text ended in `)`
+        case = "call group then more" if args and tail.endswith(")") else None
+    return text, case
+
+
+@st.composite
+def _type_statement(draw):
+    type_name, length = draw(_TYPE_NAME), draw(_LENGTH)
+    entities = draw(st.sampled_from(["A", "A, B(10)", "V(N)", "S(2, M)", "C(N, *)"]))
+    case = _length_case(type_name, length)
+    return f"{type_name}{length} {entities}", None if case == "default" else case
+
+
+@st.composite
+def _implicit_statement(draw):
+    rules, cases = [], set()
+    for _ in range(draw(st.integers(1, 2))):
+        type_name, length = draw(_TYPE_NAME), draw(_LENGTH)
+        letters = draw(st.sampled_from(["A-H", "A-H,O-Z", "I-N", "X", "A-B-C"]))
+        rules.append(f"{type_name}{length} ({letters})")
+        if type_name == "CHARACTER" and "(" in length:
+            cases.add("assumed-length rule")
+        else:
+            case = _length_case(type_name, length)
+            cases.add("sized rule" if case in ("real*8", "default") else case)
+    # an unsupported length fails first, then the check of every rule
+    case = next((c for c in ("unsupported length", "assumed-length rule", "sized rule")
+                 if c in cases), None)
+    return "IMPLICIT " + ", ".join(rules), case
+
+
+_STATEMENT = st.one_of(
+    _call_statement(),
+    _ASSIGNMENT.map(lambda text: (text, None)),
+    st.builds("IF ({}) {}".format, _GUARD, st.one_of(_ASSIGNMENT, st.sampled_from(
+        ["THEN", "GOTO 10", "RETURN", "CALL", "", "THEN = 1"]))).map(
+        lambda text: (text.strip(), None)),
+    _type_statement(),
+    _implicit_statement(),
+    _KEYWORD_STATEMENT.map(lambda text: (text, None)),
+    _BODY.map(lambda text: (text.strip(), None)),
+)
+
+_SPAN = SourceSpan("s.f", 1, 1, 1, 72)
+
+
+def _spelled(type_name):
+    """A frozen IMPLICIT rule's type as ``format_type`` spells it."""
+    m = re.fullmatch(r"character\s*(?:\*\s*(\d+))?", type_name)
+    return format_type("character", m[1] and int(m[1])) if m else type_name
+
+
+def _classified(classify, text):
+    """The node's kind and fields, declared types spelled by ``format_type``."""
+    try:
+        node = classify(text, _SPAN, None)
+    except MigrationError as exc:
+        return ("error", str(exc))
+    fields = {f.name: getattr(node, f.name) for f in dataclasses.fields(node) if f.name != "facts"}
+    if isinstance(node, A.TypeDeclNode):
+        base, char_len = fields.pop("base_type"), fields.pop("char_len")
+        fields["type"] = base and format_type(base, char_len)
+    elif isinstance(node, A.ImplicitDeclNode):
+        fields["rules"] = [(_spelled(t), letters) for t, letters in node.rules]
+    return (type(node).__name__, fields)
+
+
+def _sized_rule(live, frozen):
+    if frozen[0] == "error":
+        return live[0] == "ImplicitDeclNode" or live == frozen
+    if live[0] == "error":  # the letters of a rule the frozen one dropped
+        return "unparseable implicit statement" in live[1]
+    rest = iter(live[1]["rules"])  # the frozen rules are the live ones, some left out
+    shorter = frozen[1]["rules"]
+    return len(shorter) < len(live[1]["rules"]) and all(rule in rest for rule in shorter)
+
+
+def _now_opaque(live, frozen):
+    return live[0] == "OpaqueNode" and frozen[0] == "CallNode"
+
+
+#: tag -> whether the live outcome is the frozen one with the named change
+_CHANGES = {
+    # REAL*8 is double precision, no longer real
+    "real*8": lambda live, frozen: (
+        live[0] == frozen[0] == "TypeDeclNode" and live[1] == {**frozen[1], "type": "double precision"}),
+    # any other length on a numeric type is an error, no longer dropped
+    "unsupported length": lambda live, frozen: (
+        live[0] == "error" and "unsupported type length" in live[1]),
+    # an IMPLICIT rule takes REAL*8 and the *4 lengths, and its letters are
+    # checked; the frozen rules rejected such a rule, or dropped it when
+    # another rule matched
+    "sized rule": _sized_rule,
+    # CHARACTER*(*) in IMPLICIT is an error, no longer dropped beside another rule
+    "assumed-length rule": lambda live, frozen: (
+        live[0] == "error" and "unparseable implicit statement" in live[1]),
+    # IF (C) CALL F(X) Y keeps its tokens: opaque, as the bare form
+    "guarded call tail": _now_opaque,
+    # CALL F(X)(Y) is opaque; the frozen pattern took all to the last `)` as arguments
+    "call group then more": _now_opaque,
+    # CALL F(X is the located error the guarded form gives
+    "unclosed call group": lambda live, frozen: live == ("error", "s.f:1:1: unbalanced parentheses"),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(_STATEMENT)
+@example(("REAL*8 A", "real*8"))
+@example(("INTEGER*2 N", "unsupported length"))
+@example(("IMPLICIT REAL*8 (A-H,O-Z)", "sized rule"))
+@example(("IMPLICIT CHARACTER*(*) (A-H), INTEGER (I-N)", "assumed-length rule"))
+@example(("IF (C) CALL F(X) Y", "guarded call tail"))
+@example(("CALL F(X)(Y)", "call group then more"))
+@example(("CALL F(X", "unclosed call group"))
+def test_classifier_agrees_with_frozen_classifier(tagged):
+    text, case = tagged
+    live, frozen = _classified(parser._classify, text), _classified(oracle_classify, text)
+    assert live == frozen if case is None else _CHANGES[case](live, frozen), (text, live, frozen)
 
 
 def test_logical_if_call_gets_guard():
@@ -430,6 +666,14 @@ def test_logical_if_assignment_gets_guard():
     node = classify_statement(stmt("IF (N .EQ. 0) Y = 1"), {})
     assert isinstance(node, A.AssignmentNode)
     assert node.guard is not None
+
+
+def test_a_call_with_tokens_after_its_arguments_stays_whole_under_a_guard():
+    bare = classify_statement(stmt("CALL F(X) Y"), {})
+    guarded = classify_statement(stmt("IF (C) CALL F(X) Y"), {})
+    assert isinstance(bare, A.OpaqueNode) and isinstance(guarded, A.OpaqueNode)
+    assert guarded.tokens[4:] == bare.tokens
+    assert render_tokens(guarded.tokens, None, {}) == "if (c) call f(x) y"
 
 
 def test_block_if_stays_opaque():

@@ -52,3 +52,11 @@ def test_check_diagnostics_match_golden(monkeypatch, capsys):
     assert main(["check", "--src", "broken"]) == 1
     expected = (GOLDEN / "check_broken.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().err == expected
+
+
+def test_dump_model_matches_golden(monkeypatch, capsys):
+    # units, segments, call edges with their argument counts, include edges
+    monkeypatch.chdir(FIXTURES)
+    assert main(["dump-model", "--src", BOOKSTORE.name]) == 0
+    expected = (GOLDEN / "dump_bookstore.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

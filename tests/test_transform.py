@@ -28,7 +28,7 @@ from segmigrate.transform import (
 
 from segmigrate.transform import units as units_mod
 
-from helpers import BOOKSTORE, BOOKSTORE_INTENTS
+from helpers import BOOKSTORE, BOOKSTORE_INTENTS, undeclared_references
 
 LISTING_UNIT = """\
       SUBROUTINE NEWUSER(LIB,NAME)
@@ -360,6 +360,48 @@ def test_function_wrapping_declares_result_type():
     assert "real :: half" in text
     assert "end function half" in text
     assert "module half_mod" in text
+
+
+def migrated_files(**sources):
+    units = [u for name, src in sources.items() for u in parse_source(src, f"{name}.f")]
+    model = build_project_model(units)
+    result = migrate_project(units, model, analysis.infer_intents(model))
+    assert result.ok, result
+    return dict(result.outputs)
+
+
+def test_a_sized_type_keeps_its_precision_at_every_site():
+    files = migrated_files(s=(
+        "      SUBROUTINE S(A, B, N)\n      IMPLICIT REAL*8 (O-Z)\n      REAL*8 A\n"
+        "      REAL*4 B\n      INTEGER*4 N\n      SEGMENT, SEG\n      REAL*8 V(N)\n"
+        "      END SEGMENT\n      A = B + N\n      Q = A\n      END\n"
+        "      CHARACTER * 8 FUNCTION G(X)\n      G = 'A'\n      END\n"
+        "      REAL*8 FUNCTION H(X)\n      H = X\n      END\n"))
+    lines = {line.strip() for text in files.values() for line in text.splitlines()}
+    assert {"double precision, intent(out) :: a", "real, intent(in) :: b",
+            "integer, intent(in) :: n", "double precision :: q",
+            "double precision, pointer, public :: v(:) => null()",
+            "character(len=8) :: g", "double precision :: h"} <= lines
+
+
+@pytest.mark.parametrize("external", ["", "      EXTERNAL TWICE\n"], ids=["typed", "external"])
+def test_a_caller_that_types_a_project_function_uses_its_module(external):
+    files = migrated_files(
+        twice="      INTEGER FUNCTION TWICE(K)\n      TWICE = 2*K\n      END\n",
+        use2="      SUBROUTINE USE2(N, M)\n      INTEGER TWICE\n" + external +
+        "      M = TWICE(N)\n      END\n")
+    lines = [line.strip() for line in files["use2.f90"].splitlines()]
+    assert "use twice_mod" in lines
+    assert not any(re.match(r"integer\b.*::.*\btwice\b", line) for line in lines)
+    assert undeclared_references(files) == []
+
+
+def test_a_function_s_own_type_statement_declares_its_result():
+    files = migrated_files(fact=
+        "      INTEGER FUNCTION FACT(K)\n      INTEGER FACT\n      FACT = 1\n"
+        "      IF (K .GT. 1) FACT = K*FACT(K-1)\n      END\n")
+    lines = [line.strip() for line in files["fact.f90"].splitlines()]
+    assert "integer :: fact" in lines and not any(l.startswith("use ") for l in lines)
 
 
 def test_lines_outside_every_unit_are_kept_in_source_order():
