@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..errors import MigrationError, SourceSpan
 
@@ -236,18 +236,6 @@ class SlashDim:
 
 
 ExprToken = Union[Token, DottedAccess, SlashDim]
-
-
-def walk_tokens(stream: Sequence[ExprToken]) -> Iterator[ExprToken]:
-    """Pre-order walk of a folded token stream: each token, then the tokens
-    nested in it (a dotted access's subscripts, a slash-dim's base)."""
-    for t in stream:
-        yield t
-        if isinstance(t, DottedAccess):
-            for sub in t.subscripts:
-                yield from walk_tokens(sub)
-        elif isinstance(t, SlashDim):
-            yield from walk_tokens((t.base,))
 
 
 # ASCII case only, so ``.falſe.`` is no operator

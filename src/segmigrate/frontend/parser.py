@@ -80,9 +80,11 @@ _DIMENSION_RE = re.compile(r"^dimension\s+(.+)$", re.IGNORECASE)
 _EXTERNAL_RE = re.compile(r"^external\s+(.+)$", re.IGNORECASE)
 _IMPLICIT_RE = re.compile(r"^implicit\s+(.+)$", re.IGNORECASE)
 _END_RE = re.compile(r"^end(\s+(subroutine|function|program)(\s+[a-z][a-z0-9_]*)?)?\s*$", re.IGNORECASE)
-# the letters hold no `*`, so the `(*)` of CHARACTER*(*) is never a letter list
-_IMPLICIT_RULE_RE = re.compile(rf"{_TYPE_SPEC}\s*\((?P<letters>[^)*]*)\)", re.IGNORECASE)
-_LETTER_RANGE_RE = re.compile(r"[^-]-[^-]")
+# a rule and the comma after it, unless the comma ends the text; the letters
+# hold no `*`, so the `(*)` of CHARACTER*(*) is never a letter list
+_IMPLICIT_RULE_RE = re.compile(
+    rf"\s*{_TYPE_SPEC}\s*\((?P<letters>[^)*]*)\)\s*(?P<comma>,(?=.))?", re.IGNORECASE)
+_LETTER_ITEM_RE = re.compile(r"[a-z](?:-[a-z])?")
 _POINTER_ENTRY_RE = re.compile(r"^([a-z][a-z0-9_]*)\.([a-z][a-z0-9_]*)$")
 _BLANKS_RE = re.compile(r"\s+")
 
@@ -355,12 +357,16 @@ def _parse_implicit(rest: str, original: str, span, label) -> A.ImplicitDeclNode
     rest = rest.strip()
     if rest.lower() == "none":
         return A.ImplicitDeclNode(span=span, label=label, none=True, original=original)
+    matches = list(_IMPLICIT_RULE_RE.finditer(rest))
     rules = [(format_type(*_type_spec(m, span)), m["letters"].replace(" ", "").lower())
-             for m in _IMPLICIT_RULE_RE.finditer(rest)]
-    ranges = [part for _, letters in rules for part in letters.split(",") if "-" in part]
-    # an assumed length types no name
-    if (not rules or any(t == format_type("character", "*") for t, _ in rules)
-            or not all(_LETTER_RANGE_RE.fullmatch(part) for part in ranges)):
+             for m in matches]
+    # the rules cover the text, a comma between each two, each letter item
+    # is a letter or a range of letters, and no rule has an assumed length
+    if (not rules or "".join(m[0] for m in matches) != rest
+            or not all(m["comma"] for m in matches[:-1])
+            or any(t == format_type("character", "*") for t, _ in rules)
+            or not all(_LETTER_ITEM_RE.fullmatch(item)
+                       for _, letters in rules for item in letters.split(","))):
         raise MigrationError(f"unparseable implicit statement: {original!r}", span)
     return A.ImplicitDeclNode(span=span, label=label, rules=rules, original=original)
 

@@ -7,12 +7,10 @@ from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .. import analysis
 from .. import target as T
 from ..emit import RenderConfig, render_unit
 from ..errors import MigrationError
 from ..frontend import ast_nodes as A
-from ..frontend.lexer import NAME, INT, OP, EQUALS, MINUS, DottedAccess, ExprToken, Token, walk_tokens
 from ..model import ProjectModel
 from .segments import generate_support_modules, migrate_segment
 from .tokens import GapTable
@@ -161,65 +159,16 @@ def migrate_project(
 
 # --- pointer misuse diagnostics ---------------------------------------------
 
-_COMPARE_OPS = {"=", ".eq.", ".ne.", ".lt.", ".le.", ".gt.", ".ge."}
-
 
 def negative_pointer_uses(unit: A.ProgramUnitAst, model: ProjectModel) -> List[str]:
-    """Places where a segment pointer meets a negative integer literal.
+    """Places where a segment pointer meets a negative integer literal, one
+    per statement and pointer, in name order (see ``StatementFacts.negated``).
 
     Legacy code used negative integers as sentinel pointer values; those
     comparisons and assignments cannot survive the move to typed pointers.
     """
-    pointers = set(model.units[unit.name].pointers)
-    pointers |= {seg.name for seg in analysis.segments_in_scope(unit, model)}
-    if not pointers:
-        return []
-
-    warnings: List[str] = []
-    for node in unit.body:
-        for stream in _streams_of(node):
-            # a dotted access stands for its pointer; slash-dims for their base
-            flat = [
-                Token(NAME, t.pointer) if isinstance(t, DottedAccess) else t
-                for t in walk_tokens(stream)
-                if isinstance(t, Token) or isinstance(t, DottedAccess) and t.pointer
-            ]
-            for hit in _scan_negative(flat, pointers):
-                warnings.append(f"{node.span.label()}: pointer {hit!r} used with a negative literal")
-    return warnings
-
-
-def _streams_of(node: A.Node) -> List[Sequence[ExprToken]]:
-    if isinstance(node, A.OpaqueNode):
-        return [node.tokens]
-    if isinstance(node, A.AssignmentNode):
-        # one `lhs = rhs` stream: the negative-literal pattern spans the `=`
-        streams = [list(node.lhs) + [EQUALS] + list(node.rhs)]
-    elif isinstance(node, A.CallNode):
-        streams = list(node.args)
-    else:
-        return []
-    return streams + [node.guard] if node.guard else streams
-
-
-def _scan_negative(toks: List[Token], pointers) -> List[str]:
-    hits: List[str] = []
-    for i, t in enumerate(toks):
-        if not (t.kind == NAME and t.value in pointers):
-            continue
-        # name <op> - <int>   or   - <int> <op> name
-        if (
-            i + 2 < len(toks)
-            and toks[i + 1].kind == OP and toks[i + 1].value in _COMPARE_OPS
-            and toks[i + 2] == MINUS
-            and i + 3 < len(toks) and toks[i + 3].kind == INT
-        ):
-            hits.append(t.value)
-        elif (
-            i >= 3
-            and toks[i - 1].kind == OP and toks[i - 1].value in _COMPARE_OPS
-            and toks[i - 2].kind == INT
-            and toks[i - 3] == MINUS
-        ):
-            hits.append(t.value)
-    return hits
+    summary = model.units[unit.name]
+    pointers = set(summary.pointers).union(
+        name for name in summary.segments_in_scope if name in model.segments)
+    return [f"{node.span.label()}: pointer {name!r} used with a negative literal"
+            for node in unit.body for name in node.facts.negated if name in pointers]

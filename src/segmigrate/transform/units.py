@@ -353,6 +353,10 @@ def compute_unit_uses(ctx: RewriteContext) -> List[str]:
 def wrap_in_module(ctx: RewriteContext) -> T.TargetNode:
     """Rewrite the whole unit and wrap it in a module (or program)."""
     unit = ctx.unit
+    # Fortran 2008 allows an assumed-length result only for an external function
+    if (unit.kind == "function" and (ctx.summary.declared.get(unit.name) or unit.return_type)
+            == format_type("character", "*")):
+        raise MigrationError(f"assumed-length result of function {unit.name!r}", unit.span)
     uses = compute_unit_uses(ctx)
 
     # generated declarations go ahead of the first executable statement;

@@ -985,6 +985,73 @@ def frozen_default_pointer_uses(node, scope_names: Set[str], pointers: Dict[str,
                 yield t.pointer
 
 
+# --- the frozen negative-literal scan ---------------------------------------
+#
+# ``check``'s scan for pointers met with a negative integer literal, as it
+# stood before the statement record held the names: it flattens each stream
+# of a statement, a dotted access standing for its pointer and a slash-dim
+# for its base, and looks for ``name op - int`` and ``- int op name``.  On
+# code with no dotted access and no slash-dim it is the reference for the
+# record's ``negated`` names.
+
+_F_COMPARE_OPS = {"=", ".eq.", ".ne.", ".lt.", ".le.", ".gt.", ".ge."}
+_F_MINUS = ("op", "-")
+
+
+def frozen_negative_pointer_uses(unit, model) -> List[str]:
+    summary = model.units[unit.name]
+    pointers = set(summary.pointers)
+    pointers |= {n for n in summary.segments_in_scope if n in model.segments}
+    if not pointers:
+        return []
+    warnings: List[str] = []
+    for node in unit.body:
+        for stream in _frozen_negative_streams(node):
+            flat = [
+                _Token("name", t.pointer) if isinstance(t, _Dotted) else t
+                for t in _frozen_walk_tokens(stream)
+                if isinstance(t, _Token) or isinstance(t, _Dotted) and t.pointer
+            ]
+            for hit in _frozen_scan_negative(flat, pointers):
+                warnings.append(f"{node.span.label()}: pointer {hit!r} used with a negative literal")
+    return warnings
+
+
+def _frozen_negative_streams(node):
+    if isinstance(node, _A.OpaqueNode):
+        return [node.tokens]
+    if isinstance(node, _A.AssignmentNode):
+        # one `lhs = rhs` stream: the negative-literal pattern spans the `=`
+        streams = [list(node.lhs) + [_Token("op", "=")] + list(node.rhs)]
+    elif isinstance(node, _A.CallNode):
+        streams = list(node.args)
+    else:
+        return []
+    return streams + [node.guard] if node.guard else streams
+
+
+def _frozen_scan_negative(toks, pointers) -> List[str]:
+    hits: List[str] = []
+    for i, t in enumerate(toks):
+        if not (t.kind == "name" and t.value in pointers):
+            continue
+        if (
+            i + 2 < len(toks)
+            and toks[i + 1].kind == "op" and toks[i + 1].value in _F_COMPARE_OPS
+            and toks[i + 2] == _F_MINUS
+            and i + 3 < len(toks) and toks[i + 3].kind == "int"
+        ):
+            hits.append(t.value)
+        elif (
+            i >= 3
+            and toks[i - 1].kind == "op" and toks[i - 1].value in _F_COMPARE_OPS
+            and toks[i - 2].kind == "int"
+            and toks[i - 3] == _F_MINUS
+        ):
+            hits.append(t.value)
+    return hits
+
+
 # --- frozen unit scanners ---------------------------------------------------
 #
 # The functions that each scanned a unit's body again, as they stood before

@@ -26,11 +26,11 @@ from segmigrate.analysis import (
 )
 from segmigrate.cli import RunConfig, discover_sources, load_units
 from segmigrate.errors import MigrationError
-from segmigrate.frontend import ast_nodes as A, lexer
+from segmigrate.frontend import ast_nodes as A
 from segmigrate.frontend.lexer import read_source, split_logical_lines
 from segmigrate.frontend.parser import parse_source
 from segmigrate.model import build_project_model, default_implicit_type
-from segmigrate.transform import migrate_project, project as transform_project
+from segmigrate.transform import migrate_project
 
 from helpers import (
     BOOKSTORE,
@@ -459,8 +459,7 @@ def test_each_statement_is_walked_once(monkeypatch):
     monkeypatch.setattr(A, "statement_facts", counting)
     units, model = load_units(
         RunConfig(src=BOOKSTORE, intent_catalog=BOOKSTORE_INTENTS), discover_sources(BOOKSTORE))
-    for module, name in ((lexer, "walk_tokens"), (transform_project, "walk_tokens"),
-                         (A, "stream_names"), (A, "_walk")):
+    for module, name in ((A, "stream_names"), (A, "_walk"), (A, "_find_negated")):
         monkeypatch.setattr(module, name, walking)
     intents = infer_intents(model)
     assert migrate_project(units, model, intents).ok

@@ -426,6 +426,15 @@ def test_malformed_implicit_letter_range_is_an_error():
             classify_statement(stmt(f"IMPLICIT INTEGER({bad})"), {})
 
 
+@pytest.mark.parametrize("text", [
+    "IMPLICIT INTEGER (A-H), BOGUS (X)", "IMPLICIT INTEGER (A-H) JUNK", "IMPLICIT INTEGER (1)",
+    "IMPLICIT INTEGER (A-H),", "IMPLICIT INTEGER (A-H) REAL (O-Z)"])
+def test_implicit_text_that_no_rule_covers_is_an_error_at_its_statement(text):
+    with pytest.raises(MigrationError, match="unparseable implicit statement") as caught:
+        parse_source(f"      SUBROUTINE S(X)\n      {text}\n      END\n", "s.f")
+    assert caught.value.span.start_line == 2
+
+
 # --- one type spec at every site -------------------------------------------
 
 
@@ -561,10 +570,13 @@ def _implicit_statement(draw):
         else:
             case = _length_case(type_name, length)
             cases.add("sized rule" if case in ("real*8", "default") else case)
+    junk = draw(st.sampled_from(["", "", " JUNK", ", BOGUS (X)", ", INTEGER (1)", ","]))
+    if junk:
+        cases.add("uncovered rule text")
     # an unsupported length fails first, then the check of every rule
-    case = next((c for c in ("unsupported length", "assumed-length rule", "sized rule")
-                 if c in cases), None)
-    return "IMPLICIT " + ", ".join(rules), case
+    case = next((c for c in ("unsupported length", "uncovered rule text", "assumed-length rule",
+                             "sized rule") if c in cases), None)
+    return "IMPLICIT " + ", ".join(rules) + junk, case
 
 
 _STATEMENT = st.one_of(
@@ -613,6 +625,10 @@ def _sized_rule(live, frozen):
     return len(shorter) < len(live[1]["rules"]) and all(rule in rest for rule in shorter)
 
 
+def _unparseable_implicit(live, frozen):
+    return live[0] == "error" and "unparseable implicit statement" in live[1]
+
+
 def _now_opaque(live, frozen):
     return live[0] == "OpaqueNode" and frozen[0] == "CallNode"
 
@@ -630,8 +646,10 @@ _CHANGES = {
     # another rule matched
     "sized rule": _sized_rule,
     # CHARACTER*(*) in IMPLICIT is an error, no longer dropped beside another rule
-    "assumed-length rule": lambda live, frozen: (
-        live[0] == "error" and "unparseable implicit statement" in live[1]),
+    "assumed-length rule": _unparseable_implicit,
+    # IMPLICIT text that no rule covers, or a letter item that is no letter,
+    # is an error; the frozen rules dropped the text or took the item
+    "uncovered rule text": _unparseable_implicit,
     # IF (C) CALL F(X) Y keeps its tokens: opaque, as the bare form
     "guarded call tail": _now_opaque,
     # CALL F(X)(Y) is opaque; the frozen pattern took all to the last `)` as arguments
@@ -647,6 +665,7 @@ _CHANGES = {
 @example(("INTEGER*2 N", "unsupported length"))
 @example(("IMPLICIT REAL*8 (A-H,O-Z)", "sized rule"))
 @example(("IMPLICIT CHARACTER*(*) (A-H), INTEGER (I-N)", "assumed-length rule"))
+@example(("IMPLICIT INTEGER (A-H) JUNK", "uncovered rule text"))
 @example(("IF (C) CALL F(X) Y", "guarded call tail"))
 @example(("CALL F(X)(Y)", "call group then more"))
 @example(("CALL F(X", "unclosed call group"))

@@ -46,6 +46,15 @@ def test_check_report_matches_golden(monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_check_warnings_match_golden(monkeypatch, capsys):
+    # pointers set against negative literals: an assignment, a guard, a call
+    # argument, an opaque IF, a subscript and a default pointer
+    monkeypatch.chdir(FIXTURES)
+    assert main(["check", "--src", "handles"]) == 0
+    expected = (GOLDEN / "check_handles.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 def test_check_diagnostics_match_golden(monkeypatch, capsys):
     # the located format every front-end error keeps, whichever range read it
     monkeypatch.chdir(FIXTURES)

@@ -6,6 +6,7 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segmigrate import analysis, cli, target as T
 from segmigrate.cli import RunConfig, discover_sources, load_units, main
@@ -28,7 +29,7 @@ from segmigrate.transform import (
 
 from segmigrate.transform import units as units_mod
 
-from helpers import BOOKSTORE, BOOKSTORE_INTENTS, undeclared_references
+from helpers import BOOKSTORE, BOOKSTORE_INTENTS, frozen_negative_pointer_uses, undeclared_references
 
 LISTING_UNIT = """\
       SUBROUTINE NEWUSER(LIB,NAME)
@@ -461,6 +462,100 @@ def test_negative_pointer_diagnostic():
         "      SUBROUTINE T(X)\n      X = -1\n      END\n", "t.f"
     )
     assert negative_pointer_uses(clean[0], build_project_model(clean)) == []
+
+
+@pytest.mark.parametrize("header, decl", [
+    ("CHARACTER*(*) FUNCTION H(X)", "CHARACTER*(*) X"),
+    ("FUNCTION H(X)", "CHARACTER*(*) H, X"),
+], ids=["header", "type statement"])
+def test_an_assumed_length_function_result_is_an_error_at_the_unit(header, decl):
+    # only an external function may have one, and the output is a module procedure
+    src = f"      {header}\n      {decl}\n      H = X\n      END\n"
+    units, model, intents = setup_unit(src, "h.f")
+    assert migrate_project(units, model, intents).errors == [
+        "h.f:1:1: assumed-length result of function 'h'"]
+
+
+def test_an_assumed_length_dummy_of_a_function_migrates():
+    src = "      CHARACTER*8 FUNCTION H(X)\n      CHARACTER*(*) X\n      H = X\n      END\n"
+    units, model, intents = setup_unit(src, "h.f")
+    assert migrate_project(units, model, intents).ok
+
+
+# Statements that set pointers (P, Q and the default pointer SEG), plain
+# variables and expressions against negative literals: in assignments, under
+# guards, as call arguments and in opaque IFs and DOs.  With no dotted access
+# and no slash-dim, the record's names agree with the frozen flat scan.
+_NEG_NAME = st.sampled_from(["P", "Q", "SEG", "X", "K"])
+_NEG_ATOM = st.one_of(_NEG_NAME, st.sampled_from(
+    ["-1", "- 2", "-12", "1", "-K", "-P", "(-1)", "F(P)", "A(-1)", "2.5"]))
+_NEG_EXPR = st.one_of(_NEG_ATOM, st.builds("{} {} {}".format, _NEG_ATOM, st.sampled_from(
+    [".EQ.", ".NE.", ".LT.", ".LE.", ".GT.", ".GE.", "+", "-", "*", ".AND."]), _NEG_ATOM))
+_NEG_ARGS = st.lists(_NEG_EXPR, min_size=1, max_size=3).map(", ".join)
+_NEG_STATEMENT = st.one_of(
+    st.builds("{} = {}".format, st.one_of(_NEG_NAME, st.just("A(K)")), _NEG_EXPR),
+    st.builds("IF ({}) {} = {}".format, _NEG_EXPR, _NEG_NAME, _NEG_EXPR),
+    st.builds("IF ({}) CALL F({})".format, _NEG_EXPR, _NEG_ARGS),
+    st.builds("CALL F({})".format, _NEG_ARGS),
+    st.builds("IF ({}) THEN".format, _NEG_EXPR),
+    st.builds("IF ({}) RETURN".format, _NEG_EXPR),
+    st.builds("DO 10 {} = {}, N".format, _NEG_NAME, _NEG_ATOM),
+)
+
+HANDLE_UNIT = """\
+      SUBROUTINE S(P, Q, I, A, X)
+      SEGMENT, SEG
+      INTEGER V(N)
+      END SEGMENT
+      POINTEUR P.SEG, Q.SEG, I.SEG, A.SEG
+{}
+      END
+"""
+
+
+def negative_uses(*statements):
+    """The warnings of the live and the frozen scan on ``HANDLE_UNIT``; a
+    statement longer than 60 characters goes on continuation cards."""
+    cards = []
+    for statement in statements:
+        parts = [statement[i:i + 60] for i in range(0, len(statement), 60)]
+        cards += ["      " + parts[0]] + ["     &" + part for part in parts[1:]]
+    units = parse_source(HANDLE_UNIT.format("\n".join(cards)), "s.f")
+    model = build_project_model(units)
+    return negative_pointer_uses(units[0], model), frozen_negative_pointer_uses(units[0], model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_NEG_STATEMENT, min_size=1, max_size=6))
+def test_negative_pointer_uses_agree_with_frozen_scan(statements):
+    live, frozen = negative_uses(*statements)
+    assert set(live) == set(frozen)
+    assert len(live) == len(set(live))
+
+
+def warned(line, pointer):
+    return f"s.f:{line}:1: pointer {pointer!r} used with a negative literal"
+
+
+@pytest.mark.parametrize("statement", ["IF (P.V .EQ. -1) RETURN", "P.V = -1"])
+def test_a_field_value_against_a_negative_literal_is_no_pointer_use(statement):
+    assert negative_uses(statement) == ([], [warned(6, "p")])
+
+
+def test_a_subscript_of_a_field_is_not_next_to_the_comparison():
+    assert negative_uses("IF (P.V(I) .EQ. -1) RETURN") == ([], [warned(6, "i")])
+    # a subscript is scanned at its own level
+    assert negative_uses("X = P.V(I .EQ. -1)") == ([warned(6, "i")], [warned(6, "i")])
+
+
+def test_an_extent_against_a_negative_literal_is_no_pointer_use():
+    assert negative_uses("IF (A(/1) .EQ. -1) RETURN") == ([], [warned(6, "a")])
+
+
+def test_each_pointer_is_warned_once_per_statement_in_name_order():
+    live, frozen = negative_uses("IF (Q .EQ. -1 .OR. P .LT. -2 .OR. Q .GT. -3) RETURN")
+    assert live == [warned(6, "p"), warned(6, "q")]
+    assert frozen == [warned(6, "q"), warned(6, "p"), warned(6, "q")]
 
 
 class CountingBody(list):
