@@ -1,105 +1,75 @@
-"""Facts the transformation needs: explicit types for implicitly typed
-symbols, external-name classification, parameter intents, module imports."""
+"""Facts the transformation needs that depend on the whole model: one name
+record per unit, which says where each of its names gets its type and its
+module, and the intents of every routine's dummies."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .errors import MigrationError
 from .frontend import ast_nodes as A
 from .model import SIZED, ProjectModel, SegmentDefinition, UnitSummary
 
-# --- implicit typing --------------------------------------------------------
-
-DECLARED = "declared"
-IMPLICIT_RULE = "implicit-rule"
-POINTEUR_DECL = "pointeur-decl"
-FUNCTION_RETURN = "function-return"
+# --- name resolution --------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TypeAssignment:
-    symbol: str
-    inferred_type: str
-    origin: str
+class NameRecord:
+    """Where the names of one unit get their type and module: the facts that
+    need the whole model, decided once per unit by :func:`resolve_names`."""
+
+    scope: Tuple[SegmentDefinition, ...]  # its own segments, then included ones
+    owners: Dict[str, Tuple[str, ...]]  # in-scope field -> its owning segments, in scope order
+    # name -> type of each name only the implicit rule types; the rewrite declares it
+    implicit: Dict[str, str]
+    # project functions typed here (by a type statement or EXTERNAL) whose
+    # type comes with the use of their module
+    typed_by_use: FrozenSet[str]
 
 
-def segments_in_scope(unit: A.ProgramUnitAst, model: ProjectModel) -> List[SegmentDefinition]:
-    """Segments the unit sees: its own definitions, then included ones."""
-    return [model.segments[n] for n in model.units[unit.name].segments_in_scope
-            if n in model.segments]
-
-
-def infer_implicit_types(
-    unit: A.ProgramUnitAst, model: ProjectModel, scope: Sequence[SegmentDefinition]
-) -> List[TypeAssignment]:
-    """Give every referenced symbol of the unit exactly one type."""
-    called = {e.callee for e in model.calls_from(unit.name)}
+def resolve_names(unit: A.ProgramUnitAst, model: ProjectModel) -> NameRecord:
+    """The name record of ``unit``.  A typed name both assigned and invoked is
+    an error, then a typed name also called, then a POINTEUR to a segment the
+    project does not define."""
+    summary = model.units[unit.name]
     functions = model.functions()
-    summary = model.units[unit.name]
-    pointers, declared, table = summary.pointers, summary.declared, summary.implicit_table
-
-    referenced = set(summary.referenced).union(unit.params)
-    segment_names = {seg.name for seg in scope}
-    field_owner: Dict[str, str] = {}
-    for seg in scope:
-        for f in seg.fields:
-            field_owner.setdefault(f.name, seg.name)
-
-    out: List[TypeAssignment] = []
-    for sym in sorted(referenced):
-        if sym == unit.name:
-            continue
-        if sym in called:
-            if sym in declared and declared[sym]:
-                raise MigrationError(
-                    f"symbol {sym!r} used as both variable and called routine in {unit.name}"
-                )
-            continue  # plain subroutine reference, not a variable
-        if sym in pointers:
-            out.append(TypeAssignment(sym, declared[sym], POINTEUR_DECL))
-        elif sym in declared and declared[sym]:
-            out.append(TypeAssignment(sym, declared[sym], DECLARED))
-        elif sym in declared:
-            # dimensioned (DIMENSION stmt) but typed by the implicit rule
-            out.append(TypeAssignment(sym, table[sym[0]], IMPLICIT_RULE))
-        elif sym in functions:
-            rt = functions[sym].return_type or table[sym[0]]
-            out.append(TypeAssignment(sym, rt, FUNCTION_RETURN))
-        elif sym in segment_names or sym in field_owner:
-            # segment default pointer or bare field access; typed by rewrite
-            continue
-        else:
-            out.append(TypeAssignment(sym, table[sym[0]], IMPLICIT_RULE))
-    return out
-
-
-# --- external-name classification ------------------------------------------
-
-EXTERNAL_ROUTINE_DECL = "externalRoutineDecl"
-RETURN_TYPE_DECL = "returnTypeDecl"
-PLAIN_VARIABLE_DECL = "plainVariableDecl"
-
-
-def classify_external_names(unit: A.ProgramUnitAst, model: ProjectModel) -> Dict[str, str]:
-    """Partition explicitly typed names into external routine declarations,
-    function return-type declarations, and plain variables."""
-    summary = model.units[unit.name]
-    out = dict.fromkeys(summary.external, EXTERNAL_ROUTINE_DECL)
     for name in summary.typed:
-        if name in out:
+        if name in summary.external or name not in summary.assigned:
             continue
-        invoked = name in summary.invoked
-        calls_like = invoked and name not in summary.arrays
-        is_function = calls_like or name in model.functions() or name in model.intent_catalog
-        if is_function and name in summary.assigned:
+        if ((name in summary.invoked and name not in summary.arrays)
+                or name in functions or name in model.intent_catalog):
+            raise MigrationError(f"name {name!r} is both assigned and invoked in {unit.name}")
+
+    scope = tuple(model.segments[n] for n in summary.segments_in_scope)
+    owners: Dict[str, Tuple[str, ...]] = {}
+    for seg in scope:
+        for f in seg.fields:  # a segment names each field once
+            owners[f.name] = owners.get(f.name, ()) + (seg.name,)
+    called = {callee for callee, _ in summary.calls}
+    declared = summary.declared
+    implicit: Dict[str, str] = {}
+    for name in sorted(set(summary.referenced).union(summary.parameters)):
+        if name == unit.name:
+            continue
+        if name in called:
+            if declared.get(name):
+                raise MigrationError(
+                    f"symbol {name!r} used as both variable and called routine in {unit.name}")
+        # a segment's default pointer and a bare field are typed by the rewrite
+        elif not (name in declared or name in functions or name in owners
+                  or name in summary.segments_in_scope):
+            implicit[name] = summary.implicit_table[name[0]]
+
+    for pointer, seg_name in sorted(summary.pointers.items()):
+        if seg_name not in model.segments:
             raise MigrationError(
-                f"name {name!r} is both assigned and invoked in {unit.name}"
-            )
-        out[name] = RETURN_TYPE_DECL if is_function and invoked else PLAIN_VARIABLE_DECL
-    return out
+                f"pointer {pointer!r} targets unknown segment {seg_name!r}", unit.span)
+    typed_by_use = frozenset(
+        name for name in set(summary.typed).intersection(summary.invoked).union(summary.external)
+        if name in functions and name != unit.name and name not in summary.parameters)
+    return NameRecord(scope, owners, implicit, typed_by_use)
 
 
 # --- parameter intent inference --------------------------------------------
@@ -248,29 +218,6 @@ def _sized_reads(event: Tuple, summary: UnitSummary, model: ProjectModel) -> Seq
         return (event,)
     seg = model.segments.get(summary.segment_of(event[1]))
     return [("r", v) for v in seg.dimensioning_vars] if seg else ()
-
-
-# --- module imports ---------------------------------------------------------
-
-
-def compute_uses(
-    required: Set[str],
-    defined: Set[str],
-    module_of: Dict[str, str],
-    external_ok: Set[str],
-) -> List[str]:
-    """Modules to import: one per migrated module defining a required symbol,
-    alphabetically.  A symbol defined nowhere and not known external is an
-    error."""
-    modules: Set[str] = set()
-    for sym in sorted(required - defined):
-        if sym in module_of:
-            modules.add(module_of[sym])
-        elif sym in external_ok or sym in A.INTRINSIC_FUNCTIONS:
-            continue
-        else:
-            raise MigrationError(f"required symbol {sym!r} is defined by no module")
-    return sorted(modules)
 
 
 # --- intent catalog file ----------------------------------------------------

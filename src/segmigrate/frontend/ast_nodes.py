@@ -47,7 +47,6 @@ class StatementFacts(NamedTuple):
     # mark where a SEGINI/SEGADJ reads its segment's dimensioning variables
     # and drop the write of an assignment to the unit's own name.
     events: Tuple[Event, ...] = ()
-    pointers: Tuple[str, ...] = ()  # explicit pointers of dotted accesses
     # names a comparison sets against a negative integer literal at their
     # own level (`p = -1`, `-1 .eq. p`); a dotted access or a slash-dim is a
     # value, never one of them
@@ -222,17 +221,15 @@ def statement_facts(node: Node) -> StatementFacts:
 
 
 def _walk(stream: Sequence[ExprToken], names: List[str], invoked: List[str],
-          pointers: List[str], negated: List[str], marks: Optional[List[int]] = None,
-          level: bool = True) -> bool:
+          negated: List[str], marks: Optional[List[int]] = None, level: bool = True) -> bool:
     """The one walk over a folded token stream.  Appends its names in
     textual order to ``names`` (a dotted access gives its explicit pointer,
     never its field), each name a parenthesis follows at its own level to
-    ``invoked``, the explicit pointers of dotted accesses to ``pointers``,
-    and each name set against a negative integer literal at its own level
-    to ``negated``; with ``level`` False, the caller looks for those at the
-    top level.  ``marks`` gets, for each top-level token, the length of
-    ``names`` before it.  True if the stream holds a dotted access or a
-    slash-dim at its top level."""
+    ``invoked``, and each name set against a negative integer literal at its
+    own level to ``negated``; with ``level`` False, the caller looks for
+    those at the top level.  ``marks`` gets, for each top-level token, the
+    length of ``names`` before it.  True if the stream holds a dotted access
+    or a slash-dim at its top level."""
     if level and MINUS in stream:
         _find_negated(stream, negated)
     folded = False
@@ -252,11 +249,10 @@ def _walk(stream: Sequence[ExprToken], names: List[str], invoked: List[str],
             if isinstance(t, DottedAccess):
                 if t.pointer:
                     names.append(t.pointer)
-                    pointers.append(t.pointer)
                 for sub in t.subscripts:
-                    _walk(sub, names, invoked, pointers, negated)
+                    _walk(sub, names, invoked, negated)
             else:  # slash-dim
-                _walk((t.base,), names, invoked, pointers, negated)
+                _walk((t.base,), names, invoked, negated)
         before = None
     return folded
 
@@ -282,7 +278,7 @@ def _find_negated(stream: Sequence[ExprToken], negated: List[str]) -> None:
 def stream_names(stream: Sequence[ExprToken]) -> List[str]:
     """The names of a folded token stream in textual order (see ``_walk``)."""
     names: List[str] = []
-    _walk(stream, names, [], [], [])
+    _walk(stream, names, [], [])
     return names
 
 
@@ -294,11 +290,11 @@ _KEYWORDS_AND_INTRINSICS = STATEMENT_KEYWORDS | INTRINSIC_FUNCTIONS
 _SHARED: Dict[StatementFacts, StatementFacts] = {NO_FACTS: NO_FACTS}
 
 
-def _record(names, invoked, events, pointers, negated, esope: bool,
+def _record(names, invoked, events, negated, esope: bool,
             excluded=INTRINSIC_FUNCTIONS) -> StatementFacts:
     """The shared record; its names leave out the ``excluded`` ones."""
     facts = StatementFacts(_unique(names, excluded), _unique(invoked), tuple(events),
-                           _unique(pointers), _unique(negated), esope)
+                           _unique(negated), esope)
     return _SHARED.setdefault(facts, facts)
 
 
@@ -313,18 +309,18 @@ def _reads(names: Sequence[str], excluded=INTRINSIC_FUNCTIONS) -> List[Event]:
 
 
 def _assignment_facts(node: AssignmentNode) -> StatementFacts:
-    names, invoked, pointers, negated = [], [], [], []
+    names, invoked, negated = [], [], []
     esope = False
     if node.guard:
-        esope |= _walk(node.guard, names, invoked, pointers, negated)
+        esope |= _walk(node.guard, names, invoked, negated)
     # the target and the value are one level across the `=`, scanned below
     for stream in (node.rhs, node.lhs[1:]):
         if stream:
-            esope |= _walk(stream, names, invoked, pointers, negated, level=False)
+            esope |= _walk(stream, names, invoked, negated, level=False)
     events = _reads(names)
     # a statement-function target is not invoked, so the target walks alone
     mark = len(names)
-    esope |= _walk(node.lhs[:1], names, [], pointers, negated, level=False)
+    esope |= _walk(node.lhs[:1], names, [], negated, level=False)
     target = node.lhs[0] if node.lhs else None
     if isinstance(target, Token) and target.kind == NAME:
         events.append(("w", target.value))
@@ -334,30 +330,30 @@ def _assignment_facts(node: AssignmentNode) -> StatementFacts:
             events.append(("r", target.pointer))  # writing a field reads the pointer
     if MINUS in node.rhs or MINUS in node.lhs:  # `p = -1` sets p against -1
         _find_negated(node.lhs + [EQUALS] + node.rhs, negated)
-    return _record(names, invoked, events, pointers, negated, esope)
+    return _record(names, invoked, events, negated, esope)
 
 
 def _call_facts(node: CallNode) -> StatementFacts:
-    names, invoked, pointers, negated = [], [], [], []
+    names, invoked, negated = [], [], []
     esope = False
     if node.guard:
-        esope |= _walk(node.guard, names, invoked, pointers, negated)
+        esope |= _walk(node.guard, names, invoked, negated)
     events = _reads(names)
     for i, arg in enumerate(node.args):
         mark = len(names)
-        esope |= _walk(arg, names, invoked, pointers, negated)
+        esope |= _walk(arg, names, invoked, negated)
         if len(arg) == 1 and isinstance(arg[0], Token) and arg[0].kind == NAME:
             events.append(("f", node.callee, i, arg[0].value))
         else:
             events += _reads(names[mark:])
-    return _record(names, invoked, events, pointers, negated, esope)
+    return _record(names, invoked, events, negated, esope)
 
 
 def _opaque_facts(node: OpaqueNode) -> StatementFacts:
     tokens = node.tokens
-    names, invoked, pointers, negated = [], [], [], []
+    names, invoked, negated = [], [], []
     marks: List[int] = []
-    esope = _walk(tokens, names, invoked, pointers, negated, marks)
+    esope = _walk(tokens, names, invoked, negated, marks)
     marks.append(len(names))
     head = tokens[0] if tokens else None
     kw = head.value if isinstance(head, Token) and head.kind == NAME else None
@@ -394,7 +390,7 @@ def _opaque_facts(node: OpaqueNode) -> StatementFacts:
                 inside = not inside
             elif inside and isinstance(t, Token) and t.kind == NAME:
                 blocks.add(t.value)
-    return _record(names, invoked, events, pointers, negated, esope, _KEYWORDS_AND_INTRINSICS | blocks)
+    return _record(names, invoked, events, negated, esope, _KEYWORDS_AND_INTRINSICS | blocks)
 
 
 def _control_end(tokens: Sequence[ExprToken]) -> int:
@@ -411,7 +407,7 @@ def _control_end(tokens: Sequence[ExprToken]) -> int:
 def _decl_facts(node: TypeDeclNode) -> StatementFacts:
     # adjustable-array bounds are read on entry
     names = [n for ent in node.entities for dim in ent.dims for n in stream_names(dim)]
-    return _record(names, (), _reads(names), (), (), False)
+    return _record(names, (), _reads(names), (), False)
 
 
 def _command_facts(node: EsopeCommandNode) -> StatementFacts:
@@ -426,7 +422,7 @@ def _command_facts(node: EsopeCommandNode) -> StatementFacts:
         events = [read, write]
     else:  # segprt, segact, segdes
         events = [read]
-    return _record((), (), events, (), (), False)
+    return _record((), (), events, (), False)
 
 
 _BUILDERS = {

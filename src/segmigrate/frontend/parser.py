@@ -361,11 +361,12 @@ def _parse_implicit(rest: str, original: str, span, label) -> A.ImplicitDeclNode
     rules = [(format_type(*_type_spec(m, span)), m["letters"].replace(" ", "").lower())
              for m in matches]
     # the rules cover the text, a comma between each two, each letter item
-    # is a letter or a range of letters, and no rule has an assumed length
+    # is a letter or a range of letters in alphabetical order (ANSI X3.9-1978
+    # 8.5), and no rule has an assumed length
     if (not rules or "".join(m[0] for m in matches) != rest
             or not all(m["comma"] for m in matches[:-1])
             or any(t == format_type("character", "*") for t, _ in rules)
-            or not all(_LETTER_ITEM_RE.fullmatch(item)
+            or not all(_LETTER_ITEM_RE.fullmatch(item) and item[0] <= item[-1]
                        for _, letters in rules for item in letters.split(","))):
         raise MigrationError(f"unparseable implicit statement: {original!r}", span)
     return A.ImplicitDeclNode(span=span, label=label, rules=rules, original=original)

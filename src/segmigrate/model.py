@@ -95,7 +95,8 @@ class UnitSummary:
     segments_in_scope: List[str]  # its own definitions, then included ones
     calls: Tuple[Tuple[str, int], ...]  # (callee, argument count), in order
     events: Tuple[Tuple, ...]  # ast_nodes.Event or SIZED, in order; no function result write
-    default_pointers: Names  # in-scope segment names used with no POINTEUR line
+    # in-scope segment names with no POINTEUR line, referenced or named by a command
+    default_pointers: Names
 
     def segment_of(self, pointer: str) -> Optional[str]:
         """The segment of a POINTEUR, else the in-scope one a default pointer names."""
@@ -211,7 +212,8 @@ def summarize_unit(unit) -> UnitSummary:
     types: Dict[str, str] = {}
     dims_only: List[str] = []
     rules: List[Tuple[str, str]] = []
-    external, typed, arrays, invoked, referenced, used = (set() for _ in range(6))
+    external, typed, arrays, invoked, referenced = (set() for _ in range(5))
+    used: Set[str] = set()  # the operands of the Esope commands
     defined = {unit.name, *unit.params}
     commands: List[str] = []
     definitions: List[SegmentDefinition] = []
@@ -220,7 +222,6 @@ def summarize_unit(unit) -> UnitSummary:
     for node in unit.body:
         referenced.update(node.facts.names)
         invoked.update(node.facts.invoked)
-        used.update(node.facts.pointers)  # candidate default pointers
         own = node.facts.events
         if isinstance(node, A.TypeDeclNode):
             for ent in node.entities:
@@ -270,7 +271,7 @@ def summarize_unit(unit) -> UnitSummary:
         referenced=_names(referenced), defined=_names(defined), esope_statements=commands,
         definitions=tuple(definitions), segments_in_scope=scope, calls=tuple(calls),
         events=tuple(events),
-        default_pointers=_names(used.intersection(scope) - pointers.keys()),
+        default_pointers=_names((used | referenced).intersection(scope) - pointers.keys()),
     )
 
 
@@ -327,29 +328,6 @@ def register_segment(model: ProjectModel, seg: SegmentDefinition) -> None:
         raise MigrationError(f"segment {seg.name!r} defined twice")
     model.segments[seg.name] = seg
     model._modules = None
-
-
-def segment_for_field(
-    model: ProjectModel, field_name: str, unit_scope: Sequence[str]
-) -> Optional[SegmentDefinition]:
-    """Find the unique in-scope segment owning ``field_name``.
-
-    Two in-scope owners make the default-pointer rewrite unsound, so that
-    case is a hard error rather than a pick-one.
-    """
-    owners = [
-        model.segments[s]
-        for s in unit_scope
-        if s in model.segments and field_name in model.segments[s].field_names()
-    ]
-    if not owners:
-        return None
-    if len(owners) > 1:
-        names = ", ".join(sorted(o.name for o in owners))
-        raise MigrationError(
-            f"field {field_name!r} is owned by several in-scope segments: {names}"
-        )
-    return owners[0]
 
 
 def dump_model(model: ProjectModel) -> str:

@@ -1,7 +1,9 @@
 """Per-unit rewriting: statement catalog plus module wrapping.
 
 Every source statement maps to free-form statements, a traceability
-comment, or both; nothing is dropped silently.
+comment, or both; nothing is dropped silently.  Where a name gets its type
+and its module is read from the unit's name record
+(:func:`analysis.resolve_names`), never decided here.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from ..errors import MigrationError
 from ..frontend import ast_nodes as A
 from ..frontend.lexer import ExprToken, Token
 from ..model import (ProjectModel, SegmentDefinition, UnitSummary, default_implicit_type,
-                     format_type, segment_for_field)
+                     format_type)
 from .tokens import GapTable, render_tokens
 
 MARK = "[seg-migrate]"
@@ -23,16 +25,14 @@ MARK = "[seg-migrate]"
 
 @dataclass
 class RewriteContext:
-    """A unit's summary plus the facts that need the whole model, each
-    computed once for the unit's rewrite."""
+    """A unit's summary plus its name record, the facts that need the whole
+    model, computed once for the unit's rewrite."""
 
     unit: A.ProgramUnitAst
     model: ProjectModel
     intents: Dict[Tuple[str, int], str]
     summary: UnitSummary
-    scope: List[SegmentDefinition]
-    classification: Dict[str, str]
-    types: List[analysis.TypeAssignment]
+    names: analysis.NameRecord
     gaps: GapTable  # shared by the units of one migrate
     rewritten: int = 0
     removed: int = 0
@@ -40,21 +40,28 @@ class RewriteContext:
 
     def segment_of(self, name: str) -> Optional[SegmentDefinition]:
         seg_name = self.summary.segment_of(name)
-        if seg_name is None:
-            return None
-        if seg_name not in self.model.segments:
-            raise MigrationError(
-                f"pointer {name!r} targets unknown segment {seg_name!r}", self.unit.span
-            )
-        return self.model.segments[seg_name]
+        return None if seg_name is None else self.model.segments[seg_name]
 
     def resolve_field(self, field_name: str) -> str:
-        seg = segment_for_field(self.model, field_name, [s.name for s in self.scope])
-        if seg is None:
+        """The pointer of a bare field: its one in-scope owner's default pointer."""
+        owners = self.names.owners.get(field_name)
+        if not owners:
             raise MigrationError(
                 f"bare field {field_name!r} matches no in-scope segment", self.unit.span
             )
-        return seg.default_pointer
+        # two owners make the default-pointer rewrite unsound
+        if len(owners) > 1:
+            raise MigrationError(
+                f"field {field_name!r} is owned by several in-scope segments: "
+                f"{', '.join(sorted(owners))}"
+            )
+        return self.model.segments[owners[0]].default_pointer
+
+    def intent_of(self, name: str) -> Optional[str]:
+        """The intent of dummy ``name``; None for a name that is no dummy."""
+        if name not in self.unit.params:
+            return None
+        return self.intents.get((self.unit.name, self.unit.params.index(name)), analysis.INOUT)
 
     def render(self, stream: Sequence[ExprToken]) -> str:
         return render_tokens(stream, self.resolve_field, self.gaps)
@@ -66,12 +73,8 @@ def make_context(
     intents: Dict[Tuple[str, int], str],
     gaps: Optional[GapTable] = None,
 ) -> RewriteContext:
-    scope = analysis.segments_in_scope(unit, model)
-    # classification first: its errors were reported before typing errors
-    classification = analysis.classify_external_names(unit, model)
-    types = analysis.infer_implicit_types(unit, model, scope)
-    return RewriteContext(unit, model, intents, model.units[unit.name], scope,
-                          classification, types, {} if gaps is None else gaps)
+    return RewriteContext(unit, model, intents, model.units[unit.name],
+                          analysis.resolve_names(unit, model), {} if gaps is None else gaps)
 
 
 def _stmt(text: str, label: Optional[int]) -> T.TargetNode:
@@ -213,7 +216,6 @@ def _entity_text(ent: A.DeclEntity, ctx: RewriteContext) -> str:
 
 
 def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.OutputNode]:
-    unit = ctx.unit
     base = node.base_type  # None for a `dimension` statement
     out: List[T.OutputNode] = []
     plain: List[Tuple[str, A.DeclEntity]] = []
@@ -225,13 +227,12 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
             out.append(_removed(
                 f"{type_text} {ent.name}", "superseded by pointer declaration"))
             continue
-        if ent.name in unit.params:
-            pos = unit.params.index(ent.name)
-            intent = ctx.intents.get((unit.name, pos), analysis.INOUT)
+        intent = ctx.intent_of(ent.name)
+        if intent is not None:
             out.append(T.declaration(
                 f"{type_text}, intent({intent}) :: {_entity_text(ent, ctx)}"))
             continue
-        if _typed_by_use(ent.name, ctx):
+        if ent.name in ctx.names.typed_by_use:
             out.append(_removed(
                 f"{type_text} {ent.name}", f"type provided by use of {ent.name}_mod"))
             continue
@@ -243,16 +244,6 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
         names = ", ".join(_entity_text(e, ctx) for e in ents)
         out.append(T.declaration(f"{type_text} :: {names}"))
     return out
-
-
-def _typed_by_use(name: str, ctx: RewriteContext) -> bool:
-    """Whether the type of ``name`` comes with the use of its module: it
-    names another project function, not a dummy, which the unit invokes or
-    names EXTERNAL."""
-    return (name in ctx.model.functions() and name != ctx.unit.name
-            and name not in ctx.unit.params
-            and ctx.classification.get(name) in (analysis.RETURN_TYPE_DECL,
-                                                 analysis.EXTERNAL_ROUTINE_DECL))
 
 
 def _guard_prefix(guard: Optional[List[ExprToken]], ctx: RewriteContext) -> str:
@@ -296,39 +287,31 @@ def _is_executable(node: A.Node) -> bool:
 
 
 def _inferred_declarations(ctx: RewriteContext) -> List[T.OutputNode]:
-    unit = ctx.unit
-    todo = [
-        a for a in ctx.types
-        if a.origin == analysis.IMPLICIT_RULE and a.symbol not in ctx.summary.declared
-    ]
-    out: List[T.OutputNode] = []
-    if todo:
-        out.append(T.comment(f"{MARK} declarations inferred from implicit typing"))
-        for a in sorted(todo, key=lambda a: a.symbol):
-            if a.symbol in unit.params:
-                pos = unit.params.index(a.symbol)
-                intent = ctx.intents.get((unit.name, pos), analysis.INOUT)
-                out.append(T.declaration(f"{a.inferred_type}, intent({intent}) :: {a.symbol}"))
-            else:
-                out.append(T.declaration(f"{a.inferred_type} :: {a.symbol}"))
+    if not ctx.names.implicit:
+        return []
+    out: List[T.OutputNode] = [T.comment(f"{MARK} declarations inferred from implicit typing")]
+    for name, type_text in ctx.names.implicit.items():
+        intent = ctx.intent_of(name)
+        attributes = type_text if intent is None else f"{type_text}, intent({intent})"
+        out.append(T.declaration(f"{attributes} :: {name}"))
     return out
 
 
 def compute_unit_uses(ctx: RewriteContext) -> List[str]:
-    """Module imports of one migrated unit, alphabetically."""
+    """Module imports of one migrated unit, alphabetically: one per migrated
+    module defining a symbol the unit needs.  A symbol defined nowhere and
+    not known external is an error."""
     model = ctx.model
     unit = ctx.unit
+    names = ctx.names
     required = set(ctx.summary.referenced)
-    defined = set(ctx.summary.defined)
-    # implicitly typed locals get a generated declaration, so they count;
-    # module functions do not, their type comes with the use
-    defined |= {a.symbol for a in ctx.types if a.origin != analysis.FUNCTION_RETURN}
-    # a function typed here still comes with its module
-    defined -= {name for name in ctx.classification if _typed_by_use(name, ctx)}
-    # segment names and fields resolve through use, not local definitions
-    for seg in ctx.scope:
-        defined.discard(seg.name)
-        defined -= seg.field_names()
+    # implicitly typed locals get a generated declaration, so they count; a
+    # function typed here still comes with its module, and segment names and
+    # fields resolve through use, not local definitions
+    defined = set(ctx.summary.defined).union(names.implicit)
+    defined -= names.typed_by_use
+    defined -= {seg.name for seg in names.scope}
+    defined -= names.owners.keys()
 
     # project-internal routines resolve through use, not interfaces
     external_ok = set(model.intent_catalog)
@@ -341,12 +324,15 @@ def compute_unit_uses(ctx: RewriteContext) -> List[str]:
         if edge.external:
             external_ok.add(edge.callee)
 
-    module_of = model.modules_seen_from(unit.name, required - defined)
-    uses = set(analysis.compute_uses(required, defined, module_of, external_ok))
+    missing = required - defined
+    module_of = model.modules_seen_from(unit.name, missing)
+    unknown = sorted(missing - module_of.keys() - external_ok - A.INTRINSIC_FUNCTIONS)
+    if unknown:
+        raise MigrationError(f"required symbol {unknown[0]!r} is defined by no module")
+    uses = set(module_of.values())
     uses.update(f"{seg_name}_mod" for seg_name in ctx.summary.pointers.values())
-    for seg in ctx.scope:
-        if seg.name in required or not seg.field_names().isdisjoint(required):
-            uses.add(f"{seg.name}_mod")
+    uses.update(f"{seg.name}_mod" for seg in names.scope
+                if seg.name in required or any(f.name in required for f in seg.fields))
     return sorted(uses)
 
 

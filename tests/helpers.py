@@ -1473,3 +1473,157 @@ def _oracle_decl_entities(raw, span):
                          for p in _live_split_top_commas(inner))
         entities.append(_A.DeclEntity(name=name, dims=dims))
     return entities
+
+
+# --- the frozen name resolution ---------------------------------------------
+#
+# The helpers that decided, each on its own, where a unit's names get their
+# type and module, as they stood before one name record per unit held those
+# facts: the typing pass, the classification of typed names, the module
+# imports of a unit and the owner of a bare field.  They read the live unit
+# summary and project model.  ``frozen_name_resolution`` gives what the
+# rewrite read of them, or the first error they raised.
+
+_F_DECLARED = "declared"
+_F_IMPLICIT_RULE = "implicit-rule"
+_F_POINTEUR_DECL = "pointeur-decl"
+_F_FUNCTION_RETURN = "function-return"
+_F_EXTERNAL_ROUTINE_DECL = "externalRoutineDecl"
+_F_RETURN_TYPE_DECL = "returnTypeDecl"
+_F_PLAIN_VARIABLE_DECL = "plainVariableDecl"
+
+
+def frozen_infer_implicit_types(unit, model, scope) -> List[Tuple[str, str, str]]:
+    """(symbol, type, origin) of every referenced symbol of the unit."""
+    called = {e.callee for e in model.calls_from(unit.name)}
+    functions = model.functions()
+    summary = model.units[unit.name]
+    pointers, declared, table = summary.pointers, summary.declared, summary.implicit_table
+
+    referenced = set(summary.referenced).union(unit.params)
+    segment_names = {seg.name for seg in scope}
+    field_owner: Dict[str, str] = {}
+    for seg in scope:
+        for f in seg.fields:
+            field_owner.setdefault(f.name, seg.name)
+
+    out: List[Tuple[str, str, str]] = []
+    for sym in sorted(referenced):
+        if sym == unit.name:
+            continue
+        if sym in called:
+            if sym in declared and declared[sym]:
+                raise _MigrationError(
+                    f"symbol {sym!r} used as both variable and called routine in {unit.name}"
+                )
+            continue
+        if sym in pointers:
+            out.append((sym, declared[sym], _F_POINTEUR_DECL))
+        elif sym in declared and declared[sym]:
+            out.append((sym, declared[sym], _F_DECLARED))
+        elif sym in declared:
+            out.append((sym, table[sym[0]], _F_IMPLICIT_RULE))
+        elif sym in functions:
+            rt = functions[sym].return_type or table[sym[0]]
+            out.append((sym, rt, _F_FUNCTION_RETURN))
+        elif sym in segment_names or sym in field_owner:
+            continue
+        else:
+            out.append((sym, table[sym[0]], _F_IMPLICIT_RULE))
+    return out
+
+
+def frozen_classify_external_names(unit, model) -> Dict[str, str]:
+    summary = model.units[unit.name]
+    out = dict.fromkeys(summary.external, _F_EXTERNAL_ROUTINE_DECL)
+    for name in summary.typed:
+        if name in out:
+            continue
+        invoked = name in summary.invoked
+        calls_like = invoked and name not in summary.arrays
+        is_function = calls_like or name in model.functions() or name in model.intent_catalog
+        if is_function and name in summary.assigned:
+            raise _MigrationError(f"name {name!r} is both assigned and invoked in {unit.name}")
+        out[name] = _F_RETURN_TYPE_DECL if is_function and invoked else _F_PLAIN_VARIABLE_DECL
+    return out
+
+
+def _frozen_typed_by_use(name, unit, model, classification) -> bool:
+    return (name in model.functions() and name != unit.name and name not in unit.params
+            and classification.get(name) in (_F_RETURN_TYPE_DECL, _F_EXTERNAL_ROUTINE_DECL))
+
+
+def _frozen_compute_uses(required, defined, module_of, external_ok) -> List[str]:
+    modules: Set[str] = set()
+    for sym in sorted(required - defined):
+        if sym in module_of:
+            modules.add(module_of[sym])
+        elif sym in external_ok or sym in _A.INTRINSIC_FUNCTIONS:
+            continue
+        else:
+            raise _MigrationError(f"required symbol {sym!r} is defined by no module")
+    return sorted(modules)
+
+
+def frozen_compute_unit_uses(unit, model, scope, classification, types) -> List[str]:
+    summary = model.units[unit.name]
+    required = set(summary.referenced)
+    defined = set(summary.defined)
+    defined |= {sym for sym, _, origin in types if origin != _F_FUNCTION_RETURN}
+    defined -= {name for name in classification
+                if _frozen_typed_by_use(name, unit, model, classification)}
+    for seg in scope:
+        defined.discard(seg.name)
+        defined -= seg.field_names()
+    external_ok = set(model.intent_catalog)
+    for name in summary.external:
+        if name in model.units:
+            defined.discard(name)
+        else:
+            external_ok.add(name)
+    for edge in model.calls_from(unit.name):
+        if edge.external:
+            external_ok.add(edge.callee)
+    module_of = model.modules_seen_from(unit.name, required - defined)
+    uses = set(_frozen_compute_uses(required, defined, module_of, external_ok))
+    uses.update(f"{seg_name}_mod" for seg_name in summary.pointers.values())
+    for seg in scope:
+        if seg.name in required or not seg.field_names().isdisjoint(required):
+            uses.add(f"{seg.name}_mod")
+    return sorted(uses)
+
+
+def frozen_segment_for_field(model, field_name, unit_scope):
+    """The unique in-scope segment owning ``field_name``, or None."""
+    owners = [
+        model.segments[s]
+        for s in unit_scope
+        if s in model.segments and field_name in model.segments[s].field_names()
+    ]
+    if not owners:
+        return None
+    if len(owners) > 1:
+        names = ", ".join(sorted(o.name for o in owners))
+        raise _MigrationError(
+            f"field {field_name!r} is owned by several in-scope segments: {names}"
+        )
+    return owners[0]
+
+
+def frozen_name_resolution(unit, model):
+    """The inferred declarations (symbol, type), the names typed by use and
+    the module imports of ``unit``, or ``("error", message)`` of the first
+    error the frozen helpers raised, in the order the rewrite called them."""
+    summary = model.units[unit.name]
+    scope = [model.segments[n] for n in summary.segments_in_scope if n in model.segments]
+    try:
+        classification = frozen_classify_external_names(unit, model)
+        types = frozen_infer_implicit_types(unit, model, scope)
+        uses = frozen_compute_unit_uses(unit, model, scope, classification, types)
+    except _MigrationError as exc:
+        return ("error", str(exc))
+    declarations = [(sym, t) for sym, t, origin in types
+                    if origin == _F_IMPLICIT_RULE and sym not in summary.declared]
+    typed_by_use = {name for name in classification
+                    if _frozen_typed_by_use(name, unit, model, classification)}
+    return (declarations, typed_by_use, uses)

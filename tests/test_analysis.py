@@ -1,14 +1,14 @@
-"""Typing, external-name classification, and intent inference tests."""
+"""Name records, statement records, unit summaries and intent inference tests."""
 
 import random
 import string
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from segmigrate import analysis
 from segmigrate.analysis import (
@@ -16,12 +16,9 @@ from segmigrate.analysis import (
     INOUT,
     OUT,
     RoutineSpec,
-    classify_external_names,
-    compute_uses,
-    infer_implicit_types,
     infer_intents,
     load_intent_catalog,
-    segments_in_scope,
+    resolve_names,
     solve_intents,
 )
 from segmigrate.cli import RunConfig, discover_sources, load_units
@@ -30,7 +27,7 @@ from segmigrate.frontend import ast_nodes as A
 from segmigrate.frontend.lexer import read_source, split_logical_lines
 from segmigrate.frontend.parser import parse_source
 from segmigrate.model import build_project_model, default_implicit_type
-from segmigrate.transform import migrate_project
+from segmigrate.transform import compute_unit_uses, make_context, migrate_project
 
 from helpers import (
     BOOKSTORE,
@@ -40,6 +37,8 @@ from helpers import (
     frozen_default_pointer_uses,
     frozen_esope_touch,
     frozen_invoked_names,
+    frozen_name_resolution,
+    frozen_segment_for_field,
     frozen_statement_reference_names,
     frozen_unit_events,
     frozen_unit_summary,
@@ -104,15 +103,12 @@ def test_every_referenced_symbol_typed_exactly_once():
         "      END\n"
     )
     units, model = project(src)
-    out = infer_implicit_types(units[0], model, segments_in_scope(units[0], model))
-    symbols = [a.symbol for a in out]
-    assert len(symbols) == len(set(symbols))
-    assert set(symbols) == {"a", "k", "b", "z"}
-    by_symbol = {a.symbol: a for a in out}
-    assert by_symbol["a"].inferred_type == "real"
-    assert by_symbol["k"].inferred_type == "integer"
-    assert by_symbol["b"].origin == analysis.IMPLICIT_RULE
-    assert by_symbol["z"].inferred_type == "real"
+    declared = model.units["s"].declared
+    implicit = resolve_names(units[0], model).implicit
+    # a declaration types a and b (b by the rule, in its DIMENSION
+    # statement); the rewrite declares k and z
+    assert declared == {"a": "real", "b": ""}
+    assert implicit == {"k": "integer", "z": "real"}
 
 
 def test_variable_also_called_is_an_error():
@@ -124,30 +120,28 @@ def test_variable_also_called_is_an_error():
         "      END\n"
     )
     units, model = project(src)
-    with pytest.raises(MigrationError) as err:
-        infer_implicit_types(units[0], model, segments_in_scope(units[0], model))
-    assert "foo" in str(err.value)
+    with pytest.raises(MigrationError, match="'foo' used as both variable and called routine"):
+        resolve_names(units[0], model)
 
 
-# --- external-name classification -------------------------------------------
+# --- names typed by the use of their module ---------------------------------
 
 
 def test_classification_of_typed_names():
+    # project functions named EXTERNAL or typed and invoked here are typed by
+    # their module; a typed project function only read here is not
     src = (
         "      SUBROUTINE S(X)\n"
         "      EXTERNAL HELPER\n"
         "      INTEGER FN\n"
         "      REAL ARR(5)\n"
         "      INTEGER PLAIN\n"
-        "      PLAIN = FN(X) + ARR(1)\n"
+        "      X = FN(X) + ARR(1) + PLAIN\n"
         "      END\n"
-    )
+    ) + "".join(f"      FUNCTION {name}(K)\n      {name} = K\n      END\n"
+                for name in ("HELPER", "FN", "PLAIN"))
     units, model = project(src)
-    out = classify_external_names(units[0], model)
-    assert out["helper"] == analysis.EXTERNAL_ROUTINE_DECL
-    assert out["fn"] == analysis.RETURN_TYPE_DECL
-    assert out["arr"] == analysis.PLAIN_VARIABLE_DECL
-    assert out["plain"] == analysis.PLAIN_VARIABLE_DECL
+    assert resolve_names(units[0], model).typed_by_use == {"helper", "fn"}
 
 
 def test_assigned_and_invoked_is_an_error():
@@ -159,8 +153,8 @@ def test_assigned_and_invoked_is_an_error():
         "      END\n"
     )
     units, model = project(src)
-    with pytest.raises(MigrationError):
-        classify_external_names(units[0], model)
+    with pytest.raises(MigrationError, match="'fn' is both assigned and invoked"):
+        resolve_names(units[0], model)
 
 
 # --- intent inference -------------------------------------------------------
@@ -333,17 +327,20 @@ def test_solver_work_is_linear_on_a_forwarding_chain(monkeypatch):
 def agrees_with_frozen_walkers(units, model):
     """Each statement's record, each unit's default pointers and the events
     the intent pass hands the solver against the walkers that read the
-    streams again."""
+    streams again.  A default pointer is also an in-scope segment name the
+    unit references bare, which the frozen walkers did not count."""
     for unit in units:
-        scope = {seg.name for seg in segments_in_scope(unit, model)}
+        scope = set(model.units[unit.name].segments_in_scope)
         pointers = model.units[unit.name].pointers
         used = set()
         for node in unit.body:
-            assert set(node.facts.names) == frozen_statement_reference_names(node), node
+            names = frozen_statement_reference_names(node)
+            assert set(node.facts.names) == names, node
             one = SimpleNamespace(body=[node])
             assert set(node.facts.invoked) == frozen_invoked_names(one), node
             assert node.facts.esope == frozen_esope_touch(node), node
             used.update(frozen_default_pointer_uses(node, scope, pointers))
+            used.update(names.intersection(scope).difference(pointers))
         assert model.units[unit.name].default_pointers == tuple(sorted(used)), unit.name
     with mock.patch.object(analysis, "solve_intents", wraps=analysis.solve_intents) as solve:
         infer_intents(model)
@@ -379,7 +376,7 @@ def test_statement_records_agree_with_frozen_walkers_by_hand():
     agrees_with_frozen_walkers(units, model)
     common, dotted, to_field, result, guarded, read, do = units[0].body[:7]
     assert "blk" not in common.facts.names and "x" in common.facts.names
-    assert dotted.facts.invoked == () and dotted.facts.pointers == ("p",)  # not k
+    assert dotted.facts.invoked == () and dotted.facts.names == ("k", "p", "x")  # not k
     assert to_field.facts.invoked == () and to_field.facts.events[-1] == ("r", "p")
     assert result.facts.events[-1] == ("w", "f")
     assert ("w", "f") not in model.units["f"].events
@@ -554,16 +551,137 @@ def test_units_with_equal_implicit_rules_share_one_table():
     assert tables[0]["x"] == "integer" and tables[3]["x"] == "real"
 
 
+# --- the name record against the frozen helpers ------------------------------
+
+# Names of the random programs below: dummies, locals, project routines,
+# externals, a program, segments and their fields.
+_RNAME = st.sampled_from(["a", "k", "x", "p0", "p1", "fn", "g", "sub", "helper", "logmsg",
+                          "main", "rec", "node", "val", "next", "w", "ptr"])
+_RSTATEMENT = st.one_of(
+    st.builds("INTEGER {}".format, st.lists(_RNAME, min_size=1, max_size=3, unique=True).map(
+        ", ".join)),
+    st.builds("REAL {}(3)".format, _RNAME),
+    st.builds("DIMENSION {}(2)".format, _RNAME),
+    st.builds("EXTERNAL {}".format, _RNAME),
+    st.builds("POINTEUR PTR.{}".format, st.sampled_from(["REC", "NODE", "GHOST"])),
+    st.sampled_from(["IMPLICIT INTEGER (A-H)", "IMPLICIT REAL (K-M), LOGICAL (V-W)"]),
+    st.builds("{} = {}".format, st.one_of(_RNAME, st.just("PTR.VAL")), st.one_of(
+        _RNAME, st.builds("{}(X)".format, _RNAME), st.just("PTR.VAL + FN(K)"))),
+    st.builds("CALL {}({})".format, _RNAME, st.one_of(st.just(""), _RNAME)),
+)
+# a project function or a catalog routine typed, named EXTERNAL, invoked or assigned
+_RFUNCTION_USE = st.sampled_from(["INTEGER FN", "REAL G", "EXTERNAL G", "X = FN(K) + G(X)",
+                                  "FN = 2", "INTEGER LOGMSG", "LOGMSG = 1", "A = LOGMSG(X)"])
+_RFIELDS = {"rec": ["val", "next", "w"], "node": ["next", "v", "w"]}
+
+
+@st.composite
+def _resolution_program(draw):
+    """A program whose last unit sees some of its segments in any order, and
+    whose two functions and last unit hold random statements; a function
+    may be a dummy of the last unit."""
+    segments = draw(st.lists(st.sampled_from(sorted(_RFIELDS)), unique=True, max_size=2))
+    lines = ["      SUBROUTINE HOLD"]
+    for seg in segments:
+        fields = draw(st.lists(st.sampled_from(_RFIELDS[seg]), min_size=1, unique=True))
+        lines += [f"      SEGMENT, {seg}"] + [f"        INTEGER {f}" for f in fields]
+        lines.append("      END SEGMENT")
+    lines.append("      END")
+    heads = draw(st.lists(st.sampled_from(["SUBROUTINE SUB(A)", "PROGRAM MAIN"]), unique=True))
+    last = draw(st.sampled_from(["SUBROUTINE S(P0, P1)", "SUBROUTINE S(P0, G)"]))
+    for head in ["INTEGER FUNCTION FN(K)", "FUNCTION G(X)", *heads, last]:
+        lines.append(f"      {head}")
+        if "SUB(" not in head and "MAIN" not in head:
+            statements = st.one_of(_RSTATEMENT, _RFUNCTION_USE)
+            lines += [f"      {t}" for t in draw(st.lists(statements, max_size=10))]
+        lines.append("      END")
+    scope = draw(st.lists(st.sampled_from(segments), unique=True)) if segments else []
+    catalog = draw(st.lists(st.sampled_from(["logmsg", "helper", "x"]), unique=True))
+    return "\n".join(lines) + "\n", scope, catalog
+
+
+def _live_resolution(unit, model):
+    try:
+        ctx = make_context(unit, model, {})
+        return (list(ctx.names.implicit.items()), set(ctx.names.typed_by_use),
+                compute_unit_uses(ctx))
+    except MigrationError as exc:
+        return ("error", str(exc))
+
+
+def _unknown_segment(unit, model, frozen):
+    """The error a POINTEUR to a segment the project never defines now is,
+    after the record's two other errors: the frozen helpers wrote a `use` of
+    its missing module.  None when the case does not apply."""
+    summary = model.units[unit.name]
+    ghosts = sorted((p, seg) for p, seg in summary.pointers.items() if seg not in model.segments)
+    if not ghosts or (frozen[0] == "error" and "is defined by no module" not in frozen[1]):
+        return None
+    return ("error", f"{summary.span.label()}: pointer {ghosts[0][0]!r} targets unknown "
+                     f"segment {ghosts[0][1]!r}")
+
+
+def _bare_field(ctx, name):
+    try:
+        return ctx.resolve_field(name)
+    except MigrationError as exc:
+        return str(exc)
+
+
+def _frozen_bare_field(model, unit, name):
+    scope = model.units[unit.name].segments_in_scope
+    try:
+        seg = frozen_segment_for_field(model, name, scope)
+    except MigrationError as exc:
+        return str(exc)
+    if seg is None:
+        return f"{unit.span.label()}: bare field {name!r} matches no in-scope segment"
+    return seg.default_pointer
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resolution_program())
+@example(("      SUBROUTINE S(X)\n      POINTEUR P.GHOST\n      X = 1\n      END\n", [], []))
+# a field declared here is still imported from the first segment of the
+# project that owns it, even one out of scope
+@example(("      SUBROUTINE HOLD\n      SEGMENT, REC\n        INTEGER W\n      END SEGMENT\n"
+          "      SEGMENT, NODE\n        INTEGER W\n      END SEGMENT\n      END\n"
+          "      SUBROUTINE S(X)\n      INTEGER W\n      X = W\n      END\n", ["node"], []))
+def test_name_record_agrees_with_frozen_helpers(program):
+    src, scope, catalog = program
+    units = parse_source(src, "r.f")
+    units[-1] = replace(units[-1], extra_segments_in_scope=list(scope))
+    model = build_project_model(units)
+    model.intent_catalog = dict.fromkeys(catalog, ["in"])
+    for unit in units:
+        frozen, live = frozen_name_resolution(unit, model), _live_resolution(unit, model)
+        changed = _unknown_segment(unit, model, frozen)
+        assert live == (frozen if changed is None else changed), (unit.name, src)
+        if live[0] != "error":
+            ctx = make_context(unit, model, {})
+            for name in ("val", "next", "v", "w", "x"):
+                assert _bare_field(ctx, name) == _frozen_bare_field(model, unit, name), name
+
+
 # --- module imports and catalog ---------------------------------------------
 
 
 def test_compute_uses_sorted_and_checked():
-    module_of = {"foo": "foo_mod", "bar": "bar_mod"}
-    uses = compute_uses({"foo", "bar", "x"}, {"x"}, module_of, set())
-    assert uses == ["bar_mod", "foo_mod"]
-    with pytest.raises(MigrationError):
-        compute_uses({"ghost"}, set(), module_of, set())
-    assert compute_uses({"ghost"}, set(), module_of, {"ghost"}) == []
+    src = (
+        "      SUBROUTINE S(X)\n"
+        "      CALL FOO(X)\n      CALL BAR(X)\n      CALL GHOST(X)\n"
+        "      END\n"
+        "      SUBROUTINE FOO(X)\n      END\n"
+        "      SUBROUTINE BAR(X)\n      END\n"
+        # a program has no module to use
+        "      SUBROUTINE T(X)\n      EXTERNAL MAIN\n      CALL GHOST(MAIN)\n      END\n"
+        "      PROGRAM MAIN\n      END\n"
+    )
+    units, model = project(src)
+    # the external ghost needs none
+    assert compute_unit_uses(make_context(units[0], model, {})) == ["bar_mod", "foo_mod"]
+    with pytest.raises(MigrationError, match="'main' is defined by no module"):
+        compute_unit_uses(make_context(units[3], model, {}))
 
 
 def test_load_intent_catalog():

@@ -428,7 +428,9 @@ def test_malformed_implicit_letter_range_is_an_error():
 
 @pytest.mark.parametrize("text", [
     "IMPLICIT INTEGER (A-H), BOGUS (X)", "IMPLICIT INTEGER (A-H) JUNK", "IMPLICIT INTEGER (1)",
-    "IMPLICIT INTEGER (A-H),", "IMPLICIT INTEGER (A-H) REAL (O-Z)"])
+    "IMPLICIT INTEGER (A-H),", "IMPLICIT INTEGER (A-H) REAL (O-Z)",
+    # a range's first letter must come before its second (ANSI X3.9-1978 8.5)
+    "IMPLICIT INTEGER (Z-A)", "IMPLICIT INTEGER (A-H, Q-P)"])
 def test_implicit_text_that_no_rule_covers_is_an_error_at_its_statement(text):
     with pytest.raises(MigrationError, match="unparseable implicit statement") as caught:
         parse_source(f"      SUBROUTINE S(X)\n      {text}\n      END\n", "s.f")

@@ -24,8 +24,10 @@ def tree_bytes(root: Path):
 
 @pytest.mark.parametrize(
     "src, extra",
-    [(BOOKSTORE, ["--intent-catalog", str(BOOKSTORE_INTENTS)]), (PLAIN77, [])],
-    ids=["bookstore", "plain77"],
+    [(BOOKSTORE, ["--intent-catalog", str(BOOKSTORE_INTENTS)]), (PLAIN77, []),
+     # a default pointer used bare, with no dotted access, is declared
+     (FIXTURES / "handles", [])],
+    ids=["bookstore", "plain77", "handles"],
 )
 def test_migrated_tree_matches_golden(tmp_path, capsys, src, extra):
     out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Project model construction and queries."""
 
+from dataclasses import replace
+
 import pytest
 
 from segmigrate.errors import MigrationError
@@ -10,8 +12,8 @@ from segmigrate.model import (
     build_project_model,
     dump_model,
     register_segment,
-    segment_for_field,
 )
+from segmigrate.transform import make_context
 
 PROJECT = """\
       SUBROUTINE ALPHA(X, Y)
@@ -77,20 +79,32 @@ def make_segment(name, fields):
     return SegmentDefinition(name, [FieldDef(f, "integer") for f in fields], [])
 
 
+def beta_seeing(model, scope):
+    """The rewrite context of unit beta with segments ``scope`` in scope."""
+    model.units["beta"] = replace(model.units["beta"], segments_in_scope=scope)
+    beta = next(u for u in parse_source(PROJECT, "proj.f") if u.name == "beta")
+    return make_context(beta, model, {})
+
+
 def test_segment_for_field_resolution():
     model = build()
     register_segment(model, make_segment("other", ["weight"]))
-    assert segment_for_field(model, "val", ["rec", "other"]).name == "rec"
-    assert segment_for_field(model, "nowhere", ["rec", "other"]) is None
+    ctx = beta_seeing(model, ["rec", "other"])
+    assert ctx.names.owners == {"val": ("rec",), "weight": ("other",)}
+    assert ctx.resolve_field("val") == "rec"
+    with pytest.raises(MigrationError, match="bare field 'nowhere' matches no in-scope segment"):
+        ctx.resolve_field("nowhere")
 
 
 def test_segment_for_field_ambiguity_is_an_error():
     model = build()
     register_segment(model, make_segment("a1", ["shared"]))
     register_segment(model, make_segment("a2", ["shared"]))
-    with pytest.raises(MigrationError) as err:
-        segment_for_field(model, "shared", ["a1", "a2"])
-    assert "a1" in str(err.value) and "a2" in str(err.value)
+    ctx = beta_seeing(model, ["a2", "a1"])
+    assert ctx.names.owners == {"shared": ("a2", "a1")}
+    with pytest.raises(MigrationError,
+                       match="'shared' is owned by several in-scope segments: a1, a2"):
+        ctx.resolve_field("shared")
 
 
 def test_module_of_a_symbol_depends_on_who_asks():

@@ -199,6 +199,14 @@ def test_unknown_command_target_is_an_error():
         rewrite_statement(units[0].body[0], ctx)
 
 
+def test_a_pointer_to_a_segment_the_project_never_defines_is_an_error_at_the_unit():
+    # no ghost_mod is written, so `use ghost_mod` would not compile
+    src = "      SUBROUTINE S(X)\n      POINTEUR P.GHOST\n      X = 1\n      END\n"
+    units, model, intents = setup_unit(src, "s.f")
+    assert migrate_project(units, model, intents).errors == [
+        "s.f:1:1: pointer 'p' targets unknown segment 'ghost'"]
+
+
 def test_implicit_statement_removed_and_replaced():
     src = (
         "      SUBROUTINE S(K)\n"
