@@ -199,13 +199,14 @@ def _callee_intent(callee, cpos, table, routines, catalog) -> str:
 
 
 def infer_intents(model: ProjectModel) -> IntentTable:
-    """Intent table for every routine of the project, from the unit
-    summaries alone.  A SEGINI or SEGADJ reads the dimensioning variables of
-    its segment: the generated call passes them to intent(in) dummies."""
+    """Intent table for every routine of the project, from the model alone:
+    the unit summaries and their events.  A SEGINI or SEGADJ reads the
+    dimensioning variables of its segment: the generated call passes them
+    to intent(in) dummies."""
     routines = {}
     for name, summary in model.units.items():
         if summary.kind in ("subroutine", "function"):
-            events = summary.events
+            events = model.events[name]
             if any(ev[0] == SIZED for ev in events):
                 events = [read for ev in events for read in _sized_reads(ev, summary, model)]
             routines[name] = RoutineSpec(params=list(summary.parameters), events=events)

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import stat
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import analysis
-from .emit import RenderConfig, TempWarmup, write_tree
+from .emit import RenderConfig, StagedTree, WriteReport, write_tree
 from .errors import ConfigError, MigrationError, MigrationErrors
 from .frontend import ast_nodes as A
 from .frontend.includes import build_fragment_cache, resolve_includes
@@ -127,8 +129,36 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # --- pipeline ---------------------------------------------------------------
 
 
-def discover_sources(src: Path) -> List[Path]:
-    return [p for p in sorted(src.rglob("*")) if p.is_file() and p.suffix in UNIT_EXTENSIONS]
+def discover_sources(src: Path) -> Dict[Path, int]:
+    """Each unit source under ``src``, in path order, with its size in
+    bytes, from one walk with one ``stat`` a source.  A symlink to a file
+    counts and a symlinked directory is not entered; hidden files and
+    directories count."""
+    found: List[Tuple[Tuple[str, ...], Path, int]] = []
+    pending: List[Tuple[Path, Tuple[str, ...]]] = [(src, ())]
+    while pending:
+        directory, parts = pending.pop()
+        try:
+            with os.scandir(directory) as it:
+                entries = list(it)
+        except OSError:
+            continue  # an unreadable directory holds no source
+        for entry in entries:
+            name = entry.name
+            if entry.is_dir(follow_symlinks=False):
+                pending.append((directory / name, (*parts, name)))
+                continue
+            dot = name.rfind(".")
+            if dot <= 0 or name[dot:] not in UNIT_EXTENSIONS:
+                continue
+            try:
+                info = entry.stat()
+            except OSError:
+                continue  # a dangling symlink
+            if stat.S_ISREG(info.st_mode):
+                found.append(((*parts, name), directory / name, info.st_size))
+    found.sort(key=lambda source: source[0])  # by components, as paths sort
+    return {path: size for _, path, size in found}
 
 
 def usable_cpus() -> int:
@@ -139,39 +169,36 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def split_sources(sources: List[Path], count: int) -> List[List[Path]]:
-    """``sources`` cut into at most ``count`` contiguous, non-empty ranges of
-    about equal bytes."""
-    count = min(count, len(sources))
+def split_sources(sources: Dict[Path, int], count: int) -> List[List[Path]]:
+    """The paths of ``sources`` (path -> size in bytes, in order) cut into
+    at most ``count`` contiguous, non-empty ranges of about equal bytes."""
+    paths = list(sources)
+    count = min(count, len(paths))
     if count <= 1:
-        return [sources]
-    sizes = []
-    for path in sources:
-        try:
-            sizes.append(path.stat().st_size)
-        except OSError:
-            sizes.append(0)  # reading it fails later, with a diagnostic
+        return [paths]
+    sizes = list(sources.values())
     total, done, start = sum(sizes), 0, 0
     ranges: List[List[Path]] = []
     for i, size in enumerate(sizes):
         done += size
         later = count - len(ranges) - 1  # ranges still to start after this one
-        rest = len(sources) - i - 1
+        rest = len(paths) - i - 1
         # cut here if this lands nearer the end of the k-th range, k/count of
         # the bytes, than cutting after the next file would
         k = len(ranges) + 1
         nearer = (2 * done + (sizes[i + 1] if rest else 0)) * count >= 2 * total * k
         if later and rest >= later and (rest == later or nearer):
-            ranges.append(sources[start:i + 1])
+            ranges.append(paths[start:i + 1])
             start = i + 1
-    ranges.append(sources[start:])
+    ranges.append(paths[start:])
     return ranges
 
 
 class RangeFront(NamedTuple):
     """What the front end found in one range of the sources, as plain data."""
 
-    summaries: List[UnitSummary]  # of its units, in order
+    summaries: List[UnitSummary]  # of its units, in order, each without its events
+    events: List[Tuple[Tuple, ...]]  # the events of each summary, beside it
     # include path -> its segment definitions and nested include paths
     fragments: Dict[str, Tuple[List[SegmentDefinition], List[str]]]
     include_edges: List[Tuple[str, str]]  # (unit, include path), in unit order
@@ -179,7 +206,7 @@ class RangeFront(NamedTuple):
 
 
 def read_range(
-    cfg: RunConfig, paths: Sequence[Path],
+    cfg: RunConfig, paths: Collection[Path],
 ) -> Tuple[List[A.ProgramUnitAst], RangeFront]:
     """Lex and parse ``paths``, resolve the includes of their units and
     summarize them.  The sources and the files they include share one
@@ -215,11 +242,13 @@ def read_range(
         errors += ((e.span.file_id, e.span.start_line, str(e)) if e.span else ("", 0, str(e))
                    for e in exc.errors)
     if errors:
-        return [], RangeFront([], {}, edges, errors)
+        return [], RangeFront([], [], {}, edges, errors)
     fragments = {path: (frag.segments, [node.directive.path for node in frag.includes])
                  for path, frag in cache.items()}
     units = [resolve_includes(u, cache) for u in raw_units]
-    return units, RangeFront([summarize_unit(u) for u in units], fragments, edges, [])
+    events: List[Tuple[Tuple, ...]] = []
+    summaries = [summarize_unit(u, events) for u in units]
+    return units, RangeFront(summaries, events, fragments, edges, [])
 
 
 def merge_ranges(cfg: RunConfig, fronts: Sequence[RangeFront]) -> ProjectModel:
@@ -239,6 +268,8 @@ def merge_ranges(cfg: RunConfig, fronts: Sequence[RangeFront]) -> ProjectModel:
         [s for front in fronts for s in front.summaries],
         [s for path in sorted(fragments) for s in fragments[path][0]],
     )
+    model.events = {s.name: events for front in fronts
+                    for s, events in zip(front.summaries, front.events)}
     model.include_graph = [edge for front in fronts for edge in front.include_edges]
     model.include_graph += [(path, nested) for path in sorted(fragments)
                             for nested in fragments[path][1]]
@@ -250,7 +281,7 @@ def merge_ranges(cfg: RunConfig, fronts: Sequence[RangeFront]) -> ProjectModel:
 
 
 def load_units(
-    cfg: RunConfig, sources: List[Path],
+    cfg: RunConfig, sources: Collection[Path],
 ) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
     """Parse ``sources``, resolve includes, and build the project model, all
     in this process.
@@ -277,17 +308,21 @@ def migrate_range(
 
 
 def migrate_sources(
-    cfg: RunConfig, render_cfg: RenderConfig, sources: List[Path],
-) -> MigrationResult:
-    """Migrate ``sources``, one contiguous range per usable CPU.
+    cfg: RunConfig, render_cfg: RenderConfig, sources: Dict[Path, int], staging: StagedTree,
+) -> Tuple[MigrationResult, WriteReport]:
+    """Migrate ``sources`` (path -> size in bytes), one contiguous range
+    per usable CPU, writing the outputs into ``staging``.
 
     This process takes the first range and forks a worker for each other
     one.  Each process parses its range; the workers send up their unit
-    summaries, fragment segments and include edges.  This process merges
-    them into the project model, solves the intents and sends each worker
-    what it lacks; each process then rewrites and renders its own files, and
-    the workers send up their outputs.  Unit ASTs never leave the process
-    that parsed them.  Every worker is reaped before this returns or raises.
+    summaries and their events beside them, fragment segments and include
+    edges.  This process merges them into the project model, solves the
+    intents and sends each worker what it lacks; each process then
+    rewrites, renders and writes its own files, this one the generated
+    modules too, and the workers send up their file outcomes without text
+    and their write reports.  Unit ASTs and output text never leave the
+    process that made them.  Every worker is reaped before this returns or
+    raises.
     """
     ranges = split_sources(sources, usable_cpus() if hasattr(os, "fork") else 1)
     workers = []
@@ -298,26 +333,22 @@ def migrate_sources(
 
                 for paths in ranges[1:]:
                     workers.append(Worker.start(
-                        lambda pipe, paths=paths: _serve(cfg, render_cfg, paths, pipe), workers))
+                        lambda pipe, paths=paths: _serve(cfg, render_cfg, paths, staging, pipe),
+                        workers))
         except OSError:  # no process to spare: this one takes every range
             for worker in workers:
                 worker.stop()
-            workers, ranges = [], [sources]
+            workers, ranges = [], [list(sources)]
 
         def exchange(units, front):
-            # a worker gets the other ranges' summaries without their events,
-            # which only the intent solve, here, reads.  This range's copies
-            # are made while the workers finish their front ends; a worker's
-            # range goes to the other workers only.
-            thin = [_without_events(front.summaries)]
+            # the summaries hold no events, which only the intent solve, here,
+            # reads; a worker's range goes to the other workers only
             fronts = [front, *(worker.receive() for worker in workers)]
-            if len(workers) > 1:
-                thin += [_without_events(f.summaries) for f in fronts[1:]]
             model = merge_ranges(cfg, fronts)
             segments = list(model.segments.values())
             for i, worker in enumerate(workers, start=1):
-                worker.pipe.send("model", ([s for part in thin[:i] for s in part],
-                                           [s for part in thin[i + 1:] for s in part],
+                worker.pipe.send("model", ([s for f in fronts[:i] for s in f.summaries],
+                                           [s for f in fronts[i + 1:] for s in f.summaries],
                                            segments, model.intent_catalog))
             # the workers build their models while the intents are solved
             intents = analysis.infer_intents(model)
@@ -326,20 +357,28 @@ def migrate_sources(
             return model, intents
 
         result = migrate_range(cfg, render_cfg, ranges[0], exchange, modules=True)
+        staging.wait()
+        report = write_tree(result.outputs, staging.path, cfg.out)
         if not result.conflicts:  # a name clash fails the run before any file counts
             for worker in workers:
-                result.merge(worker.receive())
-        return result
+                files, part = worker.receive()
+                result.merge(files)
+                report.files += part.files
+                report.errors += part.errors
+        # the order of one range: the sources' files, then the modules (every
+        # output name is a file name)
+        rank = {o.name: i for i, o in enumerate(result.files + result.modules)}
+        report.files.sort(key=lambda file: rank[os.path.basename(file[0])])
+        report.errors.sort()
+        return result, report
     finally:
         for worker in workers:
             worker.stop()
 
 
-def _without_events(summaries: Sequence[UnitSummary]) -> List[UnitSummary]:
-    return [replace(s, events=()) for s in summaries]
-
-
-def _serve(cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[Path], parent) -> None:
+def _serve(
+    cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[Path], staging: StagedTree, parent,
+) -> None:
     """The body of a worker, talking to the parent over the pipe ``parent``."""
     import gc
 
@@ -354,28 +393,28 @@ def _serve(cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[Path], pare
         return model, intents
 
     result = migrate_range(cfg, render_cfg, paths, exchange, modules=False)
-    parent.send("files", result.files)
+    report = write_tree(result.outputs, staging.path, cfg.out)
+    parent.send("files", ([o._replace(text=None) for o in result.files], report))
 
 
 def cmd_migrate(cfg: RunConfig) -> int:
+    """Migrate into a staging tree that replaces ``--out`` only once every
+    process has written its files without error."""
     cfg = cfg.validated_for_migrate()
     render_cfg = cfg.render_config()
     sources = discover_sources(cfg.src)
-    # a helper creates the temp files write_tree opens while the ranges are migrated
-    with TempWarmup(cfg.out, (output_name(str(p)) for p in sources)) as warmup:
-        result = migrate_sources(cfg, render_cfg, sources)
-        del sources  # its paths, about 0.5 KB a source, would stay alive through the write
+    with StagedTree(cfg.out, (output_name(str(p)) for p in sources)) as staging:
+        result, report = migrate_sources(cfg, render_cfg, sources, staging)
         if not result.ok:
             sys.stderr.write(result.format_report())
             return 1
-        outputs = result.outputs
-        warmup.wait()
-        report = write_tree(outputs, cfg.out)
-        warmup.consumed(name for name, _ in outputs)
+        if not report.ok:
+            raise MigrationErrors([MigrationError(e) for e in report.errors])
+        staging.commit(o.name for o in result.files + result.modules)
     if cfg.verbose:
         sys.stdout.write(result.format_report())
     sys.stdout.write(report.format())
-    return 0 if report.ok else 1
+    return 0
 
 
 def _require_src(cfg: RunConfig, command: str) -> None:
@@ -410,7 +449,12 @@ def cmd_dump_model(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call: a parser
+    and its actions refer to each other, so each new one would be left to
+    the cyclic collector, and building it at import would slow every
+    import."""
     parser = argparse.ArgumentParser(
         prog="seg-migrate",
         description="Migrate fixed-form Fortran with Esope segments to Fortran 2008.",
@@ -430,8 +474,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
     try:
         cfg = load_config(args)
         if args.command == "migrate":

@@ -1,8 +1,11 @@
-"""Deterministic rendering of target trees into free-form Fortran 2008."""
+"""Deterministic rendering of target trees into free-form Fortran 2008, and
+the output tree: written in place into a staging tree that replaces the
+old one whole."""
 
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -141,81 +144,89 @@ class WriteReport:
         return "\n".join(lines) + "\n"
 
 
-def write_tree(outputs: Sequence[Tuple[str, str]], out_dir: Path) -> WriteReport:
-    """Write rendered files atomically: each goes to ``temp_path(dest)``,
-    opened for writing whether or not it already exists, then is renamed
-    over ``dest``.  Each distinct parent directory is created once.
+def write_tree(
+    outputs: Sequence[Tuple[str, str]], out_dir: Path, shown_dir: Optional[Path] = None,
+) -> WriteReport:
+    """Write rendered files under ``out_dir``, each in place: opened for
+    writing whether or not it already exists.  Each distinct parent
+    directory is created once.  The report names each file, and each
+    failure, by its path under ``shown_dir`` (``out_dir`` by default): the
+    tree the files are meant for, when ``out_dir`` is its staging tree.
 
     A second identical run produces byte-identical files.  Any failure is
-    reported per file, and that file's temp file is removed; callers should
-    exit nonzero when report.ok is false.
+    reported per file, and a file that fails may be left part written; a
+    caller that wants all of the tree or none of it writes into a
+    :class:`StagedTree`, and exits nonzero when report.ok is false.
     """
     report = WriteReport()
     out_dir = Path(out_dir)
+    shown = out_dir if shown_dir is None else Path(shown_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        report.errors.append(f"{out_dir}: {exc}")
+        report.errors.append(f"{shown}: {exc.strerror or exc}")
         return report
     made = {out_dir}
     for rel_path, text in outputs:
         dest = out_dir / rel_path
-        tmp = temp_path(dest)
         try:
             if dest.parent not in made:
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 made.add(dest.parent)
-            tmp.write_text(text, encoding="utf-8", newline="\n")
-            os.replace(tmp, dest)
-            report.files.append((str(dest), text.count("\n")))
+            dest.write_text(text, encoding="utf-8", newline="\n")
+            report.files.append((str(shown / rel_path), text.count("\n")))
         except OSError as exc:
-            report.errors.append(f"{dest}: {exc}")
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+            report.errors.append(f"{shown / rel_path}: {exc.strerror or exc}")
     return report
 
 
-def temp_path(dest: Path) -> Path:
-    """The file write_tree writes before renaming it over ``dest``."""
-    return dest.with_name(dest.name + ".tmp")
+class StagedTree:
+    """The replacement of the directory ``out``, built in its sibling
+    ``<out>.staging`` (so on the same file system) and swapped in whole.
 
+    Entering creates the staging directory, and any missing parent of
+    ``out``, then forks a helper that creates an empty file there for each
+    of ``names`` while the caller goes on parsing: creating an inode costs
+    far more kernel time than opening an existing one, and a
+    single-threaded front end leaves a CPU idle.  It is only a warm-up:
+    writers open the files in place and create any that is missing, so the
+    bytes are the same where ``os.fork`` is missing or fails.  The helper
+    touches nothing but these paths and leaves through ``os._exit``: it
+    never returns into the caller's stack, flushes stdio or runs exit
+    handlers.
 
-class TempWarmup:
-    """Creates ``out_dir`` and an empty temp file for each output name in a
-    forked helper, while the caller goes on parsing.
-
-    Creating an inode costs far more kernel time than opening an existing
-    one, and a single-threaded front end leaves a second CPU idle, so this
-    takes the creations off the critical path.  It is only a warm-up:
-    write_tree writes the same bytes whether or not a temp file exists, so
-    where ``os.fork`` is missing or the helper fails, write_tree creates what
-    is missing itself.  The helper touches nothing but these paths and
-    leaves through ``os._exit``: it never returns into the caller's stack,
-    flushes stdio or runs exit handlers.
-
-    Use it as a context manager around the run; call ``wait`` before
-    write_tree, and ``consumed`` with the names write_tree was given once it
-    returns.  Leaving reaps the helper and removes every temp file write_tree
-    did not consume.  If write_tree never returned, it also removes the
-    directories that did not exist when the run began, if they are empty.
+    The process that entered calls ``wait`` before its own write, and
+    ``commit`` once every write has succeeded.  Leaving reaps the helper;
+    without a commit (an error, an interrupt) it also removes the staging
+    tree and the parents it made, so ``out`` is as it was.  A staging
+    directory that a killed run left behind is removed on entry.
     """
 
-    def __init__(self, out_dir: Path, names: Iterable[str]) -> None:
-        self.out_dir = Path(out_dir)
-        self.pending = set(names)
-        self.new_dirs: List[Path] = []  # deepest first
-        for directory in (self.out_dir, *self.out_dir.parents):
+    def __init__(self, out: Path, names: Iterable[str]) -> None:
+        self.out = Path(os.path.realpath(out))  # a symlink keeps pointing at the new tree
+        self.path = self.out.with_name(self.out.name + ".staging")
+        self.names = set(names)
+        self.made: List[Path] = []  # missing parents of ``out`` it creates, deepest first
+        self.pid: Optional[int] = None
+        self.holder: Optional[str] = None  # a new directory ``commit`` moves the old tree into
+        self.committed = False
+
+    def __enter__(self) -> "StagedTree":
+        if os.path.lexists(self.out) and not self.out.is_dir():
+            raise MigrationError(f"{self.out}: not a directory")
+        for directory in self.out.parents:
             if directory.exists():
                 break
-            self.new_dirs.append(directory)
-        self.pid: Optional[int] = None
-        self.kept = False
-
-    def __enter__(self) -> "TempWarmup":
+            self.made.append(directory)
+        try:
+            os.makedirs(self.out.parent, exist_ok=True)
+            shutil.rmtree(self.path, ignore_errors=True)
+            os.mkdir(self.path)
+        except OSError as exc:
+            self._discard()
+            raise MigrationError(f"{self.path}: {exc.strerror or exc}")
         fork = getattr(os, "fork", None)
-        if fork is None or not self.pending:
+        if fork is None or not self.names:
             return self
         try:
             self.pid = fork()
@@ -224,17 +235,16 @@ class TempWarmup:
         if self.pid == 0:
             code = 1
             try:
-                os.makedirs(self.out_dir, exist_ok=True)
-                for name in self.pending:
-                    tmp = temp_path(self.out_dir / name)
-                    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT, 0o666))
+                staging = str(self.path)
+                for name in self.names:
+                    os.close(os.open(os.path.join(staging, name), os.O_WRONLY | os.O_CREAT, 0o666))
                 code = 0
             finally:
                 os._exit(code)
         return self
 
     def wait(self) -> None:
-        """Reap the helper; its temp files are all made once this returns."""
+        """Reap the helper; its files are all made once this returns."""
         if self.pid is None:
             return
         try:
@@ -243,21 +253,65 @@ class TempWarmup:
             pass  # already reaped
         self.pid = None
 
-    def consumed(self, names: Iterable[str]) -> None:
-        """write_tree has returned after writing (or removing) these temps."""
-        self.pending.difference_update(names)
-        self.kept = True
+    def commit(self, written: Iterable[str]) -> None:
+        """Swap the staging tree in for ``out``.  ``written`` are the names
+        the writers filled; the helper's other files go first.
+
+        Each entry of the old ``out`` that the staging tree lacks is
+        carried over by a hard link, directories recreated with their
+        modes, so the old tree is only read.  Then ``out`` is moved aside
+        and the staging tree renamed to ``out``; leaving removes the old
+        tree.  A failure raises MigrationError, and leaving puts the old
+        tree back.
+        """
+        self.wait()
+        for name in self.names.difference(written):
+            try:
+                os.unlink(os.path.join(self.path, name))
+            except FileNotFoundError:
+                pass  # the helper never made it
+        try:
+            if self.out.is_dir():
+                import tempfile  # only to replace a tree: the import costs every run
+
+                _carry_over(self.out, self.path)
+                shutil.copymode(self.out, self.path)
+                self.holder = tempfile.mkdtemp(prefix=self.out.name + ".old-", dir=self.out.parent)
+                os.rename(self.out, os.path.join(self.holder, self.out.name))
+            os.rename(self.path, self.out)
+        except OSError as exc:
+            raise MigrationError(f"cannot replace {self.out}: {exc}")
+        self.committed = True
+
+    def _discard(self) -> None:
+        shutil.rmtree(self.path, ignore_errors=True)
+        for directory in self.made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
 
     def __exit__(self, *exc_info) -> None:
         self.wait()
-        for name in self.pending:
-            try:
-                os.unlink(temp_path(self.out_dir / name))
-            except OSError:
-                pass  # consumed after all, or never made
-        if not self.kept:
-            for directory in self.new_dirs:
-                try:
-                    directory.rmdir()
-                except OSError:
-                    break
+        if self.holder is not None:
+            if not os.path.lexists(self.out):  # stopped between the two renames
+                os.rename(os.path.join(self.holder, self.out.name), self.out)
+            shutil.rmtree(self.holder, ignore_errors=True)
+        if not self.committed:
+            self._discard()
+
+
+def _carry_over(old: Path, new: Path) -> None:
+    """Hard-link into ``new`` each entry of ``old`` whose name it lacks,
+    recreating each directory with its mode; ``old`` is only read."""
+    with os.scandir(old) as entries:
+        for entry in entries:
+            target = os.path.join(new, entry.name)
+            if os.path.lexists(target):
+                continue  # this run's output
+            if entry.is_dir(follow_symlinks=False):
+                os.mkdir(target)
+                _carry_over(entry.path, target)
+                shutil.copymode(entry.path, target)
+            else:
+                os.link(entry.path, target, follow_symlinks=False)

@@ -7,8 +7,8 @@ that parsed it: ``migrate`` holds every unit until the output tree is
 written.  Each :class:`UnitSummary` is filled in one pass over its unit's
 body, its read/write events and default pointers included; it is plain
 data, so a summary built in one process can be merged into the model of
-another.  The intent pass reads only the summaries, and the rewrite is the
-one other pass over a body.
+another, its events travelling beside it.  The intent pass reads only the
+model, and the rewrite is the one other pass over a body.
 """
 
 from __future__ import annotations
@@ -94,7 +94,9 @@ class UnitSummary:
     definitions: Tuple[SegmentDefinition, ...]  # the segments it defines, in order
     segments_in_scope: List[str]  # its own definitions, then included ones
     calls: Tuple[Tuple[str, int], ...]  # (callee, argument count), in order
-    events: Tuple[Tuple, ...]  # ast_nodes.Event or SIZED, in order; no function result write
+    # ast_nodes.Event or SIZED, in order, no function result write; () when
+    # they were kept beside the summary (see summarize_unit)
+    events: Tuple[Tuple, ...]
     # in-scope segment names with no POINTEUR line, referenced or named by a command
     default_pointers: Names
 
@@ -118,6 +120,10 @@ class ProjectModel:
     call_graph: List[CallEdge] = field(default_factory=list)
     include_graph: List[Tuple[str, str]] = field(default_factory=list)
     intent_catalog: Dict[str, List[str]] = field(default_factory=dict)
+    # unit -> its events, which only the intent solve reads; build_project_model
+    # takes them from the summaries, and a caller that kept them beside the
+    # summaries sets them here
+    events: Dict[str, Tuple[Tuple, ...]] = field(default_factory=dict)
     # project-wide indexes, each built on first use; units and call edges
     # are complete once build_project_model returns, and register_segment
     # drops the module index
@@ -186,6 +192,7 @@ def build_project_model(
             raise MigrationError(f"unit {unit.name!r} defined twice", unit.span)
         summary = unit if isinstance(unit, UnitSummary) else summarize_unit(unit)
         model.units[unit.name] = summary
+        model.events[unit.name] = summary.events
         for seg in summary.definitions:
             register_segment(model, seg)
     for seg in segments:
@@ -204,8 +211,10 @@ def build_project_model(
     return model
 
 
-def summarize_unit(unit) -> UnitSummary:
-    """The summary of ``unit``, from one pass over its body."""
+def summarize_unit(unit, events: Optional[List[Tuple[Tuple, ...]]] = None) -> UnitSummary:
+    """The summary of ``unit``, from one pass over its body.  Given a list
+    ``events``, the unit's events are appended to it and the summary holds
+    none, so that a summary crosses a pipe without them."""
     from .frontend import ast_nodes as A
 
     pointers: Dict[str, str] = {}
@@ -218,7 +227,7 @@ def summarize_unit(unit) -> UnitSummary:
     commands: List[str] = []
     definitions: List[SegmentDefinition] = []
     calls: List[Tuple[str, int]] = []
-    events: List[Tuple] = []
+    own_events: List[Tuple] = []
     for node in unit.body:
         referenced.update(node.facts.names)
         invoked.update(node.facts.invoked)
@@ -249,28 +258,30 @@ def summarize_unit(unit) -> UnitSummary:
             commands.append(node.kind)
             used.update((node.target, node.source))
             if node.kind in (A.SEGINI, A.SEGADJ):
-                events.append((SIZED, node.target))
+                own_events.append((SIZED, node.target))
         elif isinstance(node, A.SegmentDefNode):
             seg = node.definition
             definitions.append(seg)
             defined.add(seg.name)
             defined.update(seg.field_names())
-        events += own
+        own_events += own
     defined.update(pointers, external)
     declared = {**types, **{p: f"type({seg}), pointer" for p, seg in pointers.items()}}
     for name in dims_only:
         declared.setdefault(name, "")  # typed by implicit rule, dimensioned here
     scope = [seg.name for seg in definitions]
     scope += [n for n in unit.extra_segments_in_scope if n not in scope]
+    if events is not None:
+        events.append(tuple(own_events))
     return UnitSummary(
         name=unit.name, kind=unit.kind, parameters=unit.params, file_id=unit.file_id,
         span=unit.span, return_type=unit.return_type, pointers=pointers, declared=declared,
         implicit_table=implicit_table(rules), external=_names(external),
         typed=_names(typed), arrays=_names(arrays), invoked=_names(invoked),
-        assigned=_names({ev[1] for ev in events if ev[0] == "w"}),
+        assigned=_names({ev[1] for ev in own_events if ev[0] == "w"}),
         referenced=_names(referenced), defined=_names(defined), esope_statements=commands,
         definitions=tuple(definitions), segments_in_scope=scope, calls=tuple(calls),
-        events=tuple(events),
+        events=tuple(own_events) if events is None else (),
         default_pointers=_names((used | referenced).intersection(scope) - pointers.keys()),
     )
 

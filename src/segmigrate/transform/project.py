@@ -63,7 +63,8 @@ class MigrationResult:
         return not self.errors
 
     def merge(self, files: Sequence[FileOutcome]) -> None:
-        """Add source files migrated by another call, keeping file order."""
+        """Add source files migrated by another call, keeping file order;
+        those that another process wrote come without their text."""
         self.files = sorted(self.files + list(files), key=lambda o: o.source)
 
     def format_report(self) -> str:
@@ -75,7 +76,8 @@ class MigrationResult:
             )
         lines += [f"error: {e}" for e in self.errors]
         status = "ok" if self.ok else "failed"
-        lines.append(f"{len(self.outputs)} file(s), {len(self.errors)} error(s), {status}")
+        count = len(self.files) + len(self.modules) if self.ok else 0
+        lines.append(f"{count} file(s), {len(self.errors)} error(s), {status}")
         return "\n".join(lines) + "\n"
 
 

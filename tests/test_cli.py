@@ -1,10 +1,12 @@
 """End-to-end command line behaviour."""
 
+import errno
 import gc
 import importlib
 import importlib.util
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -149,26 +151,22 @@ def test_every_failing_source_gives_its_own_diagnostic(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
 
 
-def output_tmps(out_dir):
-    return sorted(p.name for p in out_dir.rglob("*.tmp"))
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-def test_temp_files_exist_before_write_tree_starts(tmp_path, capsys, monkeypatch):
-    out_dir = tmp_path / "out"
-    predicted = sorted(p.stem + ".f90.tmp" for p in cli.discover_sources(BOOKSTORE))
+def test_outputs_are_precreated_in_staging_before_write_tree_starts(tmp_path, capsys,
+                                                                     monkeypatch):
+    predicted = sorted(p.stem + ".f90" for p in cli.discover_sources(BOOKSTORE))
     seen = []
     real_write_tree = cli.write_tree
 
-    def spy(outputs, out):
-        seen.append(output_tmps(out))
-        return real_write_tree(outputs, out)
+    def spy(outputs, out, shown):
+        seen.append((out.name, sorted(p.name for p in out.iterdir())))
+        return real_write_tree(outputs, out, shown)
 
     monkeypatch.setattr(cli, "write_tree", spy)
     code, _, err = migrate_bookstore(tmp_path, capsys)
     assert code == 0, err
-    assert seen == [predicted]
-    assert output_tmps(out_dir) == []
+    assert seen == [("out.staging", predicted)]  # this process's call; a worker's is its own
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 def test_no_temp_file_is_left_after_a_successful_migrate(tmp_path, capsys):
@@ -193,6 +191,7 @@ def test_a_failed_run_leaves_an_existing_output_tree_as_it_was(tmp_path, capsys)
     assert code == 1 and "continuation" in err
     assert sorted(p.name for p in out_dir.iterdir()) == ["orphan.f90"]
     assert (out_dir / "orphan.f90").read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "src"]  # no out.staging
 
 
 def test_without_fork_the_output_is_the_same(tmp_path, capsys, monkeypatch):
@@ -497,7 +496,8 @@ def in_a_worker(parent_pid, effect, real):
 def assert_nothing_left(root):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # no child at all, running or unreaped
-    assert sorted(root.rglob("*.tmp")) == []
+    assert sorted(root.rglob("*.staging")) == []
+    assert sorted(root.rglob("*.old-*")) == []
 
 
 def run_in_ranges(tmp_path, capsys, monkeypatch, count, *argv):
@@ -526,16 +526,36 @@ def assert_split_changes_nothing(tmp_path, capsys, monkeypatch, src, *extra):
 
 
 def test_split_sources_gives_contiguous_ranges_of_about_equal_bytes(tmp_path):
-    paths = []
-    for i, size in enumerate([10, 10, 10, 70, 10, 10, 30, 50]):
-        paths.append(tmp_path / f"s{i}.f")
-        paths[-1].write_bytes(b"x" * size)
-    assert cli.split_sources(paths, 1) == [paths]
-    assert cli.split_sources(paths, 2) == [paths[:4], paths[4:]]
-    assert cli.split_sources(paths, 3) == [paths[:4], paths[4:6], paths[6:]]
-    assert cli.split_sources(paths[:2], 3) == [paths[:1], paths[1:2]]
+    sizes = [10, 10, 10, 70, 10, 10, 30, 50]
+    paths = [tmp_path / f"s{i}.f" for i in range(len(sizes))]
+
+    def split(start, end, count):
+        return cli.split_sources(dict(zip(paths[start:end], sizes[start:end])), count)
+
+    assert split(0, 8, 1) == [paths]
+    assert split(0, 8, 2) == [paths[:4], paths[4:]]
+    assert split(0, 8, 3) == [paths[:4], paths[4:6], paths[6:]]
+    assert split(0, 2, 3) == [paths[:1], paths[1:2]]
     # every range keeps at least one source, however the bytes fall
-    assert cli.split_sources(paths[3:6], 3) == [paths[3:4], paths[4:5], paths[5:6]]
+    assert split(3, 6, 3) == [paths[3:4], paths[4:5], paths[5:6]]
+
+
+def test_sources_are_found_in_one_walk_in_path_order(tmp_path):
+    src, elsewhere = tmp_path / "src", tmp_path / "elsewhere"
+    write_tree_of(src, {"a-b/x.f": "x" * 3, "a/x.f": "x" * 5, ".hidden.f": "", ".dot/y.F": "",
+                        "z.eso": "", "notes.txt": "", ".f": "", "c.f/inner.txt": ""})
+    write_tree_of(elsewhere, {"real.f": "x" * 7, "w.f": ""})
+    (src / "link.f").symlink_to(elsewhere / "real.f")
+    (src / "linked").symlink_to(elsewhere, target_is_directory=True)
+    (src / "dangling.f").symlink_to(tmp_path / "nowhere.f")
+    found = cli.discover_sources(src)
+    # in path order, a/x.f comes before a-b/x.f, which string order reverses
+    assert list(found.items()) == [
+        (src / ".dot" / "y.F", 0), (src / ".hidden.f", 0), (src / "a" / "x.f", 5),
+        (src / "a-b" / "x.f", 3), (src / "link.f", 7), (src / "z.eso", 0)]
+    # the rule of a recursive glob
+    assert list(found) == sorted(p for p in src.rglob("*")
+                                 if p.is_file() and p.suffix in cli.UNIT_EXTENSIONS)
 
 
 @pytest.mark.parametrize("src, extra", [
@@ -794,6 +814,114 @@ def test_a_worker_that_exits_without_replying_is_an_error(tmp_path, capsys, monk
     assert_nothing_left(tmp_path)
 
 
+# --- the output tree, staged and swapped in whole ----------------------------
+
+
+def fail_nth_write(monkeypatch, nth, in_worker, error):
+    """Raise ``error`` from the ``nth`` output file write of this process, or
+    with ``in_worker`` of each worker process."""
+    parent, real, count = os.getpid(), Path.write_text, [0]
+
+    def write_text(path, *args, **kwargs):
+        if (os.getpid() != parent) == in_worker:
+            count[0] += 1
+            if count[0] == nth:
+                raise error
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+
+
+def migrated_tree_with_foreign_files(tmp_path, capsys, monkeypatch):
+    """The bytes of a migrated bookstore tree holding foreign files, a
+    foreign subdirectory and a stale output, once migrated in three ranges."""
+    force_ranges(monkeypatch, 3)
+    out = tmp_path / "out"
+    code, stdout, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 0, err
+    (out / "notes.txt").write_bytes(b"mine\n")
+    (out / "sub" / "deep").mkdir(parents=True)
+    (out / "sub" / "deep" / "x.f90").write_bytes(b"! kept\n")
+    (out / "empty").mkdir()
+    (out / "gone.f90").write_bytes(b"! the output of a deleted source\n")
+    (out / "addbook.f90").write_bytes(b"! stale\n")
+    return stdout, tree_bytes(out)
+
+
+NO_SPACE = OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("in_worker", [False, pytest.param(True, marks=needs_fork)],
+                         ids=["parent", "worker"])
+def test_a_failed_write_leaves_the_old_tree_as_it_was(tmp_path, capsys, monkeypatch, in_worker):
+    _, before = migrated_tree_with_foreign_files(tmp_path, capsys, monkeypatch)
+    fail_nth_write(monkeypatch, 3, in_worker, NO_SPACE)
+    code, stdout, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 1 and stdout == ""
+    errors = err.splitlines()
+    # one failed file in each worker of three ranges, else in this process
+    assert len(errors) == (2 if in_worker else 1)
+    for line in errors:  # named by its final path
+        assert re.fullmatch(rf"error: {re.escape(str(tmp_path / 'out'))}/\w+\.f90: "
+                            "No space left on device", line), line
+    assert tree_bytes(tmp_path / "out") == before and (tmp_path / "out" / "empty").is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert_nothing_left(tmp_path)
+
+
+@needs_fork
+def test_an_interrupted_write_leaves_the_old_tree_as_it_was(tmp_path, capsys, monkeypatch):
+    _, before = migrated_tree_with_foreign_files(tmp_path, capsys, monkeypatch)
+    fail_nth_write(monkeypatch, 3, False, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        migrate_bookstore(tmp_path, capsys)
+    assert tree_bytes(tmp_path / "out") == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert_nothing_left(tmp_path)
+
+
+def test_a_failed_swap_leaves_the_old_tree_as_it_was(tmp_path, capsys, monkeypatch):
+    _, before = migrated_tree_with_foreign_files(tmp_path, capsys, monkeypatch)
+    rename = os.rename
+
+    def refused(src, dst):
+        if str(src).endswith(".staging"):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        return rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", refused)
+    code, stdout, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: cannot replace {os.path.realpath(tmp_path / 'out')}: ")
+    assert tree_bytes(tmp_path / "out") == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert_nothing_left(tmp_path)
+
+
+def test_foreign_files_survive_a_rerun_with_their_bytes(tmp_path, capsys, monkeypatch):
+    stdout, before = migrated_tree_with_foreign_files(tmp_path, capsys, monkeypatch)
+    out = tmp_path / "out"
+    inode = (out / "notes.txt").stat().st_ino
+    os.chmod(out / "sub", 0o750)
+    code, rerun, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 0, err
+    assert rerun == stdout
+    foreign = {name: before[name] for name in ("notes.txt", "sub/deep/x.f90", "gone.f90")}
+    assert tree_bytes(out) == {**tree_bytes(GOLDEN / "bookstore"), **foreign}
+    assert (out / "empty").is_dir() and (out / "notes.txt").stat().st_ino == inode
+    assert stat.S_IMODE((out / "sub").stat().st_mode) == 0o750
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert_nothing_left(tmp_path)
+
+
+def test_an_output_path_that_is_a_file_is_an_error(tmp_path, capsys):
+    (tmp_path / "out").write_bytes(b"not a tree\n")
+    code, _, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 1 and err.endswith(": not a directory\n")
+    assert (tmp_path / "out").read_bytes() == b"not a tree\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
 # --- statements repeated within a range --------------------------------------
 
 
@@ -864,6 +992,10 @@ def test_a_migrate_leaves_no_cyclic_garbage(tmp_path, capsys):
     gc.disable()  # so that no collection during the run hides a cycle
     try:
         assert cli.cmd_migrate(cfg) == 0
+        assert gc.collect() == 0
+        # through the command line, and over the tree the first run left
+        assert main(["migrate", "--src", str(BOOKSTORE), "--out", str(tmp_path / "out"),
+                     "--intent-catalog", str(BOOKSTORE_INTENTS)]) == 0
         assert gc.collect() == 0
     finally:
         gc.enable()

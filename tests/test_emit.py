@@ -178,7 +178,7 @@ def test_write_tree_round_trip_and_idempotence(tmp_path):
 
 
 def test_write_tree_reports_unwritable_target(tmp_path):
-    # destination occupied by a non-empty directory: the rename must fail
+    # destination occupied by a non-empty directory: opening it must fail
     (tmp_path / "a.f90" / "inner").mkdir(parents=True)
     (tmp_path / "a.f90" / "inner" / "f").write_text("x")
     report = write_tree([("a.f90", "x\n")], tmp_path)

@@ -588,9 +588,9 @@ def test_each_unit_body_is_scanned_at_most_twice(tmp_path, monkeypatch, capsys):
     summaries = Counter()
     summarize = cli.summarize_unit
 
-    def counting_summarize(unit):
+    def counting_summarize(unit, *events):
         summaries[unit.name] += 1
-        return summarize(unit)
+        return summarize(unit, *events)
 
     monkeypatch.setattr(cli, "resolve_includes", counting_resolve)
     monkeypatch.setattr(cli, "summarize_unit", counting_summarize)
