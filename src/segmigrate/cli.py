@@ -22,7 +22,8 @@ from .frontend.parser import StatementTable, parse_units
 from .model import (
     ProjectModel, SegmentDefinition, UnitSummary, build_project_model, dump_model, summarize_unit,
 )
-from .transform import MigrationResult, migrate_project, negative_pointer_uses, output_name
+from .target import output_name, target_names
+from .transform import MigrationResult, migrate_project, negative_pointer_uses
 
 #: files parsed as program units
 UNIT_EXTENSIONS = (".f", ".F", ".eso")
@@ -316,8 +317,9 @@ def migrate_sources(
     This process takes the first range and forks a worker for each other
     one.  Each process parses its range; the workers send up their unit
     summaries and their events beside them, fragment segments and include
-    edges.  This process merges them into the project model, solves the
-    intents and sends each worker what it lacks; each process then
+    edges.  This process merges them into the project model, checks that
+    no two outputs or modules would share a name, solves the intents and
+    sends each worker what it lacks; each process then
     rewrites, renders and writes its own files, this one the generated
     modules too, and the workers send up their file outcomes without text
     and their write reports.  Unit ASTs and output text never leave the
@@ -345,6 +347,10 @@ def migrate_sources(
             # reads; a worker's range goes to the other workers only
             fronts = [front, *(worker.receive() for worker in workers)]
             model = merge_ranges(cfg, fronts)
+            # a name clash fails the run before any process rewrites
+            clashes = target_names(model).clashes()
+            if clashes:
+                raise MigrationErrors([MigrationError(clash) for clash in clashes])
             segments = list(model.segments.values())
             for i, worker in enumerate(workers, start=1):
                 worker.pipe.send("model", ([s for f in fronts[:i] for s in f.summaries],
@@ -359,12 +365,11 @@ def migrate_sources(
         result = migrate_range(cfg, render_cfg, ranges[0], exchange, modules=True)
         staging.wait()
         report = write_tree(result.outputs, staging.path, cfg.out)
-        if not result.conflicts:  # a name clash fails the run before any file counts
-            for worker in workers:
-                files, part = worker.receive()
-                result.merge(files)
-                report.files += part.files
-                report.errors += part.errors
+        for worker in workers:
+            files, part = worker.receive()
+            result.merge(files)
+            report.files += part.files
+            report.errors += part.errors
         # the order of one range: the sources' files, then the modules (every
         # output name is a file name)
         rank = {o.name: i for i, o in enumerate(result.files + result.modules)}
@@ -489,6 +494,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         errors = exc.errors if isinstance(exc, MigrationErrors) else [exc]
         sys.stderr.write("".join(f"error: {e}\n" for e in errors))
         return 1
+    except KeyboardInterrupt:  # the processes and the staging tree are gone by now
+        sys.stderr.write("error: interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

@@ -125,13 +125,10 @@ class ProjectModel:
     # summaries sets them here
     events: Dict[str, Tuple[Tuple, ...]] = field(default_factory=dict)
     # project-wide indexes, each built on first use; units and call edges
-    # are complete once build_project_model returns, and register_segment
-    # drops the module index
+    # are complete once build_project_model returns
     _functions: Optional[Dict[str, UnitSummary]] = field(
         default=None, init=False, repr=False, compare=False)
-    _calls: Optional[Tuple[Dict[str, List[CallEdge]], Dict[str, Set[int]]]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _modules: Optional[Tuple[Dict[str, str], Dict[str, str]]] = field(
+    _arg_counts: Optional[Dict[str, Set[int]]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def functions(self) -> Dict[str, UnitSummary]:
@@ -139,41 +136,13 @@ class ProjectModel:
             self._functions = {n: u for n, u in self.units.items() if u.kind == "function"}
         return self._functions
 
-    def _call_index(self) -> Tuple[Dict[str, List[CallEdge]], Dict[str, Set[int]]]:
-        if self._calls is None:
-            by_caller: Dict[str, List[CallEdge]] = {}
-            arg_counts: Dict[str, Set[int]] = {}
-            for e in self.call_graph:
-                by_caller.setdefault(e.caller, []).append(e)
-                arg_counts.setdefault(e.callee, set()).add(e.arg_count)
-            self._calls = (by_caller, arg_counts)
-        return self._calls
-
-    def calls_from(self, caller: str) -> List[CallEdge]:
-        return self._call_index()[0].get(caller, [])
-
     def arg_counts(self, callee: str) -> Set[int]:
         """The argument counts of every call to ``callee`` in the project."""
-        return self._call_index()[1].get(callee, set())
-
-    def modules_seen_from(self, unit_name: str, symbols: Set[str]) -> Dict[str, str]:
-        """The migrated module defining each of ``symbols`` that has one, as
-        seen from unit ``unit_name``: a segment's own module, else that of
-        another non-program unit, else that of the first segment owning a
-        field of that name.  A unit never resolves to its own module."""
-        if self._modules is None:
-            fields: Dict[str, str] = {}
-            for seg in self.segments.values():
-                for f in seg.fields:
-                    fields.setdefault(f.name, f"{seg.name}_mod")
-            segments = {name: f"{name}_mod" for name in self.segments}
-            units = {n: f"{n}_mod" for n, u in self.units.items() if u.kind != "program"}
-            self._modules = ({**fields, **units, **segments}, {**fields, **segments})
-        every, without_units = self._modules
-        found = {s: every[s] for s in symbols if s in every and s != unit_name}
-        if unit_name in symbols and unit_name in without_units:
-            found[unit_name] = without_units[unit_name]
-        return found
+        if self._arg_counts is None:
+            self._arg_counts = {}
+            for e in self.call_graph:
+                self._arg_counts.setdefault(e.callee, set()).add(e.arg_count)
+        return self._arg_counts.get(callee, set())
 
 
 def build_project_model(
@@ -338,7 +307,6 @@ def register_segment(model: ProjectModel, seg: SegmentDefinition) -> None:
     if seg.name in model.segments:
         raise MigrationError(f"segment {seg.name!r} defined twice")
     model.segments[seg.name] = seg
-    model._modules = None
 
 
 def dump_model(model: ProjectModel) -> str:

@@ -1,4 +1,5 @@
-"""Fortran 2008 output tree: typed nodes plus blocks of preformatted text.
+"""The Fortran 2008 target program: its global names, and its output tree
+of typed nodes plus blocks of preformatted text.
 
 Large generated bodies (the per-segment command implementations) are
 template nodes: finished Fortran text whose relative indentation the
@@ -8,7 +9,63 @@ renderer keeps while shifting it to the depth where the node stands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Union
+from pathlib import PurePosixPath
+from typing import Dict, List, NamedTuple, Union
+
+# --- global names -----------------------------------------------------------
+
+
+def module_name(name: str) -> str:
+    """The module that holds unit or segment ``name``."""
+    return f"{name}_mod"
+
+
+def output_name(file_id: str) -> str:
+    """The output file of a source, or of a generated module."""
+    return PurePosixPath(file_id).stem + ".f90"
+
+
+#: the support modules of every project with segments
+RUNTIME = "the segment runtime"
+RUNTIME_MODULES = (module_name("segment"), module_name("segment_registry"))
+
+
+class TargetNames(NamedTuple):
+    """The global names of a project's target program, from :func:`target_names`."""
+
+    files: Dict[str, List[str]]  # output file -> each source, or the runtime, written to it
+    modules: Dict[str, List[str]]  # module -> each unit, segment or runtime defining it
+    routines: Dict[str, str]  # subroutine or function -> its module; a program has none
+
+    def clashes(self) -> List[str]:
+        """A message per name with two origins, files first (Fortran 2008, 16.2)."""
+        return ([f"{name} would be the output of each of {', '.join(origins)}"
+                 for name, origins in self.files.items() if len(origins) > 1]
+                + [f"module {name} would be defined by each of {', '.join(origins)}"
+                   for name, origins in self.modules.items() if len(origins) > 1])
+
+
+def target_names(model) -> TargetNames:
+    """Every output file and module of the project ``model`` with its
+    origins: sources in file order, units in project order, then segments
+    and the runtime."""
+    names = TargetNames({}, {}, {})
+    for file_id in sorted({u.file_id for u in model.units.values()}):
+        names.files.setdefault(output_name(file_id), []).append(file_id)
+    for name, unit in model.units.items():
+        if unit.kind != "program":
+            names.routines[name] = module_name(name)
+            names.modules[module_name(name)] = [f"{unit.kind} {name} at {unit.span.label()}"]
+    generated = [(module_name(name), seg.file_id, f"segment {name} in {seg.file_id}")
+                 for name, seg in sorted(model.segments.items())]
+    generated += [(module, RUNTIME, RUNTIME) for module in RUNTIME_MODULES if generated]
+    for module, source, origin in generated:
+        names.files.setdefault(output_name(module), []).append(source)
+        names.modules.setdefault(module, []).append(origin)
+    return names
+
+
+# --- output tree ------------------------------------------------------------
 
 # typed node kinds
 FILE = "file"

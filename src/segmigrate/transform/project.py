@@ -4,7 +4,6 @@ generated segment and support modules."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import PurePosixPath
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import target as T
@@ -41,11 +40,10 @@ class FileOutcome(NamedTuple):
 class MigrationResult:
     files: List[FileOutcome] = field(default_factory=list)  # one per source file, in file order
     modules: List[FileOutcome] = field(default_factory=list)  # the generated modules
-    conflicts: List[str] = field(default_factory=list)  # output names given twice
 
     @property
     def errors(self) -> List[str]:
-        return self.conflicts + [o.error for o in self.files + self.modules if o.error]
+        return [o.error for o in self.files + self.modules if o.error]
 
     @property
     def stats(self) -> List[FileStats]:
@@ -81,10 +79,6 @@ class MigrationResult:
         return "\n".join(lines) + "\n"
 
 
-def output_name(file_id: str) -> str:
-    return PurePosixPath(file_id).stem + ".f90"
-
-
 def migrate_project(
     units: Sequence[A.ProgramUnitAst],
     model: ProjectModel,
@@ -92,46 +86,33 @@ def migrate_project(
     cfg: Optional[RenderConfig] = None,
     modules: bool = True,
 ) -> MigrationResult:
-    """Migrate the source files of ``units`` and, with ``modules``, check
-    that no two outputs share a name and synthesize all generated modules.
+    """Migrate the source files of ``units`` and, with ``modules``,
+    synthesize all generated modules.
 
     ``model`` is the whole project's; ``units`` may be those of some of its
     files, when another call migrates the rest and only one call passes
     ``modules``.  Any error makes the whole result unusable: it has no
-    outputs, so a caller cannot write a half-migrated project.
+    outputs, so a caller cannot write a half-migrated project.  Whether two
+    outputs or modules share a name is the caller's check, on
+    :func:`target.target_names` of the model.
     """
     cfg = cfg or RenderConfig()
     result = MigrationResult()
+    targets = T.target_names(model)
 
     by_file: Dict[str, List[A.ProgramUnitAst]] = {}
     for unit in units:
         by_file.setdefault(unit.file_id, []).append(unit)
-    # pure Fortran 77 projects need no segment runtime
-    support = generate_support_modules() if modules and model.segments else []
-
-    if modules:
-        # two sources written to one file would lose one of them
-        sources: Dict[str, List[str]] = {}
-        for file_id in sorted({u.file_id for u in model.units.values()}):
-            sources.setdefault(output_name(file_id), []).append(file_id)
-        for seg_name in sorted(model.segments):
-            sources.setdefault(f"{seg_name}_mod.f90", []).append(model.segments[seg_name].file_id)
-        for name, _ in support:
-            sources.setdefault(name, []).append("the segment runtime")
-        result.conflicts = [f"{name} would be the output of each of {', '.join(owners)}"
-                            for name, owners in sources.items() if len(owners) > 1]
-        if result.conflicts:
-            return result
 
     gaps: GapTable = {}  # the renderer's spacing decisions, one per token pair
     for file_id in sorted(by_file):
         tree = T.TargetNode(T.FILE)
-        stats = FileStats(source=file_id, output=output_name(file_id))
+        stats = FileStats(source=file_id, output=T.output_name(file_id))
         try:
             for i, unit in enumerate(by_file[file_id]):
                 if i > 0:
                     tree.add(T.blank())
-                ctx = make_context(unit, model, intents, gaps)
+                ctx = make_context(unit, model, intents, gaps, targets)
                 tree.add(wrap_in_module(ctx))
                 stats.rewritten += ctx.rewritten
                 stats.removed += ctx.removed
@@ -143,19 +124,18 @@ def migrate_project(
     if not modules:
         return result
 
-    for seg_name in sorted(model.segments):
-        seg = model.segments[seg_name]
-        name = f"{seg_name}_mod.f90"
+    for seg_name, seg in sorted(model.segments.items()):
+        name = T.output_name(T.module_name(seg_name))
         try:
-            tree = T.TargetNode(T.FILE)
-            tree.add(migrate_segment(seg))
             stats = FileStats(source=seg.file_id, output=name, rewritten=1)
-            result.modules.append(FileOutcome(seg.file_id, name, render_unit(tree, cfg), stats))
+            result.modules.append(
+                FileOutcome(seg.file_id, name, render_unit(migrate_segment(seg), cfg), stats))
         except MigrationError as exc:
             result.modules.append(FileOutcome(seg.file_id, name, error=str(exc)))
 
-    for name, tree in support:
-        result.modules.append(FileOutcome("the segment runtime", name, render_unit(tree, cfg)))
+    # pure Fortran 77 projects need no segment runtime
+    for name, tree in generate_support_modules() if model.segments else []:
+        result.modules.append(FileOutcome(T.RUNTIME, name, render_unit(tree, cfg)))
     return result
 
 

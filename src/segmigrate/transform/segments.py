@@ -16,10 +16,6 @@ from ..errors import MigrationError
 from ..model import FieldDef, SegmentDefinition, format_type
 from .tokens import render_tokens
 
-ABSTRACT_MODULE = "segment_mod"
-REGISTRY_MODULE = "segment_registry_mod"
-
-
 _ZERO = {"integer": "0", "real": "0.0", "double precision": "0.0d0", "logical": ".false.",
          "character": "''"}
 
@@ -46,11 +42,11 @@ def dim_args(seg: SegmentDefinition) -> str:
 
 def migrate_segment(seg: SegmentDefinition) -> T.TargetNode:
     """Build the whole module for one segment."""
-    mod = T.module_node(f"{seg.name}_mod")
-    mod.add(T.use(ABSTRACT_MODULE))
+    mod = T.module_node(T.module_name(seg.name))
+    mod.add(T.use(T.module_name("segment")))  # the abstract base type
     for f in seg.fields:
         if f.base_type == "pointer":
-            mod.add(T.use(f"{f.segment}_mod"))
+            mod.add(T.use(T.module_name(f.segment)))
     mod.add(T.statement("implicit none"), T.statement("private"))
     exported = ["segini", "segadj", "segsup", "segprt", "segcop", "segmov"]
     mod.add(T.statement(f"public :: {seg.name}, " + ", ".join(exported)))
@@ -556,10 +552,7 @@ end module segment_registry_mod
 """
 
 
-def generate_support_modules() -> List[Tuple[str, T.TargetNode]]:
+def generate_support_modules() -> List[Tuple[str, T.TemplateNode]]:
     """The abstract segment module and the index-stable segment registry."""
-    abstract = T.TargetNode(T.FILE)
-    abstract.add(T.TemplateNode(_ABSTRACT_SEGMENT))
-    registry = T.TargetNode(T.FILE)
-    registry.add(T.TemplateNode(_REGISTRY))
-    return [(f"{ABSTRACT_MODULE}.f90", abstract), (f"{REGISTRY_MODULE}.f90", registry)]
+    return [(T.output_name(module), T.TemplateNode(text))
+            for module, text in zip(T.RUNTIME_MODULES, (_ABSTRACT_SEGMENT, _REGISTRY))]

@@ -34,6 +34,7 @@ class RewriteContext:
     summary: UnitSummary
     names: analysis.NameRecord
     gaps: GapTable  # shared by the units of one migrate
+    targets: T.TargetNames  # the project's global names, shared likewise
     rewritten: int = 0
     removed: int = 0
     passthrough: int = 0
@@ -72,9 +73,11 @@ def make_context(
     model: ProjectModel,
     intents: Dict[Tuple[str, int], str],
     gaps: Optional[GapTable] = None,
+    targets: Optional[T.TargetNames] = None,
 ) -> RewriteContext:
     return RewriteContext(unit, model, intents, model.units[unit.name],
-                          analysis.resolve_names(unit, model), {} if gaps is None else gaps)
+                          analysis.resolve_names(unit, model), {} if gaps is None else gaps,
+                          T.target_names(model) if targets is None else targets)
 
 
 def _stmt(text: str, label: Optional[int]) -> T.TargetNode:
@@ -98,7 +101,7 @@ def rewrite_statement(node: A.Node, ctx: RewriteContext) -> List[T.OutputNode]:
     if isinstance(node, A.SegmentDefNode):
         ctx.rewritten += 1
         seg = node.definition
-        return [T.comment(f"{MARK} segment {seg.name} moved to module {seg.name}_mod")]
+        return [T.comment(f"{MARK} segment {seg.name} moved to module {T.module_name(seg.name)}")]
     if isinstance(node, A.PointerDeclNode):
         ctx.rewritten += 1
         return [
@@ -233,8 +236,8 @@ def _rewrite_type_decl(node: A.TypeDeclNode, ctx: RewriteContext) -> List[T.Outp
                 f"{type_text}, intent({intent}) :: {_entity_text(ent, ctx)}"))
             continue
         if ent.name in ctx.names.typed_by_use:
-            out.append(_removed(
-                f"{type_text} {ent.name}", f"type provided by use of {ent.name}_mod"))
+            module = ctx.targets.routines[ent.name]
+            out.append(_removed(f"{type_text} {ent.name}", f"type provided by use of {module}"))
             continue
         plain.append((type_text, ent))
     by_type: Dict[str, List[A.DeclEntity]] = {}  # in order of first use
@@ -298,40 +301,31 @@ def _inferred_declarations(ctx: RewriteContext) -> List[T.OutputNode]:
 
 
 def compute_unit_uses(ctx: RewriteContext) -> List[str]:
-    """Module imports of one migrated unit, alphabetically: one per migrated
-    module defining a symbol the unit needs.  A symbol defined nowhere and
-    not known external is an error."""
-    model = ctx.model
-    unit = ctx.unit
-    names = ctx.names
-    required = set(ctx.summary.referenced)
-    # implicitly typed locals get a generated declaration, so they count; a
-    # function typed here still comes with its module, and segment names and
-    # fields resolve through use, not local definitions
-    defined = set(ctx.summary.defined).union(names.implicit)
-    defined -= names.typed_by_use
-    defined -= {seg.name for seg in names.scope}
-    defined -= names.owners.keys()
-
-    # project-internal routines resolve through use, not interfaces
-    external_ok = set(model.intent_catalog)
-    for name in ctx.summary.external:
-        if name in model.units:
-            defined.discard(name)
-        else:
-            external_ok.add(name)
-    for edge in model.calls_from(unit.name):
-        if edge.external:
-            external_ok.add(edge.callee)
+    """Module imports of one migrated unit, alphabetically: the module of
+    each other project routine it needs, from the project's target names,
+    and of each segment in its scope that it names, or whose field it
+    names, and of each segment a POINTEUR names.  A symbol defined nowhere
+    and not known external is an error."""
+    model, summary, names = ctx.model, ctx.summary, ctx.names
+    required = set(summary.referenced)
+    # segment names and fields in scope resolve through use, as does a
+    # function typed here and a project routine named EXTERNAL; implicitly
+    # typed locals get a generated declaration, so they count
+    scoped = {seg.name for seg in names.scope}.union(names.owners)
+    defined = set(summary.defined).union(names.implicit) - names.typed_by_use - scoped
+    defined -= model.units.keys() & set(summary.external)
+    external_ok = {name for name in (*summary.external, *(callee for callee, _ in summary.calls))
+                   if name not in model.units}
 
     missing = required - defined
-    module_of = model.modules_seen_from(unit.name, missing)
-    unknown = sorted(missing - module_of.keys() - external_ok - A.INTRINSIC_FUNCTIONS)
+    imported = {name for name in missing if name in ctx.targets.routines} - {ctx.unit.name}
+    unknown = sorted(missing - imported - scoped - external_ok
+                     - model.intent_catalog.keys() - A.INTRINSIC_FUNCTIONS)
     if unknown:
         raise MigrationError(f"required symbol {unknown[0]!r} is defined by no module")
-    uses = set(module_of.values())
-    uses.update(f"{seg_name}_mod" for seg_name in ctx.summary.pointers.values())
-    uses.update(f"{seg.name}_mod" for seg in names.scope
+    uses = {ctx.targets.routines[name] for name in imported}
+    uses.update(T.module_name(seg_name) for seg_name in summary.pointers.values())
+    uses.update(T.module_name(seg.name) for seg in names.scope
                 if seg.name in required or any(f.name in required for f in seg.fields))
     return sorted(uses)
 
@@ -357,32 +351,16 @@ def wrap_in_module(ctx: RewriteContext) -> T.TargetNode:
         body += rewrite_statement(node, ctx)
     body += decls
 
+    head = [*(T.use(m) for m in uses), T.statement("implicit none")]
     if unit.kind == "program":
-        top = T.program_node(unit.name)
-        for mod in uses:
-            top.add(T.use(mod))
-        top.add(T.statement("implicit none"))
-        top.add(*body)
-        return top
+        return T.program_node(unit.name).add(*head, *body)
 
-    params = ", ".join(unit.params)
-    if unit.kind == "function":
-        header = f"function {unit.name}({params})"
-        footer = f"end function {unit.name}"
-    else:
-        header = f"subroutine {unit.name}({params})"
-        footer = f"end subroutine {unit.name}"
-    proc = T.TargetNode(T.PROCEDURE, header, footer=footer)
+    # a subroutine or function, alone in its module
+    proc = T.TargetNode(T.PROCEDURE, f"{unit.kind} {unit.name}({', '.join(unit.params)})",
+                        footer=f"end {unit.kind} {unit.name}")
     if unit.kind == "function" and unit.return_type and not ctx.summary.declared.get(unit.name):
         proc.add(T.declaration(f"{unit.return_type} :: {unit.name}"))
     proc.add(*body)
-
-    mod = T.module_node(f"{unit.name}_mod")
-    for m in uses:
-        mod.add(T.use(m))
-    mod.add(T.statement("implicit none"))
-    mod.add(T.statement("private"))
-    mod.add(T.statement(f"public :: {unit.name}"))
-    mod.add(T.TargetNode(T.CONTAINS))
-    mod.add(proc)
-    return mod
+    return T.module_node(ctx.targets.routines[unit.name]).add(
+        *head, T.statement("private"), T.statement(f"public :: {unit.name}"),
+        T.TargetNode(T.CONTAINS), proc)

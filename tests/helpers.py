@@ -1480,9 +1480,11 @@ def _oracle_decl_entities(raw, span):
 # The helpers that decided, each on its own, where a unit's names get their
 # type and module, as they stood before one name record per unit held those
 # facts: the typing pass, the classification of typed names, the module
-# imports of a unit and the owner of a bare field.  They read the live unit
-# summary and project model.  ``frozen_name_resolution`` gives what the
-# rewrite read of them, or the first error they raised.
+# imports of a unit with the model's index of the module defining each
+# symbol, and the owner of a bare field.  They read the live unit summary
+# and the data of the project model, and call none of its methods.
+# ``frozen_name_resolution`` gives what the rewrite read of them, or the
+# first error they raised.
 
 _F_DECLARED = "declared"
 _F_IMPLICIT_RULE = "implicit-rule"
@@ -1493,10 +1495,18 @@ _F_RETURN_TYPE_DECL = "returnTypeDecl"
 _F_PLAIN_VARIABLE_DECL = "plainVariableDecl"
 
 
+def _frozen_functions(model):
+    return {n: u for n, u in model.units.items() if u.kind == "function"}
+
+
+def _frozen_calls_from(model, caller):
+    return [e for e in model.call_graph if e.caller == caller]
+
+
 def frozen_infer_implicit_types(unit, model, scope) -> List[Tuple[str, str, str]]:
     """(symbol, type, origin) of every referenced symbol of the unit."""
-    called = {e.callee for e in model.calls_from(unit.name)}
-    functions = model.functions()
+    called = {e.callee for e in _frozen_calls_from(model, unit.name)}
+    functions = _frozen_functions(model)
     summary = model.units[unit.name]
     pointers, declared, table = summary.pointers, summary.declared, summary.implicit_table
 
@@ -1541,7 +1551,8 @@ def frozen_classify_external_names(unit, model) -> Dict[str, str]:
             continue
         invoked = name in summary.invoked
         calls_like = invoked and name not in summary.arrays
-        is_function = calls_like or name in model.functions() or name in model.intent_catalog
+        is_function = (calls_like or name in _frozen_functions(model)
+                       or name in model.intent_catalog)
         if is_function and name in summary.assigned:
             raise _MigrationError(f"name {name!r} is both assigned and invoked in {unit.name}")
         out[name] = _F_RETURN_TYPE_DECL if is_function and invoked else _F_PLAIN_VARIABLE_DECL
@@ -1549,7 +1560,7 @@ def frozen_classify_external_names(unit, model) -> Dict[str, str]:
 
 
 def _frozen_typed_by_use(name, unit, model, classification) -> bool:
-    return (name in model.functions() and name != unit.name and name not in unit.params
+    return (name in _frozen_functions(model) and name != unit.name and name not in unit.params
             and classification.get(name) in (_F_RETURN_TYPE_DECL, _F_EXTERNAL_ROUTINE_DECL))
 
 
@@ -1563,6 +1574,24 @@ def _frozen_compute_uses(required, defined, module_of, external_ok) -> List[str]
         else:
             raise _MigrationError(f"required symbol {sym!r} is defined by no module")
     return sorted(modules)
+
+
+def frozen_modules_seen_from(model, unit_name, symbols) -> Dict[str, str]:
+    """The migrated module defining each of ``symbols`` that has one, as
+    seen from unit ``unit_name``: a segment's own module, else that of
+    another non-program unit, else that of the first segment owning a
+    field of that name.  A unit never resolves to its own module."""
+    fields: Dict[str, str] = {}
+    for seg in model.segments.values():
+        for f in seg.fields:
+            fields.setdefault(f.name, f"{seg.name}_mod")
+    segments = {name: f"{name}_mod" for name in model.segments}
+    units = {n: f"{n}_mod" for n, u in model.units.items() if u.kind != "program"}
+    every, without_units = {**fields, **units, **segments}, {**fields, **segments}
+    found = {s: every[s] for s in symbols if s in every and s != unit_name}
+    if unit_name in symbols and unit_name in without_units:
+        found[unit_name] = without_units[unit_name]
+    return found
 
 
 def frozen_compute_unit_uses(unit, model, scope, classification, types) -> List[str]:
@@ -1581,10 +1610,10 @@ def frozen_compute_unit_uses(unit, model, scope, classification, types) -> List[
             defined.discard(name)
         else:
             external_ok.add(name)
-    for edge in model.calls_from(unit.name):
+    for edge in _frozen_calls_from(model, unit.name):
         if edge.external:
             external_ok.add(edge.callee)
-    module_of = model.modules_seen_from(unit.name, required - defined)
+    module_of = frozen_modules_seen_from(model, unit.name, required - defined)
     uses = set(_frozen_compute_uses(required, defined, module_of, external_ok))
     uses.update(f"{seg_name}_mod" for seg_name in summary.pointers.values())
     for seg in scope:

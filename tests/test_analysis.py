@@ -27,6 +27,7 @@ from segmigrate.frontend import ast_nodes as A
 from segmigrate.frontend.lexer import read_source, split_logical_lines
 from segmigrate.frontend.parser import parse_source
 from segmigrate.model import build_project_model, default_implicit_type
+from segmigrate.target import target_names
 from segmigrate.transform import compute_unit_uses, make_context, migrate_project
 
 from helpers import (
@@ -621,6 +622,20 @@ def _unknown_segment(unit, model, frozen):
                      f"segment {ghosts[0][1]!r}")
 
 
+def _in_scope_owners_only(unit, model, frozen):
+    """What the frozen helpers gave, without the `use` of each segment out
+    of the unit's scope that no POINTEUR of the unit names: they imported
+    the module of the first segment in the project that owns a bare field,
+    or that a CALL names, wherever that segment was."""
+    if frozen[0] == "error":
+        return frozen
+    summary = model.units[unit.name]
+    keep = set(summary.segments_in_scope).union(summary.pointers.values())
+    dropped = {f"{name}_mod" for name in model.segments if name not in keep}
+    declarations, typed_by_use, uses = frozen
+    return declarations, typed_by_use, [m for m in uses if m not in dropped]
+
+
 def _bare_field(ctx, name):
     try:
         return ctx.resolve_field(name)
@@ -642,8 +657,8 @@ def _frozen_bare_field(model, unit, name):
 @settings(max_examples=300, deadline=None)
 @given(_resolution_program())
 @example(("      SUBROUTINE S(X)\n      POINTEUR P.GHOST\n      X = 1\n      END\n", [], []))
-# a field declared here is still imported from the first segment of the
-# project that owns it, even one out of scope
+# a field declared here comes from its owner in scope alone, not from the
+# first segment of the project that owns it
 @example(("      SUBROUTINE HOLD\n      SEGMENT, REC\n        INTEGER W\n      END SEGMENT\n"
           "      SEGMENT, NODE\n        INTEGER W\n      END SEGMENT\n      END\n"
           "      SUBROUTINE S(X)\n      INTEGER W\n      X = W\n      END\n", ["node"], []))
@@ -656,7 +671,8 @@ def test_name_record_agrees_with_frozen_helpers(program):
     for unit in units:
         frozen, live = frozen_name_resolution(unit, model), _live_resolution(unit, model)
         changed = _unknown_segment(unit, model, frozen)
-        assert live == (frozen if changed is None else changed), (unit.name, src)
+        expected = _in_scope_owners_only(unit, model, frozen) if changed is None else changed
+        assert live == expected, (unit.name, src)
         if live[0] != "error":
             ctx = make_context(unit, model, {})
             for name in ("val", "next", "v", "w", "x"):
@@ -682,6 +698,38 @@ def test_compute_uses_sorted_and_checked():
     assert compute_unit_uses(make_context(units[0], model, {})) == ["bar_mod", "foo_mod"]
     with pytest.raises(MigrationError, match="'main' is defined by no module"):
         compute_unit_uses(make_context(units[3], model, {}))
+
+
+def test_no_unit_imports_its_own_module_and_a_program_has_none():
+    src = (
+        "      REAL FUNCTION ALPHA(X)\n      ALPHA = BETA(X)\n      END\n"
+        "      REAL FUNCTION BETA(X)\n      BETA = X\n      END\n"
+        # a function named like a field of a segment in its scope
+        "      FUNCTION VAL(X)\n      SEGMENT, REC\n        INTEGER VAL\n      END SEGMENT\n"
+        "      VAL = X\n      END\n"
+        "      PROGRAM MAIN\n      Y = ALPHA(1.0)\n      END\n"
+    )
+    units, model = project(src)
+    uses = {unit.name: compute_unit_uses(make_context(unit, model, {})) for unit in units}
+    assert uses == {"alpha": ["beta_mod"], "beta": [], "val": ["rec_mod"], "main": ["alpha_mod"]}
+    assert "main" not in target_names(model).routines
+
+
+def test_a_bare_field_imports_only_its_owner_in_scope():
+    # REC, the first segment of the project owning W, is out of S's scope
+    src = (
+        "      SUBROUTINE HOLD\n"
+        "      SEGMENT, REC\n        INTEGER W\n      END SEGMENT\n"
+        "      SEGMENT, ZNODE\n        INTEGER W\n      END SEGMENT\n"
+        "      END\n"
+        "      SUBROUTINE S(X)\n      X = W\n      END\n"
+    )
+    units, model = project(src)
+    units[1] = replace(units[1], extra_segments_in_scope=["znode"])
+    model = build_project_model(units)
+    ctx = make_context(units[1], model, {})
+    assert compute_unit_uses(ctx) == ["znode_mod"]
+    assert ctx.resolve_field("w") == "znode"
 
 
 def test_load_intent_catalog():

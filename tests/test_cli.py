@@ -665,6 +665,51 @@ def test_split_runs_report_the_same_errors(tmp_path, capsys, monkeypatch, name):
     assert code == 1 and tree is None and "error: " in err
 
 
+@pytest.mark.parametrize("files, origins", [
+    ({"a.f": "      SUBROUTINE A\n      END\n",
+      "b.f": "      SUBROUTINE USER\n      END\n",
+      "c.f": "      SUBROUTINE C\n      include 'user.seg'\n      END\n",
+      "user.seg": (BOOKSTORE / "user.seg").read_text()},
+     "module user_mod would be defined by each of subroutine user at {src}/b.f:1:1, "
+     "segment user in {src}/user.seg"),
+    ({"a.f": "      SUBROUTINE SEGMENT\n      END\n",
+      "b.f": "      SUBROUTINE B\n      SEGMENT, REC\n        INTEGER V\n      END SEGMENT\n"
+             "      END\n",
+      "c.f": "      SUBROUTINE C\n      END\n"},
+     "module segment_mod would be defined by each of subroutine segment at {src}/a.f:1:1, "
+     "the segment runtime"),
+], ids=["segment", "runtime"])
+def test_a_routine_named_like_a_generated_module_is_an_error(tmp_path, capsys, monkeypatch,
+                                                              files, origins):
+    src = tmp_path / "src"
+    write_tree_of(src, files)
+    code, out, err, tree = assert_split_changes_nothing(tmp_path, capsys, monkeypatch, src)
+    assert (code, out, err, tree) == (1, "", f"error: {origins.format(src=src)}\n", None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
+
+
+@needs_fork
+def test_a_name_clash_fails_before_any_process_rewrites(tmp_path, capsys, monkeypatch):
+    src, log, solved = tmp_path / "src", tmp_path / "writes.log", []
+    write_tree_of(src, BROKEN_TREES["output name"])
+    real = Path.write_text
+
+    def write_text(path, *args, **kwargs):
+        with open(log, "a") as f:  # a worker's write shows here too
+            f.write(f"{path}\n")
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(analysis, "solve_intents", lambda *args: solved.append(args))
+    force_ranges(monkeypatch, 3)
+    started = count_workers(monkeypatch)
+    code, _, err = run(capsys, "migrate", "--src", str(src), "--out", str(tmp_path / "out"))
+    assert code == 1 and err.startswith("error: x.f90 would be the output of each of ")
+    assert len(started) == 2 and not log.exists() and solved == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
+    assert_nothing_left(tmp_path)
+
+
 def test_split_runs_report_the_broken_fixture_the_same(tmp_path, capsys, monkeypatch):
     code, _, err, tree = assert_split_changes_nothing(
         tmp_path, capsys, monkeypatch, FIXTURES / "broken")
@@ -782,8 +827,7 @@ def test_no_process_is_left_after_an_interrupt(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "parse_units", interrupted)
     force_ranges(monkeypatch, 3)
-    with pytest.raises(KeyboardInterrupt):
-        migrate_bookstore(tmp_path, capsys)
+    assert migrate_bookstore(tmp_path, capsys) == (130, "", "error: interrupted\n")
     assert not (tmp_path / "out").exists()
     assert_nothing_left(tmp_path)
 
@@ -873,8 +917,7 @@ def test_a_failed_write_leaves_the_old_tree_as_it_was(tmp_path, capsys, monkeypa
 def test_an_interrupted_write_leaves_the_old_tree_as_it_was(tmp_path, capsys, monkeypatch):
     _, before = migrated_tree_with_foreign_files(tmp_path, capsys, monkeypatch)
     fail_nth_write(monkeypatch, 3, False, KeyboardInterrupt())
-    with pytest.raises(KeyboardInterrupt):
-        migrate_bookstore(tmp_path, capsys)
+    assert migrate_bookstore(tmp_path, capsys) == (130, "", "error: interrupted\n")
     assert tree_bytes(tmp_path / "out") == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert_nothing_left(tmp_path)

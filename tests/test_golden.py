@@ -71,3 +71,12 @@ def test_dump_model_matches_golden(monkeypatch, capsys):
     assert main(["dump-model", "--src", BOOKSTORE.name]) == 0
     expected = (GOLDEN / "dump_bookstore.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_module_clash_matches_golden(monkeypatch, capsys, tmp_path):
+    # a routine and a segment that would both be module user_mod
+    monkeypatch.chdir(FIXTURES)
+    assert main(["migrate", "--src", "clash", "--out", str(tmp_path / "out")]) == 1
+    expected = (GOLDEN / "migrate_clash.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().err == expected
+    assert list(tmp_path.iterdir()) == []  # no output tree, no staging tree

@@ -50,9 +50,11 @@ def test_units_and_kinds_collected():
 
 def test_call_edges_with_external_flag():
     model = build()
-    edges = {(e.callee, e.external) for e in model.calls_from("alpha")}
+    from_alpha = [e for e in model.call_graph if e.caller == "alpha"]
+    edges = {(e.callee, e.external) for e in from_alpha}
     assert edges == {("beta", False), ("missing", True)}
-    assert model.calls_from("alpha")[0].arg_count == 1
+    assert from_alpha[0].arg_count == 1
+    assert model.arg_counts("beta") == {1} and model.arg_counts("alpha") == set()
 
 
 def test_segments_registered_from_unit_bodies():
@@ -105,22 +107,6 @@ def test_segment_for_field_ambiguity_is_an_error():
     with pytest.raises(MigrationError,
                        match="'shared' is owned by several in-scope segments: a1, a2"):
         ctx.resolve_field("shared")
-
-
-def test_module_of_a_symbol_depends_on_who_asks():
-    model = build()
-    # segments registered after a first lookup are still seen
-    model.modules_seen_from("alpha", {"beta"})
-    register_segment(model, make_segment("other", ["alpha", "gamma", "rec"]))
-    names = {"alpha", "beta", "gamma", "val", "rec", "other", "x"}
-    assert model.modules_seen_from("beta", names) == {
-        "alpha": "alpha_mod", "gamma": "gamma_mod", "val": "rec_mod",
-        "rec": "rec_mod", "other": "other_mod",
-    }
-    # a unit's own name falls through to the field it shares a name with
-    assert model.modules_seen_from("alpha", names)["alpha"] == "other_mod"
-    assert "beta" not in model.modules_seen_from("beta", names)
-    assert model.modules_seen_from("beta", {"x"}) == {}
 
 
 def test_dump_model_is_line_oriented_and_sorted():
