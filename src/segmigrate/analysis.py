@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from .errors import MigrationError
 from .frontend import ast_nodes as A
-from .model import SIZED, ProjectModel, SegmentDefinition, UnitSummary
+from .model import SIZED, ProjectModel, SegmentDefinition, UnitSummary, usable_events
 
 # --- name resolution --------------------------------------------------------
 
@@ -86,8 +86,8 @@ _WRITE = {UNKNOWN: OUT, IN: INOUT, OUT: OUT, INOUT: INOUT}
 
 @dataclass
 class RoutineSpec:
-    """Events of one routine, in textual order, restricted to what the
-    intent solver needs."""
+    """Events of one routine, in textual order; those that cannot change
+    the solver's state may be left out (see ``model.usable_events``)."""
 
     params: List[str]
     # ('r', name) | ('w', name) | ('f', callee, position, name)
@@ -150,9 +150,10 @@ def solve_intents(routines: Dict[str, RoutineSpec], catalog: Dict[str, List[str]
             period_end = 2 * sweep - snapshot_sweep
         elif sweep & (sweep - 1) == 0:
             snapshot, differing, snapshot_sweep = {}, 0, sweep
-    for key in oscillating:
-        state[key] = INOUT
-    return {key: (INOUT if v == UNKNOWN else v) for key, v in state.items()}
+    for key, value in state.items():
+        if value == UNKNOWN or key in oscillating:
+            state[key] = INOUT
+    return state
 
 
 def _run_events(spec: RoutineSpec, table: IntentTable, routines, catalog) -> List[str]:
@@ -200,25 +201,31 @@ def _callee_intent(callee, cpos, table, routines, catalog) -> str:
 
 def infer_intents(model: ProjectModel) -> IntentTable:
     """Intent table for every routine of the project, from the model alone:
-    the unit summaries and their events.  A SEGINI or SEGADJ reads the
-    dimensioning variables of its segment: the generated call passes them
-    to intent(in) dummies."""
+    the unit summaries and their stored events, which the solver takes as
+    they are.  A SEGINI or SEGADJ reads the dimensioning variables of its
+    segment: the generated call passes them to intent(in) dummies."""
     routines = {}
     for name, summary in model.units.items():
         if summary.kind in ("subroutine", "function"):
             events = model.events[name]
             if any(ev[0] == SIZED for ev in events):
-                events = [read for ev in events for read in _sized_reads(ev, summary, model)]
-            routines[name] = RoutineSpec(params=list(summary.parameters), events=events)
+                events = tuple(usable_events(_sized_reads(events, summary, model),
+                                             summary.parameters))
+            routines[name] = RoutineSpec(params=summary.parameters, events=events)
     return solve_intents(routines, model.intent_catalog)
 
 
-def _sized_reads(event: Tuple, summary: UnitSummary, model: ProjectModel) -> Sequence[Tuple]:
-    """The event, or for a SEGINI/SEGADJ marker, the reads it stands for."""
-    if event[0] != SIZED:
-        return (event,)
-    seg = model.segments.get(summary.segment_of(event[1]))
-    return [("r", v) for v in seg.dimensioning_vars] if seg else ()
+def _sized_reads(events: Sequence[Tuple], summary: UnitSummary,
+                 model: ProjectModel) -> Iterator[Tuple]:
+    """The events, each SEGINI/SEGADJ marker replaced by the reads of the
+    dimensioning variables of its segment."""
+    for ev in events:
+        if ev[0] != SIZED:
+            yield ev
+            continue
+        seg = model.segments.get(summary.segment_of(ev[1]))
+        if seg:
+            yield from (("r", var) for var in seg.dimensioning_vars)
 
 
 # --- intent catalog file ----------------------------------------------------

@@ -130,13 +130,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # --- pipeline ---------------------------------------------------------------
 
 
-def discover_sources(src: Path) -> Dict[Path, int]:
-    """Each unit source under ``src``, in path order, with its size in
-    bytes, from one walk with one ``stat`` a source.  A symlink to a file
-    counts and a symlinked directory is not entered; hidden files and
-    directories count."""
-    found: List[Tuple[Tuple[str, ...], Path, int]] = []
-    pending: List[Tuple[Path, Tuple[str, ...]]] = [(src, ())]
+def discover_sources(src: Path) -> Dict[str, int]:
+    """The path of each unit source under ``src``, as a string, in path
+    order, with its size in bytes, from one walk with one ``stat`` a
+    source.  A symlink to a file counts and a symlinked directory is not
+    entered; hidden files and directories count."""
+    found: List[Tuple[Tuple[str, ...], str, int]] = []
+    pending: List[Tuple[str, Tuple[str, ...]]] = [(os.fspath(src), ())]
     while pending:
         directory, parts = pending.pop()
         try:
@@ -147,7 +147,7 @@ def discover_sources(src: Path) -> Dict[Path, int]:
         for entry in entries:
             name = entry.name
             if entry.is_dir(follow_symlinks=False):
-                pending.append((directory / name, (*parts, name)))
+                pending.append((os.path.join(directory, name), (*parts, name)))
                 continue
             dot = name.rfind(".")
             if dot <= 0 or name[dot:] not in UNIT_EXTENSIONS:
@@ -157,7 +157,7 @@ def discover_sources(src: Path) -> Dict[Path, int]:
             except OSError:
                 continue  # a dangling symlink
             if stat.S_ISREG(info.st_mode):
-                found.append(((*parts, name), directory / name, info.st_size))
+                found.append(((*parts, name), os.path.join(directory, name), info.st_size))
     found.sort(key=lambda source: source[0])  # by components, as paths sort
     return {path: size for _, path, size in found}
 
@@ -170,7 +170,7 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def split_sources(sources: Dict[Path, int], count: int) -> List[List[Path]]:
+def split_sources(sources: Dict[str, int], count: int) -> List[List[str]]:
     """The paths of ``sources`` (path -> size in bytes, in order) cut into
     at most ``count`` contiguous, non-empty ranges of about equal bytes."""
     paths = list(sources)
@@ -179,7 +179,7 @@ def split_sources(sources: Dict[Path, int], count: int) -> List[List[Path]]:
         return [paths]
     sizes = list(sources.values())
     total, done, start = sum(sizes), 0, 0
-    ranges: List[List[Path]] = []
+    ranges: List[List[str]] = []
     for i, size in enumerate(sizes):
         done += size
         later = count - len(ranges) - 1  # ranges still to start after this one
@@ -207,7 +207,7 @@ class RangeFront(NamedTuple):
 
 
 def read_range(
-    cfg: RunConfig, paths: Collection[Path],
+    cfg: RunConfig, paths: Collection[str],
 ) -> Tuple[List[A.ProgramUnitAst], RangeFront]:
     """Lex and parse ``paths``, resolve the includes of their units and
     summarize them.  The sources and the files they include share one
@@ -226,10 +226,9 @@ def read_range(
     table: StatementTable = {}
     for path in paths:
         try:
-            file_units = parse_units(
-                split_logical_lines(read_source(path), str(path)), str(path), table)
+            file_units = parse_units(split_logical_lines(read_source(path), path), path, table)
         except MigrationError as exc:
-            errors.append((str(path), exc.span.start_line if exc.span else 0, str(exc)))
+            errors.append((path, exc.span.start_line if exc.span else 0, str(exc)))
             continue
         for unit in file_units:
             raw_units.append(unit)
@@ -282,7 +281,7 @@ def merge_ranges(cfg: RunConfig, fronts: Sequence[RangeFront]) -> ProjectModel:
 
 
 def load_units(
-    cfg: RunConfig, sources: Collection[Path],
+    cfg: RunConfig, sources: Collection[str],
 ) -> Tuple[List[A.ProgramUnitAst], ProjectModel]:
     """Parse ``sources``, resolve includes, and build the project model, all
     in this process.
@@ -296,20 +295,20 @@ def load_units(
 
 
 def migrate_range(
-    cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[Path],
+    cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[str],
     exchange: Callable, modules: bool,
 ) -> MigrationResult:
     """The pipeline over one range of the sources.  ``exchange(units, front)``
-    turns the range's units and front end into the whole project's model and
-    intents; the range's own files are then rewritten and rendered, and with
-    ``modules`` the generated modules too."""
+    turns the range's units and front end into the whole project's model,
+    intents and target names; the range's own files are then rewritten and
+    rendered, and with ``modules`` the generated modules too."""
     units, front = read_range(cfg, paths)
-    model, intents = exchange(units, front)
-    return migrate_project(units, model, intents, render_cfg, modules)
+    model, intents, targets = exchange(units, front)
+    return migrate_project(units, model, intents, render_cfg, modules, targets=targets)
 
 
 def migrate_sources(
-    cfg: RunConfig, render_cfg: RenderConfig, sources: Dict[Path, int], staging: StagedTree,
+    cfg: RunConfig, render_cfg: RenderConfig, sources: Dict[str, int], staging: StagedTree,
 ) -> Tuple[MigrationResult, WriteReport]:
     """Migrate ``sources`` (path -> size in bytes), one contiguous range
     per usable CPU, writing the outputs into ``staging``.
@@ -348,7 +347,8 @@ def migrate_sources(
             fronts = [front, *(worker.receive() for worker in workers)]
             model = merge_ranges(cfg, fronts)
             # a name clash fails the run before any process rewrites
-            clashes = target_names(model).clashes()
+            targets = target_names(model)
+            clashes = targets.clashes()
             if clashes:
                 raise MigrationErrors([MigrationError(clash) for clash in clashes])
             segments = list(model.segments.values())
@@ -360,7 +360,7 @@ def migrate_sources(
             intents = analysis.infer_intents(model)
             for worker in workers:
                 worker.pipe.send("intents", intents)
-            return model, intents
+            return model, intents, targets
 
         result = migrate_range(cfg, render_cfg, ranges[0], exchange, modules=True)
         staging.wait()
@@ -382,7 +382,7 @@ def migrate_sources(
 
 
 def _serve(
-    cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[Path], staging: StagedTree, parent,
+    cfg: RunConfig, render_cfg: RenderConfig, paths: Sequence[str], staging: StagedTree, parent,
 ) -> None:
     """The body of a worker, talking to the parent over the pipe ``parent``."""
     import gc
@@ -395,7 +395,7 @@ def _serve(
         model = build_project_model([*before, *front.summaries, *after], segments)
         model.intent_catalog = catalog
         _, intents = parent.receive()
-        return model, intents
+        return model, intents, target_names(model)
 
     result = migrate_range(cfg, render_cfg, paths, exchange, modules=False)
     report = write_tree(result.outputs, staging.path, cfg.out)
@@ -408,7 +408,7 @@ def cmd_migrate(cfg: RunConfig) -> int:
     cfg = cfg.validated_for_migrate()
     render_cfg = cfg.render_config()
     sources = discover_sources(cfg.src)
-    with StagedTree(cfg.out, (output_name(str(p)) for p in sources)) as staging:
+    with StagedTree(cfg.out, map(output_name, sources)) as staging:
         result, report = migrate_sources(cfg, render_cfg, sources, staging)
         if not result.ok:
             sys.stderr.write(result.format_report())

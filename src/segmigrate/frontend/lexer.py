@@ -43,11 +43,12 @@ _ESOPE_INCLUDE_RE = re.compile(r"^[%-]inc\s+['\"]?([^'\"\s]+)['\"]?\s*$", re.IGN
 SOURCE_ENCODING = "utf-8"
 
 
-def read_source(path: Path) -> str:
-    """Text of one input file; undecodable bytes are a migration error
-    naming the file."""
+def read_source(path: Union[str, Path]) -> str:
+    """Text of one input file, its line ends read as ``\\n``; undecodable
+    bytes are a migration error naming the file."""
     try:
-        return path.read_text(encoding=SOURCE_ENCODING)
+        with open(path, encoding=SOURCE_ENCODING) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise MigrationError(
             f"{path}: not valid {SOURCE_ENCODING} (byte {exc.start}: {exc.reason})"

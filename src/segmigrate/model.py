@@ -5,16 +5,17 @@ The dependency model (unit summaries, segments, call edges, include edges)
 stays resident for a whole run.  So do the unit ASTs, each in the process
 that parsed it: ``migrate`` holds every unit until the output tree is
 written.  Each :class:`UnitSummary` is filled in one pass over its unit's
-body, its read/write events and default pointers included; it is plain
-data, so a summary built in one process can be merged into the model of
-another, its events travelling beside it.  The intent pass reads only the
-model, and the rewrite is the one other pass over a body.
+body, its default pointers and the read/write events the intent solver
+can use included; it is plain data, so a summary built in one process can
+be merged into the model of another, its events travelling beside it.  The
+intent pass reads only the model, and the rewrite is the one other pass
+over a body.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import MigrationError, SourceSpan
 from .frontend.lexer import ExprToken
@@ -94,8 +95,9 @@ class UnitSummary:
     definitions: Tuple[SegmentDefinition, ...]  # the segments it defines, in order
     segments_in_scope: List[str]  # its own definitions, then included ones
     calls: Tuple[Tuple[str, int], ...]  # (callee, argument count), in order
-    # ast_nodes.Event or SIZED, in order, no function result write; () when
-    # they were kept beside the summary (see summarize_unit)
+    # ast_nodes.Event or SIZED, in order, no function result write, only
+    # those usable_events keeps; () when they were kept beside the summary
+    # (see summarize_unit)
     events: Tuple[Tuple, ...]
     # in-scope segment names with no POINTEUR line, referenced or named by a command
     default_pointers: Names
@@ -183,7 +185,8 @@ def build_project_model(
 def summarize_unit(unit, events: Optional[List[Tuple[Tuple, ...]]] = None) -> UnitSummary:
     """The summary of ``unit``, from one pass over its body.  Given a list
     ``events``, the unit's events are appended to it and the summary holds
-    none, so that a summary crosses a pipe without them."""
+    none, so that a summary crosses a pipe without them.  Either way only
+    the events :func:`usable_events` keeps are stored."""
     from .frontend import ast_nodes as A
 
     pointers: Dict[str, str] = {}
@@ -240,8 +243,9 @@ def summarize_unit(unit, events: Optional[List[Tuple[Tuple, ...]]] = None) -> Un
         declared.setdefault(name, "")  # typed by implicit rule, dimensioned here
     scope = [seg.name for seg in definitions]
     scope += [n for n in unit.extra_segments_in_scope if n not in scope]
+    usable = tuple(usable_events(own_events, unit.params))
     if events is not None:
-        events.append(tuple(own_events))
+        events.append(usable)
     return UnitSummary(
         name=unit.name, kind=unit.kind, parameters=unit.params, file_id=unit.file_id,
         span=unit.span, return_type=unit.return_type, pointers=pointers, declared=declared,
@@ -250,9 +254,33 @@ def summarize_unit(unit, events: Optional[List[Tuple[Tuple, ...]]] = None) -> Un
         assigned=_names({ev[1] for ev in own_events if ev[0] == "w"}),
         referenced=_names(referenced), defined=_names(defined), esope_statements=commands,
         definitions=tuple(definitions), segments_in_scope=scope, calls=tuple(calls),
-        events=tuple(own_events) if events is None else (),
+        events=usable if events is None else (),
         default_pointers=_names((used | referenced).intersection(scope) - pointers.keys()),
     )
+
+
+def usable_events(events: Iterable[Tuple], dummies: Collection[str]) -> Iterator[Tuple]:
+    """The ``events`` that can change the intent solver's state of a dummy
+    (``analysis._READ``/``_WRITE``), in order, and every SIZED marker.  A
+    dummy's first plain read leaves it ``in``, ``out`` or ``inout``, which
+    no later read changes; its first plain write leaves it ``out`` or
+    ``inout``, which no later access changes.  So an event is kept if it
+    concerns a dummy not yet written, unless it is a read of one already
+    read.  Keeping the result instead of ``events`` gives the same intents."""
+    read: Set[str] = set()
+    written: Set[str] = set()
+    for ev in events:
+        kind, name = ev[0], ev[-1]
+        if kind != SIZED:
+            if name not in dummies or name in written:
+                continue
+            if kind == "w":
+                written.add(name)
+            elif kind == "r":
+                if name in read:
+                    continue
+                read.add(name)
+        yield ev
 
 
 def _names(names: Set[str]) -> Names:

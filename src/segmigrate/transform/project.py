@@ -85,6 +85,8 @@ def migrate_project(
     intents: Dict[Tuple[str, int], str],
     cfg: Optional[RenderConfig] = None,
     modules: bool = True,
+    *,
+    targets: Optional[T.TargetNames] = None,
 ) -> MigrationResult:
     """Migrate the source files of ``units`` and, with ``modules``,
     synthesize all generated modules.
@@ -94,11 +96,13 @@ def migrate_project(
     ``modules``.  Any error makes the whole result unusable: it has no
     outputs, so a caller cannot write a half-migrated project.  Whether two
     outputs or modules share a name is the caller's check, on
-    :func:`target.target_names` of the model.
+    :func:`target.target_names` of the model, which it may pass as
+    ``targets``.
     """
     cfg = cfg or RenderConfig()
     result = MigrationResult()
-    targets = T.target_names(model)
+    if targets is None:
+        targets = T.target_names(model)
 
     by_file: Dict[str, List[A.ProgramUnitAst]] = {}
     for unit in units:

@@ -844,6 +844,21 @@ def frozen_unit_events(unit, model) -> List[Tuple]:
             for ev in _frozen_statement_events(node, unit, model, seg_by_pointer)]
 
 
+def frozen_usable_events(events: Sequence[Tuple], params: Sequence[str]) -> List[Tuple]:
+    """The events of a routine the intent solver can use, as a test on each
+    event's prefix: an event on a dummy that no earlier event writes, unless
+    it is a read that an earlier event repeats."""
+    kept = []
+    for k, ev in enumerate(events):
+        before = events[:k]
+        if ev[-1] not in params or ("w", ev[-1]) in before:
+            continue
+        if ev[0] == "r" and ev in before:
+            continue
+        kept.append(ev)
+    return kept
+
+
 def _frozen_reads(stream):
     for n in _frozen_stream_names(stream):
         if n not in _A.INTRINSIC_FUNCTIONS:

@@ -26,7 +26,9 @@ from segmigrate.errors import MigrationError
 from segmigrate.frontend import ast_nodes as A
 from segmigrate.frontend.lexer import read_source, split_logical_lines
 from segmigrate.frontend.parser import parse_source
-from segmigrate.model import build_project_model, default_implicit_type
+from segmigrate.model import (
+    SIZED, build_project_model, default_implicit_type, summarize_unit, usable_events,
+)
 from segmigrate.target import target_names
 from segmigrate.transform import compute_unit_uses, make_context, migrate_project
 
@@ -43,6 +45,7 @@ from helpers import (
     frozen_statement_reference_names,
     frozen_unit_events,
     frozen_unit_summary,
+    frozen_usable_events,
     jacobi_intents,
     oracle_intents,
     random_program,
@@ -275,6 +278,45 @@ def test_fixpoint_agrees_with_frozen_jacobi_on_recursive_programs():
     assert compared >= 1900 and cycling >= 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_compacted_events_give_the_intents_of_the_full_events(seed, cyclic):
+    routines, catalog = random_program(random.Random(seed), RoutineSpec, cyclic=cyclic)
+    compacted = {}
+    for name, spec in routines.items():
+        events = list(usable_events(spec.events, spec.params))
+        assert events == frozen_usable_events(spec.events, spec.params)
+        compacted[name] = RoutineSpec(spec.params, events)
+    table = solve_intents(compacted, catalog)
+    assert table == solve_intents(routines, catalog)
+    reference = jacobi_intents(routines, catalog)
+    assert reference is None or table == reference
+
+
+_REC = ["SEGMENT, REC", "  INTEGER V(N)", "END SEGMENT"]
+
+
+@pytest.mark.parametrize("body, kept", [
+    (["X = A", "Y = A"], [("r", "a")]),
+    (["X = K", "K = 1", "CALL T(K)", "Y = A"], [("r", "a")]),
+    (["X = A", "CALL T(A)", "CALL T(A)"], [("r", "a"), ("f", "t", 0, "a"), ("f", "t", 0, "a")]),
+    (["CALL T(A)", "A = 1", "X = A", "CALL T(A)", "A = 2"], [("f", "t", 0, "a"), ("w", "a")]),
+    ([*_REC, "SEGINI, REC", "N = 1", "SEGADJ, REC"], [(SIZED, "rec"), ("w", "n"), (SIZED, "rec")]),
+], ids=["repeated read", "local", "forward after read", "after first write", "sizing marker"])
+def test_a_summary_keeps_only_the_events_the_solver_can_use(body, kept):
+    src = "".join(f"      {line}\n" for line in ["SUBROUTINE S(A, N)", *body, "END"])
+    units, model = project(src)
+    assert model.events["s"] == model.units["s"].events == tuple(kept)
+    beside = []
+    assert summarize_unit(units[0], beside).events == () and beside == [tuple(kept)]
+
+
+def test_assigned_still_lists_a_written_local():
+    units, model = project("      SUBROUTINE S(A)\n      K = A\n      X = K\n      END\n")
+    assert model.events["s"] == (("r", "a"),)
+    assert model.units["s"].assigned == ("k", "x")
+
+
 def test_recursive_answer_is_the_jacobi_one():
     # in-place re-evaluation after r2 is known would give r3.y = inout
     routines = {
@@ -328,7 +370,7 @@ def test_solver_work_is_linear_on_a_forwarding_chain(monkeypatch):
 def agrees_with_frozen_walkers(units, model):
     """Each statement's record, each unit's default pointers and the events
     the intent pass hands the solver against the walkers that read the
-    streams again.  A default pointer is also an in-scope segment name the
+    streams again, the events compacted by the frozen rule.  A default pointer is also an in-scope segment name the
     unit references bare, which the frozen walkers did not count."""
     for unit in units:
         scope = set(model.units[unit.name].segments_in_scope)
@@ -347,7 +389,8 @@ def agrees_with_frozen_walkers(units, model):
         infer_intents(model)
     routines = solve.call_args.args[0]
     assert {name: list(spec.events) for name, spec in routines.items()} == {
-        unit.name: frozen_unit_events(unit, model) for unit in units if unit.kind != "program"}
+        unit.name: frozen_usable_events(frozen_unit_events(unit, model), unit.params)
+        for unit in units if unit.kind != "program"}
 
 
 @pytest.mark.parametrize("src,catalog", [(BOOKSTORE, BOOKSTORE_INTENTS), (PLAIN77, None)],

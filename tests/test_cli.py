@@ -9,14 +9,16 @@ import re
 import stat
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import segmigrate
-from segmigrate import analysis, cli, workers
+from segmigrate import analysis, cli, target, workers
 from segmigrate.cli import main, parse_config_file
 from segmigrate.errors import ConfigError, MigrationError
+from segmigrate.frontend.lexer import read_source
 
 from helpers import BOOKSTORE, BOOKSTORE_INTENTS, FIXTURES, PLAIN77
 from test_golden import GOLDEN, tree_bytes
@@ -154,7 +156,7 @@ def test_every_failing_source_gives_its_own_diagnostic(tmp_path, capsys):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_outputs_are_precreated_in_staging_before_write_tree_starts(tmp_path, capsys,
                                                                      monkeypatch):
-    predicted = sorted(p.stem + ".f90" for p in cli.discover_sources(BOOKSTORE))
+    predicted = sorted(Path(p).stem + ".f90" for p in cli.discover_sources(BOOKSTORE))
     seen = []
     real_write_tree = cli.write_tree
 
@@ -551,11 +553,26 @@ def test_sources_are_found_in_one_walk_in_path_order(tmp_path):
     found = cli.discover_sources(src)
     # in path order, a/x.f comes before a-b/x.f, which string order reverses
     assert list(found.items()) == [
-        (src / ".dot" / "y.F", 0), (src / ".hidden.f", 0), (src / "a" / "x.f", 5),
-        (src / "a-b" / "x.f", 3), (src / "link.f", 7), (src / "z.eso", 0)]
-    # the rule of a recursive glob
-    assert list(found) == sorted(p for p in src.rglob("*")
-                                 if p.is_file() and p.suffix in cli.UNIT_EXTENSIONS)
+        (str(src / ".dot" / "y.F"), 0), (str(src / ".hidden.f"), 0), (str(src / "a" / "x.f"), 5),
+        (str(src / "a-b" / "x.f"), 3), (str(src / "link.f"), 7), (str(src / "z.eso"), 0)]
+    # the rule of a recursive glob, each path spelled as a string
+    assert list(found) == [str(p) for p in sorted(
+        p for p in src.rglob("*") if p.is_file() and p.suffix in cli.UNIT_EXTENSIONS)]
+
+
+@given(st.text("ab./", min_size=1, max_size=12))
+def test_an_output_is_named_after_the_stem_of_its_source(file_id):
+    path = PurePosixPath(file_id)
+    # spelled as a source path is: normalized, and ending in a file's name
+    assume(str(path) == file_id and file_id.endswith(path.name) and path.name)
+    assert target.output_name(file_id) == path.stem + ".f90"
+
+
+def test_a_source_is_read_with_universal_newlines(tmp_path):
+    path = tmp_path / "crlf.f"
+    path.write_bytes(b"      X = 1\r\n      Y = 2\r      END\n\xc3\xa9")
+    assert read_source(str(path)) == read_source(path) == path.read_text(encoding="utf-8")
+    assert read_source(path) == "      X = 1\n      Y = 2\n      END\n\u00e9"
 
 
 @pytest.mark.parametrize("src, extra", [
@@ -678,7 +695,12 @@ def test_split_runs_report_the_same_errors(tmp_path, capsys, monkeypatch, name):
       "c.f": "      SUBROUTINE C\n      END\n"},
      "module segment_mod would be defined by each of subroutine segment at {src}/a.f:1:1, "
      "the segment runtime"),
-], ids=["segment", "runtime"])
+    ({"a.f": "      PROGRAM USER_MOD\n      CALL USER\n      END\n",
+      "b.f": "      SUBROUTINE USER\n      END\n",
+      "c.f": "      SUBROUTINE C\n      END\n"},
+     "global name user_mod would name each of program user_mod at {src}/a.f:1:1, "
+     "the module of subroutine user at {src}/b.f:1:1"),
+], ids=["segment", "runtime", "program"])
 def test_a_routine_named_like_a_generated_module_is_an_error(tmp_path, capsys, monkeypatch,
                                                               files, origins):
     src = tmp_path / "src"
@@ -686,6 +708,22 @@ def test_a_routine_named_like_a_generated_module_is_an_error(tmp_path, capsys, m
     code, out, err, tree = assert_split_changes_nothing(tmp_path, capsys, monkeypatch, src)
     assert (code, out, err, tree) == (1, "", f"error: {origins.format(src=src)}\n", None)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
+
+
+def test_the_target_names_are_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    real = target.target_names
+
+    def counting(model):
+        built.append(model)
+        return real(model)
+
+    monkeypatch.setattr(cli, "target_names", counting)
+    monkeypatch.setattr(target, "target_names", counting)
+    force_ranges(monkeypatch, 3)
+    code, _, err = migrate_bookstore(tmp_path, capsys)
+    assert code == 0, err
+    assert len(built) == 1  # this process's; a worker counts in its own memory
 
 
 @needs_fork
