@@ -16,7 +16,7 @@ from . import analysis
 from .emit import RenderConfig, StagedTree, WriteReport, write_tree
 from .errors import ConfigError, MigrationError, MigrationErrors
 from .frontend import ast_nodes as A
-from .frontend.includes import build_fragment_cache, resolve_includes
+from .frontend.includes import Place, build_fragment_cache, resolve_includes
 from .frontend.lexer import SOURCE_ENCODING, read_source, split_logical_lines
 from .frontend.parser import StatementTable, parse_units
 from .model import (
@@ -220,7 +220,7 @@ def read_range(
     if not paths:
         raise MigrationError(f"no source files under {cfg.src}")
     raw_units: List[A.ProgramUnitAst] = []
-    requests: List[A.IncludeNode] = []
+    requests: List[Place] = []
     edges: List[Tuple[str, str]] = []
     errors: List[Tuple[str, int, str]] = []
     table: StatementTable = {}
@@ -232,9 +232,9 @@ def read_range(
             continue
         for unit in file_units:
             raw_units.append(unit)
-            for node in unit.body:
+            for i, node in enumerate(unit.body):
                 if isinstance(node, A.IncludeNode):
-                    requests.append(node)
+                    requests.append((unit, i))
                     edges.append((unit.name, node.directive.path))
     try:
         cache = build_fragment_cache(requests, [cfg.src, *cfg.include_paths], table)
@@ -243,11 +243,12 @@ def read_range(
                    for e in exc.errors)
     if errors:
         return [], RangeFront([], [], {}, edges, errors)
-    fragments = {path: (frag.segments, [node.directive.path for node in frag.includes])
+    fragments = {path: (frag.segments, [raw.body[i].directive.path for raw, i in frag.includes])
                  for path, frag in cache.items()}
     units = [resolve_includes(u, cache) for u in raw_units]
     events: List[Tuple[Tuple, ...]] = []
-    summaries = [summarize_unit(u, events) for u in units]
+    segments = [seg for frag in cache.values() for seg in frag.segments]
+    summaries = [summarize_unit(u, events, segments) for u in units]
     return units, RangeFront(summaries, events, fragments, edges, [])
 
 

@@ -4,21 +4,21 @@ Only constructs that must be rewritten are deeply parsed; any other host
 statement survives as an :class:`OpaqueNode` wrapping its token stream.
 
 The AST is read-only once the parser has built it, and the types enforce
-it: every node class is a frozen, slotted dataclass.  Include resolution
-builds each unit a new body but shares the statement nodes: every unit
-that includes a file holds that file's nodes, not copies of them.
+it: every node class is a frozen, slotted dataclass.  A node is pure
+content, its label included: every repeat of a statement in a range, and
+every unit's copy of an included file's statements, is one node.  Where an
+entry starts is in its unit's ``lines`` array, from which
+:meth:`ProgramUnitAst.span_of` builds a ``SourceSpan`` for a diagnostic.
 
 Every node carries its :class:`StatementFacts` in ``node.facts``, built
 once by :func:`statement_facts` when the node is constructed: the one walk
 over the statement's folded token streams.  The model, the analysis and the
-rewriter read the record instead of walking the streams again.  A statement
-whose text the parser has classified before in the same range is a
-:meth:`Node.restamped` twin of the first node: its own span and label, the
-first node's content and record.
+rewriter read the record instead of walking the streams again.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -59,24 +59,11 @@ NO_FACTS = StatementFacts()
 
 @dataclass(frozen=True, slots=True)
 class Node:
-    span: SourceSpan
     label: Optional[int] = None
     facts: StatementFacts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "facts", statement_facts(self))
-
-    def restamped(self, span: SourceSpan, label: Optional[int]) -> "Node":
-        """This statement at ``span`` with ``label``: a new node sharing its
-        other fields and its ``facts`` with this one, built without a walk."""
-        twin = object.__new__(type(self))
-        put = object.__setattr__
-        put(twin, "span", span)
-        put(twin, "label", label)
-        put(twin, "facts", self.facts)
-        for name in self.__match_args__[2:]:  # the init fields after span and label
-            put(twin, name, getattr(self, name))
-        return twin
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +162,7 @@ class OpaqueNode(Node):
 @dataclass(frozen=True, slots=True)
 class ProgramUnitAst:
     name: str
-    kind: str  # program | subroutine | function
+    kind: str  # program | subroutine | function | fragment
     params: List[str]
     body: List[Node]
     span: SourceSpan
@@ -183,6 +170,18 @@ class ProgramUnitAst:
     return_type: Optional[str] = None
     # segments made visible by resolved includes (not declared in this file)
     extra_segments_in_scope: List[str] = field(default_factory=list)
+    # the line each body entry starts at, in the file it was read from
+    lines: array = field(default_factory=lambda: array("I"))
+    # (index in ``body`` of its first statement, the file) of each non-empty splice
+    splices: Tuple[Tuple[int, "ProgramUnitAst"], ...] = ()
+
+    def span_of(self, i: int) -> SourceSpan:
+        """Where body entry ``i`` starts, for a diagnostic: in this unit's
+        file, or in the included file, nested or not, it was spliced from."""
+        for start, fragment in self.splices:
+            if start <= i < start + len(fragment.body):
+                return fragment.span_of(i - start)
+        return SourceSpan(self.file_id, self.lines[i], 1, self.lines[i], 1)
 
 
 # --- traversal helpers ------------------------------------------------------

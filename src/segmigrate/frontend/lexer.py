@@ -7,12 +7,12 @@ before the rules apply.
 Tokens are immutable and interned: every equal lexeme of a run is one
 shared ``Token`` object.  Code compares them with the shared constants
 (``LPAREN``, ``DOT``, ``SLASH``, ...), never with a freshly built token.
-Interning goes on above the lexer: the parser shares the classified
-content of each distinct statement text of a range, and it looks every
-statement line up in that table in one place, in a unit, a fragment or
-between units alike, before it tries the include, SEGMENT or any other
-pattern.  So a repeated line is neither matched nor tokenized again.  Only
-whether the line is its unit's END is decided first (see ``parser``).
+Interning goes on above the lexer: the parser makes one node per distinct
+line of a range, and it looks every line up in that table in one place,
+in a unit, a fragment or between units alike, before it tries the include,
+SEGMENT or any other pattern.  So a repeated line is neither matched nor
+tokenized again.  Only whether the line is its unit's END is decided first
+(see ``parser``).
 """
 
 from __future__ import annotations
@@ -57,19 +57,20 @@ def read_source(path: Union[str, Path]) -> str:
 
 class LogicalLine(NamedTuple):
     """One statement (continuations merged), comment, or directive; a plain
-    tuple, since one is built per statement of every file."""
+    tuple, since one is built per statement of every file.  Its place is two
+    line numbers: a ``SourceSpan`` is built only for a diagnostic."""
 
     kind: str
     text: str
-    span: SourceSpan
+    start: int  # the line of its first card
+    end: int  # the line of its last card
     label: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncludeDirective:
     flavor: str
     path: str
-    span: SourceSpan
 
 
 def expand_tabs(line: str) -> str:
@@ -93,16 +94,15 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
     def flush():
         nonlocal pending
         if pending is not None:
-            out.append(LogicalLine(
-                STATEMENT, pending["text"].rstrip(),
-                SourceSpan(file_id, pending["start"], 1, pending["end"], 72), pending["label"]))
+            out.append(LogicalLine(STATEMENT, pending["text"].rstrip(), pending["start"],
+                                   pending["end"], pending["label"]))
             pending = None
         out.extend(held)
         held.clear()
 
-    def comment(text: str, span: SourceSpan):
+    def comment(text: str):
         # a continuation card may still follow, so a statement's comment waits
-        (out if pending is None else held).append(LogicalLine(COMMENT, text, span))
+        (out if pending is None else held).append(LogicalLine(COMMENT, text, lineno, lineno))
 
     def card_span() -> SourceSpan:
         return SourceSpan(file_id, lineno, 1, lineno, max(1, len(line.rstrip())))
@@ -116,14 +116,14 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
         first = line[0] if line else ""
 
         if not line.strip():
-            comment("", card_span())
+            comment("")
             continue
         if first in ("C", "c", "*", "!"):
-            comment(line[1:].rstrip(), card_span())
+            comment(line[1:].rstrip())
             continue
         if first == "#":
             flush()
-            out.append(LogicalLine(DIRECTIVE, line.rstrip(), card_span()))
+            out.append(LogicalLine(DIRECTIVE, line.rstrip(), lineno, lineno))
             continue
 
         label_field = line[0:5]
@@ -138,7 +138,7 @@ def split_logical_lines(source: str, file_id: str = "<input>") -> List[LogicalLi
             before = pending["text"] if continued else ""
             code = _code_part(before + body)[len(before):]
             if not (continued or code.strip() or label_field.strip()):
-                comment(body[len(code) + 1 :].rstrip(), card_span())
+                comment(body[len(code) + 1 :].rstrip())
                 continue
             body = code
 
@@ -179,18 +179,18 @@ def detect_include(line: LogicalLine) -> Optional[IncludeDirective]:
     if line.kind == DIRECTIVE:
         m = _HASH_INCLUDE_RE.match(line.text)
         if m:
-            return IncludeDirective(FLAVOR_HASH, m.group(1), line.span)
+            return IncludeDirective(FLAVOR_HASH, m.group(1))
         return None
     if line.kind != STATEMENT:
         return None
     text = line.text.strip()
     m = _FORTRAN_INCLUDE_RE.match(text)
     if m:
-        return IncludeDirective(FLAVOR_FORTRAN, m.group(1), line.span)
+        return IncludeDirective(FLAVOR_FORTRAN, m.group(1))
     m = _ESOPE_INCLUDE_RE.match(text)
     if m:
         flavor = FLAVOR_PERCENT if text.startswith("%") else FLAVOR_DASH
-        return IncludeDirective(flavor, m.group(1), line.span)
+        return IncludeDirective(flavor, m.group(1))
     return None
 
 
@@ -373,7 +373,7 @@ def _fold_paren_suffix(access: DottedAccess, toks: List[Token], i: int, span):
     return DottedAccess(access.pointer, access.field, subs), j
 
 
-def _collect_group(toks: List[Token], i: int, span) -> Tuple[List[Token], int]:
+def _collect_group(toks: List[Token], i: int, span=None) -> Tuple[List[Token], int]:
     """Return tokens inside the balanced paren group opening at ``i``."""
     depth = 0
     inner: List[Token] = []

@@ -3,11 +3,12 @@ per-unit ASTs it links to.
 
 The dependency model (unit summaries, segments, call edges, include edges)
 stays resident for a whole run.  So do the unit ASTs, each in the process
-that parsed it: ``migrate`` holds every unit until the output tree is
-written.  Each :class:`UnitSummary` is filled in one pass over its unit's
-body, its default pointers and the read/write events the intent solver
-can use included; it is plain data, so a summary built in one process can
-be merged into the model of another, its events travelling beside it.  The
+that parsed it, which holds one node per distinct statement of its range:
+``migrate`` holds every unit until the output tree is written.  Each
+:class:`UnitSummary` is filled in one pass over its unit's body, its
+default pointers and the read/write events the intent solver can use
+included; it is plain data, so a summary built in one process can be
+merged into the model of another, its events travelling beside it.  The
 intent pass reads only the model, and the rewrite is the one other pass
 over a body.
 """
@@ -182,11 +183,14 @@ def build_project_model(
     return model
 
 
-def summarize_unit(unit, events: Optional[List[Tuple[Tuple, ...]]] = None) -> UnitSummary:
+def summarize_unit(unit, events: Optional[List[Tuple[Tuple, ...]]] = None,
+                   segments: Iterable[SegmentDefinition] = ()) -> UnitSummary:
     """The summary of ``unit``, from one pass over its body.  Given a list
     ``events``, the unit's events are appended to it and the summary holds
     none, so that a summary crosses a pipe without them.  Either way only
-    the events :func:`usable_events` keeps are stored."""
+    the events :func:`usable_events` keeps are stored, and a SIZED marker
+    only if a dummy sizes its segment, or if that is none of the unit's own
+    or of ``segments``, which the model may resolve: no other reads a dummy."""
     from .frontend import ast_nodes as A
 
     pointers: Dict[str, str] = {}
@@ -243,7 +247,10 @@ def summarize_unit(unit, events: Optional[List[Tuple[Tuple, ...]]] = None) -> Un
         declared.setdefault(name, "")  # typed by implicit rule, dimensioned here
     scope = [seg.name for seg in definitions]
     scope += [n for n in unit.extra_segments_in_scope if n not in scope]
-    usable = tuple(usable_events(own_events, unit.params))
+    unsized = {seg.name for seg in (*segments, *definitions)
+               if set(unit.params).isdisjoint(seg.dimensioning_vars)}
+    kept = [ev for ev in own_events if ev[0] != SIZED or pointers.get(ev[1], ev[1]) not in unsized]
+    usable = tuple(usable_events(kept, unit.params))
     if events is not None:
         events.append(usable)
     return UnitSummary(

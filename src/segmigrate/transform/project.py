@@ -156,5 +156,5 @@ def negative_pointer_uses(unit: A.ProgramUnitAst, model: ProjectModel) -> List[s
     summary = model.units[unit.name]
     pointers = set(summary.pointers).union(
         name for name in summary.segments_in_scope if name in model.segments)
-    return [f"{node.span.label()}: pointer {name!r} used with a negative literal"
-            for node in unit.body for name in node.facts.negated if name in pointers]
+    return [f"{unit.span_of(i).label()}: pointer {name!r} used with a negative literal"
+            for i, node in enumerate(unit.body) for name in node.facts.negated if name in pointers]

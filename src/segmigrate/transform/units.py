@@ -38,6 +38,7 @@ class RewriteContext:
     rewritten: int = 0
     removed: int = 0
     passthrough: int = 0
+    at: int = 0  # the index in the unit's body of the statement being rewritten
 
     def segment_of(self, name: str) -> Optional[SegmentDefinition]:
         seg_name = self.summary.segment_of(name)
@@ -125,8 +126,8 @@ def rewrite_statement(node: A.Node, ctx: RewriteContext) -> List[T.OutputNode]:
         text = ctx.render(node.tokens)
         return [_stmt(text, node.label)]
     if isinstance(node, A.IncludeNode):
-        raise MigrationError("unresolved include reached the rewriter", node.span)
-    raise MigrationError(f"unhandled statement node {type(node).__name__}", node.span)
+        raise MigrationError("unresolved include reached the rewriter", ctx.unit.span_of(ctx.at))
+    raise MigrationError(f"unhandled statement node {type(node).__name__}", ctx.unit.span_of(ctx.at))
 
 
 def _count_esope_touch(node: A.Node, ctx: RewriteContext) -> None:
@@ -142,7 +143,7 @@ def _rewrite_command(node: A.EsopeCommandNode, ctx: RewriteContext) -> List[T.Ou
     seg = ctx.segment_of(node.target)
     if seg is None:
         raise MigrationError(
-            f"{node.kind} target {node.target!r} is not a declared pointer", node.span
+            f"{node.kind} target {node.target!r} is not a declared pointer", ctx.unit.span_of(ctx.at)
         )
     if node.kind in (A.SEGACT, A.SEGDES):
         ctx.removed += 1
@@ -158,7 +159,7 @@ def _rewrite_command(node: A.EsopeCommandNode, ctx: RewriteContext) -> List[T.Ou
     elif node.kind in (A.SEGSUP, A.SEGPRT):
         text = f"call {node.kind}({node.target})"
     else:
-        raise MigrationError(f"unknown command kind {node.kind!r}", node.span)
+        raise MigrationError(f"unknown command kind {node.kind!r}", ctx.unit.span_of(ctx.at))
     return [_stmt(text, node.label)]
 
 
@@ -344,7 +345,7 @@ def wrap_in_module(ctx: RewriteContext) -> T.TargetNode:
     decls = _inferred_declarations(ctx) + [
         T.declaration(f"type({n}), pointer :: {n}") for n in ctx.summary.default_pointers]
     body: List[T.OutputNode] = []
-    for node in unit.body:
+    for ctx.at, node in enumerate(unit.body):
         if decls and _is_executable(node):
             body += decls
             decls = []

@@ -6,8 +6,10 @@ the assertions in the test modules compare two independent answers.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -16,6 +18,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BOOKSTORE = FIXTURES / "bookstore"
 BOOKSTORE_INTENTS = FIXTURES / "bookstore.intents"
 PLAIN77 = FIXTURES / "plain77"
+
+
+def load_corpus_module():
+    """The benchmark's tree generator, ``perfbench/corpus.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # its dataclasses look their module up
+    return module
 
 
 # --- free-form source scanning ----------------------------------------------
@@ -1020,7 +1031,7 @@ def frozen_negative_pointer_uses(unit, model) -> List[str]:
     if not pointers:
         return []
     warnings: List[str] = []
-    for node in unit.body:
+    for i, node in enumerate(unit.body):
         for stream in _frozen_negative_streams(node):
             flat = [
                 _Token("name", t.pointer) if isinstance(t, _Dotted) else t
@@ -1028,7 +1039,8 @@ def frozen_negative_pointer_uses(unit, model) -> List[str]:
                 if isinstance(t, _Token) or isinstance(t, _Dotted) and t.pointer
             ]
             for hit in _frozen_scan_negative(flat, pointers):
-                warnings.append(f"{node.span.label()}: pointer {hit!r} used with a negative literal")
+                warnings.append(
+                    f"{unit.span_of(i).label()}: pointer {hit!r} used with a negative literal")
     return warnings
 
 
@@ -1065,6 +1077,77 @@ def _frozen_scan_negative(toks, pointers) -> List[str]:
         ):
             hits.append(t.value)
     return hits
+
+
+# --- frozen body positions -------------------------------------------------
+#
+# Where each body entry of each unit starts, as the parser placed it when
+# every node carried its own span, from the logical lines of the files
+# alone: each comment, directive and statement between a unit's header and
+# its END, one entry for a SEGMENT block, and for an include its two
+# markers at the directive's line around the places of the included file's
+# statements (its comments and segment blocks left out, its own includes
+# expanded the same way).  Lines outside every unit open the next unit's
+# body, or close the last one's.
+
+from segmigrate.frontend.lexer import split_logical_lines as _split_logical_lines  # noqa: E402
+
+_F_HEADER_RE = re.compile(
+    r"^(?:(?:integer|real|logical|double\s+precision|character)\S*\s+)?"
+    r"(?:program|subroutine|function)\b", re.IGNORECASE)
+_F_END_RE = re.compile(r"^end(\s+(subroutine|function|program)(\s+\w+)?)?\s*$", re.IGNORECASE)
+_F_SEGMENT_RE = re.compile(r"^segment\b", re.IGNORECASE)
+_F_END_SEGMENT_RE = re.compile(r"^end\s*segment\s*$", re.IGNORECASE)
+_F_INCLUDE_RES = {
+    "directive": re.compile(r'^\s*#\s*include\s+["<]([^">]+)[">]\s*$', re.IGNORECASE),
+    "statement": re.compile(r"^(?:include\s+['\"]([^'\"]+)['\"]|[%-]inc\s+['\"]?([^'\"\s]+)['\"]?)\s*$",
+                            re.IGNORECASE),
+}
+
+
+def frozen_body_places(text: str, file_id: str, search: Optional[Path]) -> List[List[Tuple[str, int]]]:
+    """(file, start line) of each body entry of each unit of the source
+    ``text`` of ``file_id``; included files are found under ``search``."""
+    units: List[List[Tuple[str, int]]] = []
+    pending: List[Tuple[str, int]] = []
+    inside = False
+    lines = iter(_split_logical_lines(text, file_id))
+    for line in lines:
+        statement = line.text.strip() if line.kind == "statement" else None
+        if statement is not None and not inside and _F_HEADER_RE.match(statement):
+            inside = True
+        elif statement is not None and inside and _F_END_RE.match(statement):
+            units.append(pending)
+            pending, inside = [], False
+        else:
+            pending += _frozen_places(line, lines, file_id, search, False)
+    if units and pending:
+        units[-1] += pending
+    return units
+
+
+def _frozen_places(line, lines, file_id, search, included) -> List[Tuple[str, int]]:
+    here = [(file_id, line.start)]
+    if line.kind == "comment":
+        return [] if included else here
+    m = _F_INCLUDE_RES[line.kind].match(line.text if line.kind == "directive" else line.text.strip())
+    if m:
+        path = str(search / (m.group(1) or m.group(2)))
+        nested = iter(_split_logical_lines(Path(path).read_text(), path))
+        return here + [place for inner in nested
+                       for place in _frozen_places(inner, nested, path, search, True)] + here
+    if line.kind == "statement" and _F_SEGMENT_RE.match(line.text.strip()):
+        for inner in lines:  # the block ends at its END SEGMENT
+            if inner.kind == "statement" and _F_END_SEGMENT_RE.match(inner.text.strip()):
+                break
+        return [] if included else here
+    return here
+
+
+def body_places(unit) -> List[Tuple[str, int]]:
+    """(file, start line) of each body entry of ``unit``, as it reports them."""
+    spans = [unit.span_of(i) for i in range(len(unit.body))]
+    return [(span.file_id, span.start_line) for span in spans]
 
 
 # --- frozen unit scanners ---------------------------------------------------
@@ -1339,7 +1422,7 @@ def oracle_classify(text: str, span, label=None):
     """The node of one stripped statement text, as the frozen rules pick it."""
     m = _F_POINTEUR_RE.match(text)
     if m:
-        return _A.PointerDeclNode(span=span, label=label,
+        return _A.PointerDeclNode(label=label,
                                   entries=_oracle_pointer_list(m.group(1), span))
 
     if _F_ESOPE_CMD_HEAD_RE.match(text):
@@ -1358,7 +1441,7 @@ def oracle_classify(text: str, span, label=None):
             else:
                 raise _MigrationError(f"{keyword} does not take a source operand", span)
         return _A.EsopeCommandNode(
-            span=span, label=label, kind=kind, target=target, source=source, original=text)
+            label=label, kind=kind, target=target, source=source, original=text)
 
     m = _F_IMPLICIT_RE.match(text)
     if m:
@@ -1367,12 +1450,12 @@ def oracle_classify(text: str, span, label=None):
     m = _F_EXTERNAL_RE.match(text)
     if m:
         names = [n.strip().lower() for n in m.group(1).split(",")]
-        return _A.ExternalDeclNode(span=span, label=label, names=names)
+        return _A.ExternalDeclNode(label=label, names=names)
 
     m = _F_DIMENSION_RE.match(text)
     if m:
         entities = _oracle_decl_entities(m.group(1), span)
-        return _A.TypeDeclNode(span=span, label=label, base_type=None, entities=entities)
+        return _A.TypeDeclNode(label=label, base_type=None, entities=entities)
 
     m = _F_TYPE_DECL_RE.match(text)
     if m and not _F_FUNCTION_RE.match(text):
@@ -1381,7 +1464,7 @@ def oracle_classify(text: str, span, label=None):
         if m.group(3):
             char_len = "*" if "*" in m.group(3) and not m.group(3).isdigit() else int(m.group(3))
         entities = _oracle_decl_entities(m.group(4), span)
-        return _A.TypeDeclNode(span=span, label=label, base_type=base, char_len=char_len,
+        return _A.TypeDeclNode(label=label, base_type=base, char_len=char_len,
                                entities=entities)
 
     m = _F_CALL_RE.match(text)
@@ -1390,7 +1473,7 @@ def oracle_classify(text: str, span, label=None):
         if m.group(2):
             inner = _live_tokenize(m.group(2)[1:-1], span)
             args = [list(_live_scan_expression(p, span)) for p in _live_split_top_commas(inner)]
-        return _A.CallNode(span=span, label=label, callee=m.group(1).lower(), args=args)
+        return _A.CallNode(label=label, callee=m.group(1).lower(), args=args)
 
     tokens = _live_scan_expression(_live_tokenize(text, span), span)
 
@@ -1408,10 +1491,10 @@ def oracle_classify(text: str, span, label=None):
         head = tokens[0]
         if (isinstance(head, _Token) and head.kind == "name"
                 and head.value in _A.STATEMENT_KEYWORDS):
-            return _A.OpaqueNode(span=span, label=label, tokens=tokens)
-        return _A.AssignmentNode(span=span, label=label, lhs=tokens[:k], rhs=tokens[k + 1:])
+            return _A.OpaqueNode(label=label, tokens=tokens)
+        return _A.AssignmentNode(label=label, lhs=tokens[:k], rhs=tokens[k + 1:])
 
-    return _A.OpaqueNode(span=span, label=label, tokens=tokens)
+    return _A.OpaqueNode(label=label, tokens=tokens)
 
 
 def _oracle_if_body(rest, span, label, guard):
@@ -1422,7 +1505,7 @@ def _oracle_if_body(rest, span, label, guard):
             if len(rest) >= 3 and rest[2] == _LP:
                 inner, _ = _live_collect_group(rest, 2, span)
                 args = _live_split_top_commas(inner)
-            return _A.CallNode(span=span, label=label, callee=rest[1].value, args=args,
+            return _A.CallNode(label=label, callee=rest[1].value, args=args,
                                guard=guard)
         return None
     k = _oracle_assign_index(rest)
@@ -1430,7 +1513,7 @@ def _oracle_if_body(rest, span, label, guard):
         if (isinstance(head, _Token) and head.kind == "name"
                 and head.value in _A.STATEMENT_KEYWORDS):
             return None
-        return _A.AssignmentNode(span=span, label=label, lhs=rest[:k], rhs=rest[k + 1:],
+        return _A.AssignmentNode(label=label, lhs=rest[:k], rhs=rest[k + 1:],
                                  guard=guard)
     return None
 
@@ -1462,13 +1545,13 @@ def _oracle_pointer_list(raw, span):
 def _oracle_implicit(rest, original, span, label):
     rest = rest.strip()
     if rest.lower() == "none":
-        return _A.ImplicitDeclNode(span=span, label=label, none=True, original=original)
+        return _A.ImplicitDeclNode(label=label, none=True, original=original)
     rules = [(_F_BLANKS_RE.sub(" ", m.group(1).lower()), m.group(2).replace(" ", "").lower())
              for m in _F_IMPLICIT_RULE_RE.finditer(rest)]
     ranges = [part for _, letters in rules for part in letters.split(",") if "-" in part]
     if not rules or not all(_F_LETTER_RANGE_RE.fullmatch(part) for part in ranges):
         raise _MigrationError(f"unparseable implicit statement: {original!r}", span)
-    return _A.ImplicitDeclNode(span=span, label=label, rules=rules, original=original)
+    return _A.ImplicitDeclNode(label=label, rules=rules, original=original)
 
 
 def _oracle_decl_entities(raw, span):

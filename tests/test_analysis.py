@@ -36,6 +36,8 @@ from helpers import (
     BOOKSTORE,
     BOOKSTORE_INTENTS,
     PLAIN77,
+    body_places,
+    frozen_body_places,
     frozen_call_edges,
     frozen_default_pointer_uses,
     frozen_esope_touch,
@@ -302,13 +304,30 @@ _REC = ["SEGMENT, REC", "  INTEGER V(N)", "END SEGMENT"]
     (["X = A", "CALL T(A)", "CALL T(A)"], [("r", "a"), ("f", "t", 0, "a"), ("f", "t", 0, "a")]),
     (["CALL T(A)", "A = 1", "X = A", "CALL T(A)", "A = 2"], [("f", "t", 0, "a"), ("w", "a")]),
     ([*_REC, "SEGINI, REC", "N = 1", "SEGADJ, REC"], [(SIZED, "rec"), ("w", "n"), (SIZED, "rec")]),
-], ids=["repeated read", "local", "forward after read", "after first write", "sizing marker"])
+    # no dummy sizes REC: the marker reads no dummy
+    (["SEGMENT, REC", "  INTEGER V(M)", "END SEGMENT", "SEGINI, REC"], []),
+    # no segment GHOST here: the model may resolve it, so the marker stays
+    (["POINTEUR P.GHOST", "SEGINI, P"], [(SIZED, "p")]),
+], ids=["repeated read", "local", "forward after read", "after first write", "sizing marker",
+        "dead sizing marker", "unresolved sizing marker"])
 def test_a_summary_keeps_only_the_events_the_solver_can_use(body, kept):
     src = "".join(f"      {line}\n" for line in ["SUBROUTINE S(A, N)", *body, "END"])
     units, model = project(src)
     assert model.events["s"] == model.units["s"].events == tuple(kept)
     beside = []
     assert summarize_unit(units[0], beside).events == () and beside == [tuple(kept)]
+
+
+def test_a_sizing_marker_of_a_known_segment_stays_only_if_a_dummy_sizes_it(tmp_path):
+    (tmp_path / "rec.seg").write_text("      SEGMENT, REC\n      INTEGER V(N)\n      END SEGMENT\n")
+    (tmp_path / "s.f").write_text(
+        "      SUBROUTINE S(P, N)\n      include 'rec.seg'\n      POINTEUR P.REC\n"
+        "      SEGINI, P\n      END\n"
+        "      SUBROUTINE T(P)\n      include 'rec.seg'\n      POINTEUR P.REC\n"
+        "      SEGINI, P\n      END\n")
+    _, model = load_units(RunConfig(src=tmp_path), discover_sources(tmp_path))
+    assert model.events == {"s": ((SIZED, "p"), ("w", "p")), "t": (("w", "p"),)}
+    assert infer_intents(model)[("s", 1)] == analysis.IN
 
 
 def test_assigned_still_lists_a_written_local():
@@ -480,13 +499,15 @@ def test_statement_records_agree_with_frozen_walkers_on_random_programs(shapes):
         for statement in statements:
             lines += _cards(statement)
         lines.append("      END")
-    units = parse_source("\n".join(lines) + "\n", "r.f")
+    source = "\n".join(lines) + "\n"
+    units = parse_source(source, "r.f")
     agrees_with_frozen_walkers(units, build_project_model(units))
+    assert [body_places(unit) for unit in units] == frozen_body_places(source, "r.f", None)
 
 
 def test_each_statement_is_walked_once(monkeypatch):
-    """One walk per distinct statement text of a range; a repeat shares the
-    first node's record, and no stream is walked after ``load_units``."""
+    """One walk per distinct statement (label and text) of a range; a repeat
+    is the first node itself, and no stream is walked after ``load_units``."""
     build = A.statement_facts
     walked = []
 
@@ -506,21 +527,24 @@ def test_each_statement_is_walked_once(monkeypatch):
     assert migrate_project(units, model, intents).ok
     monkeypatch.undo()
 
+    places = [(unit.span_of(i), node) for unit in units for i, node in enumerate(unit.body)]
     texts = {}  # (file, line) -> text of the statement starting there
-    for file_id in {node.span.file_id for unit in units for node in unit.body}:
+    for file_id in {span.file_id for span, _ in places}:
         for line in split_logical_lines(read_source(Path(file_id)), file_id):
-            texts[file_id, line.span.start_line] = line.text.strip()
-
-    def text(node):
-        return texts[node.span.file_id, node.span.start_line]
+            texts[file_id, line.start] = line.text.strip()
 
     def statements(nodes):
         return [node for node in nodes if not isinstance(
             node, (A.CommentNode, A.DirectiveNode, A.IncludeNode, A.SegmentDefNode))]
 
-    in_bodies = statements(node for unit in units for node in unit.body)
-    walked = [text(node) for node in statements(walked)]
-    assert sorted(walked) == sorted({text(node) for node in in_bodies})
+    nodes = {}  # (label, text) -> the ids of the nodes of the statements with them
+    in_bodies = statements(node for _, node in places)
+    for span, node in places:
+        if statements([node]):
+            nodes.setdefault((node.label, texts[span.file_id, span.start_line]), set()).add(id(node))
+    assert all(len(same) == 1 for same in nodes.values())  # a repeat is the node itself
+    walked = statements(walked)
+    assert sorted(map(id, walked)) == sorted(i for (i,) in nodes.values())
     assert len(in_bodies) > len(walked)  # some statements repeat
     for unit in units:
         for node in unit.body:
@@ -578,10 +602,12 @@ def test_unit_summaries_agree_with_frozen_scanners_on_random_programs(shapes):
         for statement in declarations + statements:
             lines += _cards(statement.replace("@", f"S{i}"))
         lines.append("      END")
-    units = parse_source("\n".join(lines) + "\n", "r.f")
+    source = "\n".join(lines) + "\n"
+    units = parse_source(source, "r.f")
     model = build_project_model(units)
     summaries_agree_with_frozen_scanners(units, model)
     agrees_with_frozen_walkers(units, model)
+    assert [body_places(unit) for unit in units] == frozen_body_places(source, "r.f", None)
 
 
 def test_units_with_equal_implicit_rules_share_one_table():

@@ -20,7 +20,7 @@ from segmigrate.cli import main, parse_config_file
 from segmigrate.errors import ConfigError, MigrationError
 from segmigrate.frontend.lexer import read_source
 
-from helpers import BOOKSTORE, BOOKSTORE_INTENTS, FIXTURES, PLAIN77
+from helpers import BOOKSTORE, BOOKSTORE_INTENTS, FIXTURES, PLAIN77, load_corpus_module
 from test_golden import GOLDEN, tree_bytes
 
 
@@ -458,14 +458,6 @@ def test_bench_tracer_entry_points_exist():
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 
 BAD_REWRITE = "      SUBROUTINE BAD(P)\n      SEGINI, P\n      END\n"
-
-
-def load_corpus_module():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)  # its dataclasses look their module up
-    return module
 
 
 def force_ranges(monkeypatch, count):

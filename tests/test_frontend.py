@@ -1,6 +1,7 @@
 """Lexer, parser, and include-resolution tests."""
 
 import dataclasses
+import gc
 import operator
 import random
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from segmigrate.cli import RunConfig, discover_sources, load_units, read_range
+from segmigrate.cli import RunConfig, discover_sources, load_units, main, read_range
 from segmigrate.errors import MigrationError, SourceSpan
 from segmigrate.frontend import ast_nodes as A
 from segmigrate.frontend.includes import (
@@ -45,7 +46,9 @@ from segmigrate.model import format_type
 from segmigrate.transform.tokens import render_tokens
 
 from helpers import (
-    OracleLexError, oracle_classify, oracle_render_tokens, oracle_scan_expression, oracle_tokenize,
+    BOOKSTORE, FIXTURES, PLAIN77, OracleLexError, body_places, frozen_body_places,
+    load_corpus_module, oracle_classify, oracle_render_tokens, oracle_scan_expression,
+    oracle_tokenize,
 )
 
 LISTING_SOURCE = """\
@@ -91,7 +94,7 @@ def test_continuation_merge_matches_column_oracle():
     lines = split_logical_lines("\n".join(cards))
     assert len(lines) == 1
     assert lines[0].text == manual_merge(cards)
-    assert lines[0].span.start_line == 1 and lines[0].span.end_line == 3
+    assert (lines[0].start, lines[0].end) == (1, 3)
 
 
 def test_columns_73_plus_are_ignored():
@@ -166,17 +169,17 @@ def test_comment_card_inside_a_continued_statement_follows_it():
         (STATEMENT, "SUBROUTINE S"), (STATEMENT, "X = 1 +    2"), (COMMENT, "     note"),
         (STATEMENT, "END"),
     ]
-    assert (lines[1].span.start_line, lines[1].span.end_line) == (2, 4)
+    assert (lines[1].start, lines[1].end) == (2, 4)
     node, comment = parse_source(source)[0].body
     assert f"{render_tokens(node.lhs)} = {render_tokens(node.rhs)}" == "x = 1 + 2"
-    assert comment == A.CommentNode(span=lines[2].span, text="     note")
+    assert comment == A.CommentNode(text="     note")
 
 
 @pytest.mark.parametrize("blank", ["\f", "\v", "\x1c", "\x85", "\u2028"])
 def test_only_a_newline_ends_a_card(blank):
     source = f"      SUBROUTINE A(X)\n{blank}\n      X = 1{blank}\n      Y = 2\n      END\n"
     lines = split_logical_lines(source)
-    assert [(l.kind, l.text, l.span.start_line) for l in lines] == [
+    assert [(l.kind, l.text, l.start) for l in lines] == [
         (STATEMENT, "SUBROUTINE A(X)", 1), (COMMENT, "", 2), (STATEMENT, "X = 1", 3),
         (STATEMENT, "Y = 2", 4), (STATEMENT, "END", 5),
     ]
@@ -593,9 +596,6 @@ _STATEMENT = st.one_of(
     _BODY.map(lambda text: (text.strip(), None)),
 )
 
-_SPAN = SourceSpan("s.f", 1, 1, 1, 72)
-
-
 def _spelled(type_name):
     """A frozen IMPLICIT rule's type as ``format_type`` spells it."""
     m = re.fullmatch(r"character\s*(?:\*\s*(\d+))?", type_name)
@@ -605,7 +605,7 @@ def _spelled(type_name):
 def _classified(classify, text):
     """The node's kind and fields, declared types spelled by ``format_type``."""
     try:
-        node = classify(text, _SPAN, None)
+        node = classify(text, None)
     except MigrationError as exc:
         return ("error", str(exc))
     fields = {f.name: getattr(node, f.name) for f in dataclasses.fields(node) if f.name != "facts"}
@@ -656,8 +656,8 @@ _CHANGES = {
     "guarded call tail": _now_opaque,
     # CALL F(X)(Y) is opaque; the frozen pattern took all to the last `)` as arguments
     "call group then more": _now_opaque,
-    # CALL F(X is the located error the guarded form gives
-    "unclosed call group": lambda live, frozen: live == ("error", "s.f:1:1: unbalanced parentheses"),
+    # CALL F(X is the error the guarded form gives
+    "unclosed call group": lambda live, frozen: live == ("error", "unbalanced parentheses"),
 }
 
 
@@ -753,7 +753,7 @@ def test_leading_comments_open_the_body_of_the_unit_they_precede():
     a, b = parse_source(src, "ab.f")
     assert [n.text for n in a.body] == [" first A", "", " second A"]
     assert [type(n) for n in b.body] == [A.CommentNode, A.AssignmentNode]
-    assert b.body[0].text == " only B" and b.body[0].span.start_line == 6
+    assert b.body[0].text == " only B" and b.lines[0] == 6
 
 
 def test_lines_outside_every_unit_are_parsed_as_body_lines():
@@ -761,7 +761,7 @@ def test_lines_outside_every_unit_are_parsed_as_body_lines():
     src = '#include "u.seg"\n      SUBROUTINE A\n      END\n#endif\nC note\n'
     (a,) = parse_source(src, "a.f")
     assert [type(n) for n in a.body] == [A.IncludeNode, A.DirectiveNode, A.CommentNode]
-    assert [n.span.start_line for n in a.body] == [1, 4, 5]
+    assert list(a.lines) == [1, 4, 5]
     assert parse_source("C only a comment\n#endif\n", "c.f") == []
 
 def test_island_soundness_opaque_round_trip():
@@ -787,27 +787,27 @@ def test_a_repeated_statement_shares_its_content_and_keeps_its_place(tmp_path):
         "      SUBROUTINE B(X)\n      INCLUDE 'c.inc'\n   20   X = X + P.F(1)\n      END\n")
     (tmp_path / "c.inc").write_text("      INTEGER K\n      X = X + P.F(1)\n")
     units, _ = read_range(RunConfig(src=tmp_path), discover_sources(tmp_path))
-    nodes = [node for unit in units for node in unit.body if not isinstance(node, A.CommentNode)]
-    assert [(Path(n.span.file_id).name, n.span.start_line, n.label) for n in nodes] == [
+    places = [(unit.span_of(i), node) for unit in units for i, node in enumerate(unit.body)
+              if not isinstance(node, A.CommentNode)]
+    assert [(Path(s.file_id).name, s.start_line, n.label) for s, n in places] == [
         ("a.f", 2, None), ("a.f", 3, 10), ("c.inc", 1, None), ("c.inc", 2, None),
         ("b.f", 3, 20)]
-    first, *repeats = [n for n in nodes if isinstance(n, A.AssignmentNode)]
-    assert len(repeats) == 3
-    for node in repeats:
-        assert node is not first
-        assert replace(node, span=first.span, label=first.label) == first
-        assert node.rhs is first.rhs and node.facts is first.facts
-        assert node.facts == A.statement_facts(node) != A.NO_FACTS
+    first, ten, included, twenty = [n for _, n in places if isinstance(n, A.AssignmentNode)]
+    assert included is first  # the same label and text: the same node
+    for node in (ten, twenty):
+        assert node is not first and replace(node, label=None) == first
+        assert node.facts is first.facts
+    assert first.facts == A.statement_facts(first) != A.NO_FACTS
 
 
 def test_the_caller_owns_the_statement_table():
     source = "      SUBROUTINE A\n      X = 1\n      X = 1\n      END\n"
     table = {}
     first = parse_units(split_logical_lines(source, "a.f"), "a.f", table)[0].body
-    assert list(table) == ["X = 1"] and table["X = 1"] is first[0]
-    again = parse_units(split_logical_lines(source, "b.f"), "b.f", table)[0].body
-    assert [n.span.file_id for n in again] == ["b.f", "b.f"]
-    assert again[0].lhs is first[0].lhs and list(table) == ["X = 1"]
+    assert list(table) == [(None, "X = 1")] and table[None, "X = 1"] is first[0] is first[1]
+    (unit,) = parse_units(split_logical_lines(source, "b.f"), "b.f", table)
+    assert [unit.span_of(i).label() for i in range(2)] == ["b.f:2:1", "b.f:3:1"]
+    assert unit.body == first and unit.body[0] is first[0] and list(table) == [(None, "X = 1")]
     # with no table given, each call parses afresh
     once, twice = (parse_source(source)[0].body[0] for _ in range(2))
     assert once.lhs is not twice.lhs is not first[0].lhs
@@ -816,7 +816,7 @@ def test_the_caller_owns_the_statement_table():
 def test_a_fragment_s_end_in_the_table_still_ends_a_unit():
     table = {}
     parse_fragment(split_logical_lines("      X = 1\n      END\n", "f.inc"), "f.inc", table)
-    assert "END" in table  # a fragment's END is an ordinary statement
+    assert (None, "END") in table  # a fragment's END is an ordinary statement
     source = "      SUBROUTINE A\n      X = 1\n      END\n      SUBROUTINE B\n      END\n"
     units = parse_units(split_logical_lines(source, "a.f"), "a.f", table)
     assert [(u.name, u.span.end_line) for u in units] == [("a", 3), ("b", 5)]
@@ -836,10 +836,10 @@ def test_a_repeated_include_or_segment_line_keeps_its_meaning():
     table = {}
     parse_fragment(split_logical_lines("      N = 1\n      INTEGER N\n", "f.inc"), "f.inc", table)
     for file_id in ("a.f", "b.f"):  # the second file meets each text again
-        body = parse_units(split_logical_lines(source, file_id), file_id, table)[0].body
-        assert [type(n) for n in body] == [A.IncludeNode, A.SegmentDefNode, A.AssignmentNode,
-                                           A.IncludeNode, A.SegmentDefNode]
-        assert [n.span.start_line for n in body] == [2, 3, 6, 7, 8]
+        (unit,) = parse_units(split_logical_lines(source, file_id), file_id, table)
+        assert [type(n) for n in unit.body] == [A.IncludeNode, A.SegmentDefNode,
+                                                A.AssignmentNode, A.IncludeNode, A.SegmentDefNode]
+        assert list(unit.lines) == [2, 3, 6, 7, 8]
 
 
 # --- include resolution -----------------------------------------------------
@@ -933,3 +933,58 @@ def test_units_share_the_nodes_of_an_included_file(tmp_path):
     assert [len(a), len(b)] == [2, 3]
     assert a[0] is b[0]
     assert a[1] is b[1] is b[2]
+
+
+# --- positions and sharing --------------------------------------------------
+
+
+@pytest.mark.parametrize("src", [BOOKSTORE, PLAIN77, FIXTURES / "handles"],
+                         ids=["bookstore", "plain77", "handles"])
+def test_every_body_entry_starts_at_its_line_in_the_frozen_reference(src):
+    units, _ = read_range(RunConfig(src=src), discover_sources(src))
+    by_file = {}
+    for unit in units:
+        assert len(unit.lines) == len(unit.body)
+        by_file.setdefault(unit.file_id, []).append(body_places(unit))
+    assert by_file and all(by_file.values())
+    for file_id, places in by_file.items():
+        assert places == frozen_body_places(Path(file_id).read_text(), file_id, src), file_id
+
+
+def test_an_error_in_a_nested_include_names_the_included_file_and_its_line(tmp_path, capsys):
+    write(tmp_path / "inner.inc", "C     the bad one\n      SEGINI, Q\n")
+    write(tmp_path / "outer.inc", "      X = 1\n      include 'inner.inc'\n")
+    write(tmp_path / "a.f", "      SUBROUTINE A(X)\n      include 'outer.inc'\n      END\n")
+    assert main(["migrate", "--src", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"error: {tmp_path / 'inner.inc'}:2:1: segini target 'q' is not a declared pointer")
+    # a parse error there is located the same way
+    write(tmp_path / "inner.inc", "C     the bad one\n      SEGINI, 1Q\n")
+    assert main(["check", "--src", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'inner.inc'}:2:1: malformed Esope command: 'SEGINI, 1Q'\n")
+
+
+def test_a_range_holds_one_node_per_distinct_statement_and_a_span_per_unit(tmp_path):
+    corpus = load_corpus_module().generate("esope_tree", 5, units=24)
+    corpus.write(tmp_path)
+    files = sorted(tmp_path.rglob("*.*"))
+    pairs, comments = set(), set()  # the distinct (label, text) and comment texts
+    for path in files:
+        for line in split_logical_lines(path.read_text(), str(path)):
+            if line.kind == COMMENT:
+                comments.add(line.text)
+            else:
+                pairs.add((line.label, line.text.strip()))
+
+    def spans():
+        return sum(isinstance(o, SourceSpan) for o in gc.get_objects())
+
+    gc.collect()
+    before = spans()
+    units, front = read_range(RunConfig(src=tmp_path), discover_sources(tmp_path))
+    gc.collect()
+    assert spans() - before <= len(units) + len(front.fragments)
+    nodes = {id(node) for unit in units for node in unit.body}
+    assert len(nodes) <= len(pairs) + len(comments)
+    assert 2 * len(nodes) < sum(len(unit.body) for unit in units)  # the repeats share

@@ -80,3 +80,11 @@ def test_module_clash_matches_golden(monkeypatch, capsys, tmp_path):
     expected = (GOLDEN / "migrate_clash.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().err == expected
     assert list(tmp_path.iterdir()) == []  # no output tree, no staging tree
+
+
+def test_rewrite_diagnostic_positions_match_golden(monkeypatch, capsys, tmp_path):
+    # one bad statement at its two lines, and one two includes deep
+    monkeypatch.chdir(FIXTURES)
+    assert main(["migrate", "--src", "positions", "--out", str(tmp_path / "out")]) == 1
+    expected = (GOLDEN / "migrate_positions.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().err == expected

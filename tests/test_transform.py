@@ -566,6 +566,23 @@ def test_each_pointer_is_warned_once_per_statement_in_name_order():
     assert frozen == [warned(6, "q"), warned(6, "p"), warned(6, "q")]
 
 
+def test_a_repeated_statement_is_reported_at_each_of_its_lines():
+    # one node serves both lines; each report names its own
+    live, _ = negative_uses("IF (P .EQ. -1) RETURN", "X = 1", "IF (P .EQ. -1) RETURN")
+    assert live == [warned(6, "p"), warned(8, "p")]
+    src = ("      SUBROUTINE A\n      SEGINI, P\n      END\n"
+           "      SUBROUTINE B\n      X = 1\n      SEGINI, P\n      END\n")
+    units, model, intents = setup_unit(src, "s.f")
+    assert units[0].body[0] is units[1].body[1]
+    errors = []
+    for unit in units:
+        with pytest.raises(MigrationError) as caught:
+            wrap_in_module(make_context(unit, model, intents))
+        errors.append(str(caught.value))
+    assert errors == [f"s.f:{line}:1: segini target 'p' is not a declared pointer"
+                      for line in (2, 6)]
+
+
 class CountingBody(list):
     """A unit body that counts how often it is iterated."""
 
