@@ -10,7 +10,7 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from .errors import MigrationError
 from .frontend import ast_nodes as A
-from .model import SIZED, ProjectModel, SegmentDefinition, UnitSummary, usable_events
+from .model import SIZED, ProjectModel, SegmentDefinition, usable_events
 
 # --- name resolution --------------------------------------------------------
 
@@ -95,6 +95,8 @@ class RoutineSpec:
 
 
 IntentTable = Dict[Tuple[str, int], str]
+#: the solver's state: routine -> the intent of each of its dummies
+Rows = Dict[str, List[str]]
 
 
 def solve_intents(routines: Dict[str, RoutineSpec], catalog: Dict[str, List[str]]) -> IntentTable:
@@ -113,50 +115,46 @@ def solve_intents(routines: Dict[str, RoutineSpec], catalog: Dict[str, List[str]
     sweeps 1, 2, 4, ...); every parameter that changes during one more
     period becomes inout.  Externals are seeded from the catalog; anything
     still untouched at the end defaults to inout (the FORTRAN 77
-    by-reference behavior).
+    by-reference behavior).  The state holds one row per routine, the
+    intent of each of its dummies, and a sweep replaces whole rows.
     """
-    state: IntentTable = {
-        (name, i): UNKNOWN for name, spec in routines.items() for i in range(len(spec.params))
-    }
+    state: Rows = {name: [UNKNOWN] * len(spec.params) for name, spec in routines.items()}
     callers: Dict[str, Dict[str, None]] = {}
     for name, spec in routines.items():
         for ev in spec.events:
             if ev[0] == "f" and ev[1] in routines:
                 callers.setdefault(ev[1], {})[name] = None
-    # values at the snapshot of the keys changed since, and how many differ
-    snapshot: IntentTable = {}
+    # the row at the snapshot of each routine changed since, and how many differ
+    snapshot: Rows = {}
     differing = snapshot_sweep = sweep = period_end = 0
-    oscillating: Set[Tuple[str, int]] = set()
+    oscillating: Dict[str, Set[int]] = {}  # routine -> the dummies that changed in the period
     dirty: Dict[str, None] = dict.fromkeys(routines)
     while dirty:
         sweep += 1
-        updates = [
-            ((name, i), value)
-            for name in dirty
-            for i, value in enumerate(_run_events(routines[name], state, routines, catalog))
-            if value != state[(name, i)]
-        ]
+        updates = [(name, row) for name in dirty
+                   for row in [_run_events(routines[name], state, routines, catalog)]
+                   if row != state[name]]
         dirty = {}
-        for key, value in updates:
-            old = snapshot.setdefault(key, state[key])
-            differing += (value != old) - (state[key] != old)
-            state[key] = value
-            dirty.update(callers.get(key[0], {}))
+        for name, row in updates:
+            old = snapshot.setdefault(name, state[name])
+            differing += (row != old) - (state[name] != old)
+            if period_end:
+                oscillating.setdefault(name, set()).update(
+                    i for i, value in enumerate(row) if value != state[name][i])
+            state[name] = row
+            dirty.update(callers.get(name, {}))
         if period_end:
-            oscillating.update(key for key, _ in updates)
             if sweep == period_end:
                 break
         elif updates and not differing:
             period_end = 2 * sweep - snapshot_sweep
         elif sweep & (sweep - 1) == 0:
             snapshot, differing, snapshot_sweep = {}, 0, sweep
-    for key, value in state.items():
-        if value == UNKNOWN or key in oscillating:
-            state[key] = INOUT
-    return state
+    return {(name, i): INOUT if value == UNKNOWN or i in oscillating.get(name, ()) else value
+            for name, row in state.items() for i, value in enumerate(row)}
 
 
-def _run_events(spec: RoutineSpec, table: IntentTable, routines, catalog) -> List[str]:
+def _run_events(spec: RoutineSpec, table: Rows, routines, catalog) -> List[str]:
     pos = {p: i for i, p in enumerate(spec.params)}
     states = [UNKNOWN] * len(spec.params)
 
@@ -191,7 +189,7 @@ def _callee_intent(callee, cpos, table, routines, catalog) -> str:
     if callee in routines:
         if cpos >= len(routines[callee].params):
             return INOUT  # arity mismatch: stay safe
-        return table[(callee, cpos)]
+        return table[callee][cpos]
     if callee in catalog:
         intents = catalog[callee]
         if cpos < len(intents):
@@ -201,29 +199,27 @@ def _callee_intent(callee, cpos, table, routines, catalog) -> str:
 
 def infer_intents(model: ProjectModel) -> IntentTable:
     """Intent table for every routine of the project, from the model alone:
-    the unit summaries and their stored events, which the solver takes as
+    the unit records and their stored events, which the solver takes as
     they are.  A SEGINI or SEGADJ reads the dimensioning variables of its
     segment: the generated call passes them to intent(in) dummies."""
     routines = {}
-    for name, summary in model.units.items():
-        if summary.kind in ("subroutine", "function"):
+    for name, unit in model.units.items():
+        if unit.kind in ("subroutine", "function"):
             events = model.events[name]
             if any(ev[0] == SIZED for ev in events):
-                events = tuple(usable_events(_sized_reads(events, summary, model),
-                                             summary.parameters))
-            routines[name] = RoutineSpec(params=summary.parameters, events=events)
+                events = tuple(usable_events(_sized_reads(events, model), unit.parameters))
+            routines[name] = RoutineSpec(params=unit.parameters, events=events)
     return solve_intents(routines, model.intent_catalog)
 
 
-def _sized_reads(events: Sequence[Tuple], summary: UnitSummary,
-                 model: ProjectModel) -> Iterator[Tuple]:
+def _sized_reads(events: Sequence[Tuple], model: ProjectModel) -> Iterator[Tuple]:
     """The events, each SEGINI/SEGADJ marker replaced by the reads of the
-    dimensioning variables of its segment."""
+    dimensioning variables of the segment it names."""
     for ev in events:
         if ev[0] != SIZED:
             yield ev
             continue
-        seg = model.segments.get(summary.segment_of(ev[1]))
+        seg = model.segments.get(ev[1])
         if seg:
             yield from (("r", var) for var in seg.dimensioning_vars)
 

@@ -20,9 +20,9 @@ from .frontend.includes import Place, build_fragment_cache, resolve_includes
 from .frontend.lexer import SOURCE_ENCODING, read_source, split_logical_lines
 from .frontend.parser import StatementTable, parse_units
 from .model import (
-    ProjectModel, SegmentDefinition, UnitSummary, build_project_model, dump_model, summarize_unit,
+    ProjectModel, SegmentDefinition, UnitRecord, build_project_model, dump_model, summarize_unit,
 )
-from .target import output_name, target_names
+from .target import name_clashes, output_name, target_names
 from .transform import MigrationResult, migrate_project, negative_pointer_uses
 
 #: files parsed as program units
@@ -196,10 +196,12 @@ def split_sources(sources: Dict[str, int], count: int) -> List[List[str]]:
 
 
 class RangeFront(NamedTuple):
-    """What the front end found in one range of the sources, as plain data."""
+    """What the front end found in one range of the sources, as plain data.
+    A worker sends it up with the record of each unit in place of its
+    summary, which only the process that rewrites the unit reads."""
 
-    summaries: List[UnitSummary]  # of its units, in order, each without its events
-    events: List[Tuple[Tuple, ...]]  # the events of each summary, beside it
+    records: List[UnitRecord]  # the summary of each of its units, in order, without its events
+    events: List[Tuple[Tuple, ...]]  # the events of each unit, beside its record
     # include path -> its segment definitions and nested include paths
     fragments: Dict[str, Tuple[List[SegmentDefinition], List[str]]]
     include_edges: List[Tuple[str, str]]  # (unit, include path), in unit order
@@ -266,11 +268,11 @@ def merge_ranges(cfg: RunConfig, fronts: Sequence[RangeFront]) -> ProjectModel:
         for path, fragment in front.fragments.items():
             fragments.setdefault(path, fragment)  # the same file, whichever range read it
     model = build_project_model(
-        [s for front in fronts for s in front.summaries],
+        [s for front in fronts for s in front.records],
         [s for path in sorted(fragments) for s in fragments[path][0]],
     )
     model.events = {s.name: events for front in fronts
-                    for s, events in zip(front.summaries, front.events)}
+                    for s, events in zip(front.records, front.events)}
     model.include_graph = [edge for front in fronts for edge in front.include_edges]
     model.include_graph += [(path, nested) for path in sorted(fragments)
                             for nested in fragments[path][1]]
@@ -315,11 +317,12 @@ def migrate_sources(
     per usable CPU, writing the outputs into ``staging``.
 
     This process takes the first range and forks a worker for each other
-    one.  Each process parses its range; the workers send up their unit
-    summaries and their events beside them, fragment segments and include
-    edges.  This process merges them into the project model, checks that
-    no two outputs or modules would share a name, solves the intents and
-    sends each worker what it lacks; each process then
+    one.  Each process parses and summarizes its range; the workers send up
+    their unit records and their events beside them, fragment segments and
+    include edges.  This process merges them into the project model, checks
+    that no two outputs or modules would share a name, solves the intents
+    and sends each worker the records it lacks, the segments and the
+    intents; each process then
     rewrites, renders and writes its own files, this one the generated
     modules too, and the workers send up their file outcomes without text
     and their write reports.  Unit ASTs and output text never leave the
@@ -343,25 +346,25 @@ def migrate_sources(
             workers, ranges = [], [list(sources)]
 
         def exchange(units, front):
-            # the summaries hold no events, which only the intent solve, here,
+            # the records hold no events, which only the intent solve, here,
             # reads; a worker's range goes to the other workers only
             fronts = [front, *(worker.receive() for worker in workers)]
             model = merge_ranges(cfg, fronts)
             # a name clash fails the run before any process rewrites
-            targets = target_names(model)
-            clashes = targets.clashes()
+            clashes = name_clashes(model)
             if clashes:
                 raise MigrationErrors([MigrationError(clash) for clash in clashes])
             segments = list(model.segments.values())
+            records = [[s.record() for s in front.records], *(f.records for f in fronts[1:])]
             for i, worker in enumerate(workers, start=1):
-                worker.pipe.send("model", ([s for f in fronts[:i] for s in f.summaries],
-                                           [s for f in fronts[i + 1:] for s in f.summaries],
+                worker.pipe.send("model", ([s for rs in records[:i] for s in rs],
+                                           [s for rs in records[i + 1:] for s in rs],
                                            segments, model.intent_catalog))
             # the workers build their models while the intents are solved
             intents = analysis.infer_intents(model)
             for worker in workers:
                 worker.pipe.send("intents", intents)
-            return model, intents, targets
+            return model, intents, target_names(model)
 
         result = migrate_range(cfg, render_cfg, ranges[0], exchange, modules=True)
         staging.wait()
@@ -389,11 +392,11 @@ def _serve(
     import gc
 
     def exchange(units, front):
-        parent.send("front", front)
+        parent.send("front", front._replace(records=[s.record() for s in front.records]))
         _, (before, after, segments, catalog) = parent.receive()
         # all of it lives until this process ends, so no collection need scan it
         gc.freeze()
-        model = build_project_model([*before, *front.summaries, *after], segments)
+        model = build_project_model([*before, *front.records, *after], segments)
         model.intent_catalog = catalog
         _, intents = parent.receive()
         return model, intents, target_names(model)

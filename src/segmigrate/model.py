@@ -7,10 +7,12 @@ that parsed it, which holds one node per distinct statement of its range:
 ``migrate`` holds every unit until the output tree is written.  Each
 :class:`UnitSummary` is filled in one pass over its unit's body, its
 default pointers and the read/write events the intent solver can use
-included; it is plain data, so a summary built in one process can be
-merged into the model of another, its events travelling beside it.  The
-intent pass reads only the model, and the rewrite is the one other pass
-over a body.
+included.  Only the process that rewrites a unit reads its summary; every
+other process reads the unit's :class:`UnitRecord`, plain data that
+crosses a pipe, its events travelling beside it.  So a model holds the
+summary of each unit its process parsed and the record of every other.
+The intent pass reads only the model, and the rewrite is the one other
+pass over a body.
 """
 
 from __future__ import annotations
@@ -64,22 +66,32 @@ class SegmentDefinition:
 #: a name collection that is only tested for membership, sorted
 Names = Tuple[str, ...]
 
-#: the event ``(SIZED, pointer)``: a SEGINI/SEGADJ reads its segment's dimensioning variables
+#: the event ``(SIZED, segment)``: a SEGINI/SEGADJ reads its segment's dimensioning variables
 SIZED = "d"
 
 
 @dataclass(slots=True)
-class UnitSummary:
-    """Every fact of one unit that depends on the unit alone, filled in one
-    pass over its body by :func:`summarize_unit`.  Units with the same
-    IMPLICIT rules share one table; nothing changes a summary once built."""
+class UnitRecord:
+    """What the rest of the project reads of one unit: the record a worker
+    sends up for each unit of its range, and the first process sends down
+    for each unit of the other ranges."""
 
     name: str
     kind: str  # program | subroutine | function
     parameters: List[str]
     file_id: str
     span: SourceSpan
-    return_type: Optional[str]
+    definitions: Tuple[SegmentDefinition, ...]  # the segments it defines, in order
+    calls: Tuple[Tuple[str, int], ...]  # (callee, argument count), in order
+
+
+@dataclass(slots=True)
+class UnitSummary(UnitRecord):
+    """Every fact of one unit that depends on the unit alone, filled in one
+    pass over its body by :func:`summarize_unit`: its record plus the facts
+    only the process that rewrites the unit reads.  Units with the same
+    IMPLICIT rules share one table; nothing changes a summary once built."""
+
     pointers: Dict[str, str]  # POINTEUR name -> segment name
     # explicit types, a POINTEUR winning over an INTEGER declaration (the
     # Esope pointer-as-integer idiom); a name only dimensioned maps to ""
@@ -93,9 +105,7 @@ class UnitSummary:
     referenced: Names
     defined: Names  # the unit, its dummies, declarations, segments, fields
     esope_statements: List[str]  # command kinds, in order
-    definitions: Tuple[SegmentDefinition, ...]  # the segments it defines, in order
     segments_in_scope: List[str]  # its own definitions, then included ones
-    calls: Tuple[Tuple[str, int], ...]  # (callee, argument count), in order
     # ast_nodes.Event or SIZED, in order, no function result write, only
     # those usable_events keeps; () when they were kept beside the summary
     # (see summarize_unit)
@@ -107,8 +117,13 @@ class UnitSummary:
         """The segment of a POINTEUR, else the in-scope one a default pointer names."""
         return self.pointers.get(pointer, pointer if pointer in self.segments_in_scope else None)
 
+    def record(self) -> UnitRecord:
+        """The unit's record alone, which is what crosses a pipe."""
+        return UnitRecord(self.name, self.kind, self.parameters, self.file_id, self.span,
+                          self.definitions, self.calls)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class CallEdge:
     caller: str
     callee: str
@@ -118,23 +133,23 @@ class CallEdge:
 
 @dataclass
 class ProjectModel:
-    units: Dict[str, UnitSummary] = field(default_factory=dict)
+    units: Dict[str, UnitRecord] = field(default_factory=dict)
     segments: Dict[str, SegmentDefinition] = field(default_factory=dict)
     call_graph: List[CallEdge] = field(default_factory=list)
     include_graph: List[Tuple[str, str]] = field(default_factory=list)
     intent_catalog: Dict[str, List[str]] = field(default_factory=dict)
     # unit -> its events, which only the intent solve reads; build_project_model
-    # takes them from the summaries, and a caller that kept them beside the
-    # summaries sets them here
+    # takes them from the units it summarizes, and a caller that kept them
+    # beside the summaries sets them here
     events: Dict[str, Tuple[Tuple, ...]] = field(default_factory=dict)
     # project-wide indexes, each built on first use; units and call edges
     # are complete once build_project_model returns
-    _functions: Optional[Dict[str, UnitSummary]] = field(
+    _functions: Optional[Dict[str, UnitRecord]] = field(
         default=None, init=False, repr=False, compare=False)
     _arg_counts: Optional[Dict[str, Set[int]]] = field(
         default=None, init=False, repr=False, compare=False)
 
-    def functions(self) -> Dict[str, UnitSummary]:
+    def functions(self) -> Dict[str, UnitRecord]:
         if self._functions is None:
             self._functions = {n: u for n, u in self.units.items() if u.kind == "function"}
         return self._functions
@@ -154,18 +169,20 @@ def build_project_model(
     """Collect every unit, segment and call edge of a project.
 
     ``units`` are parsed :class:`ProgramUnitAst` objects with their includes
-    resolved, or the :class:`UnitSummary` of such a unit built elsewhere, in
-    project order; ``segments`` are those of the included files.  Symbols
-    referenced but nowhere defined are flagged external on their call edges.
+    resolved, or the :class:`UnitRecord` or summary of such a unit built
+    elsewhere, whose events the caller sets, in project order; ``segments``
+    are those of the included files.  Symbols referenced but nowhere defined
+    are flagged external on their call edges.
     """
     model = ProjectModel()
     for unit in units:
         if unit.name in model.units:
             raise MigrationError(f"unit {unit.name!r} defined twice", unit.span)
-        summary = unit if isinstance(unit, UnitSummary) else summarize_unit(unit)
-        model.units[unit.name] = summary
-        model.events[unit.name] = summary.events
-        for seg in summary.definitions:
+        if not isinstance(unit, UnitRecord):
+            unit = summarize_unit(unit)
+            model.events[unit.name] = unit.events
+        model.units[unit.name] = unit
+        for seg in unit.definitions:
             register_segment(model, seg)
     for seg in segments:
         existing = model.segments.get(seg.name)
@@ -187,10 +204,11 @@ def summarize_unit(unit, events: Optional[List[Tuple[Tuple, ...]]] = None,
                    segments: Iterable[SegmentDefinition] = ()) -> UnitSummary:
     """The summary of ``unit``, from one pass over its body.  Given a list
     ``events``, the unit's events are appended to it and the summary holds
-    none, so that a summary crosses a pipe without them.  Either way only
-    the events :func:`usable_events` keeps are stored, and a SIZED marker
-    only if a dummy sizes its segment, or if that is none of the unit's own
-    or of ``segments``, which the model may resolve: no other reads a dummy."""
+    none.  Either way only the events :func:`usable_events` keeps are
+    stored.  A SIZED marker names the segment of its pointer, so that no
+    other process needs the unit's pointers to resolve it, and stays only
+    if a dummy sizes that segment, or if that is none of the unit's own or
+    of ``segments``, which the model may resolve: no other reads a dummy."""
     from .frontend import ast_nodes as A
 
     pointers: Dict[str, str] = {}
@@ -249,13 +267,16 @@ def summarize_unit(unit, events: Optional[List[Tuple[Tuple, ...]]] = None,
     scope += [n for n in unit.extra_segments_in_scope if n not in scope]
     unsized = {seg.name for seg in (*segments, *definitions)
                if set(unit.params).isdisjoint(seg.dimensioning_vars)}
-    kept = [ev for ev in own_events if ev[0] != SIZED or pointers.get(ev[1], ev[1]) not in unsized]
+    # pointer -> its segment (see UnitSummary.segment_of), if a dummy may size it
+    sized = {p: seg for p, seg in ({n: n for n in scope} | pointers).items() if seg not in unsized}
+    kept = [(SIZED, sized[ev[1]]) if ev[0] == SIZED else ev for ev in own_events
+            if ev[0] != SIZED or ev[1] in sized]
     usable = tuple(usable_events(kept, unit.params))
     if events is not None:
         events.append(usable)
     return UnitSummary(
         name=unit.name, kind=unit.kind, parameters=unit.params, file_id=unit.file_id,
-        span=unit.span, return_type=unit.return_type, pointers=pointers, declared=declared,
+        span=unit.span, pointers=pointers, declared=declared,
         implicit_table=implicit_table(rules), external=_names(external),
         typed=_names(typed), arrays=_names(arrays), invoked=_names(invoked),
         assigned=_names({ev[1] for ev in own_events if ev[0] == "w"}),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Tuple, Union
 
-from .model import ProjectModel, SegmentDefinition, UnitSummary
+from .model import ProjectModel, SegmentDefinition, UnitRecord
 
 # --- global names -----------------------------------------------------------
 
@@ -35,41 +35,22 @@ RUNTIME_MODULES = (module_name("segment"), module_name("segment_registry"))
 
 
 class TargetNames(NamedTuple):
-    """The global names of a project's target program, from :func:`target_names`."""
+    """The global names of a project's target program that the rewrite reads,
+    from :func:`target_names`."""
 
-    files: Dict[str, List[str]]  # output file -> each source, or the runtime, written to it
-    # global name -> each program of that name, and each unit, segment or the
-    # runtime defining a module of that name
-    modules: Dict[str, List[Origin]]
     routines: Dict[str, str]  # subroutine or function -> its module; a program has none
-
-    def clashes(self) -> List[str]:
-        """A message per name with two origins, files first (Fortran 2008, 16.2)."""
-        messages = [f"{name} would be the output of each of {', '.join(origins)}"
-                    for name, origins in self.files.items() if len(origins) > 1]
-        for name, origins in self.modules.items():
-            if len(origins) < 2:
-                continue
-            if any(map(_is_program, origins)):
-                described = [_describe(o) if _is_program(o) else f"the module of {_describe(o)}"
-                             for o in origins]
-                messages.append(f"global name {name} would name each of {', '.join(described)}")
-            else:
-                messages.append(f"module {name} would be defined by each of "
-                                f"{', '.join(map(_describe, origins))}")
-        return messages
 
 
 #: what gives a global name: a unit, a segment or the runtime
-Origin = Union[UnitSummary, SegmentDefinition, str]
+Origin = Union[UnitRecord, SegmentDefinition, str]
 
 
 def _is_program(origin: Origin) -> bool:
-    return isinstance(origin, UnitSummary) and origin.kind == "program"
+    return isinstance(origin, UnitRecord) and origin.kind == "program"
 
 
 def _describe(origin: Origin) -> str:
-    if isinstance(origin, UnitSummary):
+    if isinstance(origin, UnitRecord):
         return f"{origin.kind} {origin.name} at {origin.span.label()}"
     if isinstance(origin, SegmentDefinition):
         return f"segment {origin.name} in {origin.file_id}"
@@ -77,24 +58,44 @@ def _describe(origin: Origin) -> str:
 
 
 def target_names(model: ProjectModel) -> TargetNames:
-    """Every output file and global name of the project ``model`` with its
-    origins: sources in file order, units in project order, then segments
-    and the runtime.  A program's name is global, as a module's is.  The
-    origins are the model's own records, described only in a clash."""
-    names = TargetNames({}, {}, {})
+    """The module of each subroutine and function of the project ``model``."""
+    return TargetNames({name: module_name(name) for name, unit in model.units.items()
+                        if unit.kind != "program"})
+
+
+def name_clashes(model: ProjectModel) -> List[str]:
+    """A message per output file or global name of the project ``model``
+    with two origins, files first (Fortran 2008, 16.2): sources in file
+    order, units in project order, then segments and the runtime.  A
+    program's name is global, as a module's is.  The origins are the
+    model's own records, listed only while this runs."""
+    files: Dict[str, List[str]] = {}  # output file -> each source, or the runtime, written to it
+    # global name -> each program of that name, and each unit, segment or the
+    # runtime defining a module of that name
+    modules: Dict[str, List[Origin]] = {}
     for file_id in sorted({u.file_id for u in model.units.values()}):
-        names.files.setdefault(output_name(file_id), []).append(file_id)
+        files.setdefault(output_name(file_id), []).append(file_id)
     for name, unit in model.units.items():
-        if unit.kind != "program":
-            names.routines[name] = module_name(name)
-        names.modules.setdefault(names.routines.get(name, name), []).append(unit)
+        modules.setdefault(name if unit.kind == "program" else module_name(name), []).append(unit)
     generated: List[Tuple[str, str, Origin]] = [
         (module_name(name), seg.file_id, seg) for name, seg in sorted(model.segments.items())]
     generated += [(module, RUNTIME, RUNTIME) for module in RUNTIME_MODULES if generated]
     for module, source, origin in generated:
-        names.files.setdefault(output_name(module), []).append(source)
-        names.modules.setdefault(module, []).append(origin)
-    return names
+        files.setdefault(output_name(module), []).append(source)
+        modules.setdefault(module, []).append(origin)
+    messages = [f"{name} would be the output of each of {', '.join(origins)}"
+                for name, origins in files.items() if len(origins) > 1]
+    for name, origins in modules.items():
+        if len(origins) < 2:
+            continue
+        if any(map(_is_program, origins)):
+            described = [_describe(o) if _is_program(o) else f"the module of {_describe(o)}"
+                         for o in origins]
+            messages.append(f"global name {name} would name each of {', '.join(described)}")
+        else:
+            messages.append(f"module {name} would be defined by each of "
+                            f"{', '.join(map(_describe, origins))}")
+    return messages
 
 
 # --- output tree ------------------------------------------------------------

@@ -95,9 +95,9 @@ def migrate_project(
     files, when another call migrates the rest and only one call passes
     ``modules``.  Any error makes the whole result unusable: it has no
     outputs, so a caller cannot write a half-migrated project.  Whether two
-    outputs or modules share a name is the caller's check, on
-    :func:`target.target_names` of the model, which it may pass as
-    ``targets``.
+    outputs or modules share a name is the caller's check
+    (:func:`target.name_clashes`); it may pass the model's
+    :func:`target.target_names` as ``targets``.
     """
     cfg = cfg or RenderConfig()
     result = MigrationResult()

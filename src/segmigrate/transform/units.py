@@ -356,8 +356,11 @@ def wrap_in_module(ctx: RewriteContext) -> T.TargetNode:
     if unit.kind == "program":
         return T.program_node(unit.name).add(*head, *body)
 
-    # a subroutine or function, alone in its module
-    proc = T.TargetNode(T.PROCEDURE, f"{unit.kind} {unit.name}({', '.join(unit.params)})",
+    # a subroutine or function, alone in its module; Fortran 2008 lets only
+    # a recursive procedure invoke itself
+    recursive = "recursive " if unit.name in (callee for callee, _ in ctx.summary.calls) else ""
+    proc = T.TargetNode(T.PROCEDURE,
+                        f"{recursive}{unit.kind} {unit.name}({', '.join(unit.params)})",
                         footer=f"end {unit.kind} {unit.name}")
     if unit.kind == "function" and unit.return_type and not ctx.summary.declared.get(unit.name):
         proc.add(T.declaration(f"{unit.return_type} :: {unit.name}"))

@@ -410,6 +410,51 @@ def jacobi_intents(routines: Dict[str, object], catalog: Dict[str, List[str]],
     return {key: ("inout" if v == "unknown" else v) for key, v in state.items()}
 
 
+def keyed_solve_intents(routines: Dict[str, object], catalog: Dict[str, List[str]]):
+    """The change-driven intent solver as it stood while its state was keyed
+    by (routine, position), frozen as the reference for the solver that
+    keeps one row per routine: the same Jacobi schedule and the same
+    detection of cycling sweeps (Brent's method)."""
+    state = {
+        (name, i): "unknown" for name, spec in routines.items() for i in range(len(spec.params))
+    }
+    callers: Dict[str, Dict[str, None]] = {}
+    for name, spec in routines.items():
+        for ev in spec.events:
+            if ev[0] == "f" and ev[1] in routines:
+                callers.setdefault(ev[1], {})[name] = None
+    snapshot: Dict[Tuple[str, int], str] = {}
+    differing = snapshot_sweep = sweep = period_end = 0
+    oscillating: Set[Tuple[str, int]] = set()
+    dirty: Dict[str, None] = dict.fromkeys(routines)
+    while dirty:
+        sweep += 1
+        updates = [
+            ((name, i), value)
+            for name in dirty
+            for i, value in enumerate(_jacobi_run_events(routines[name], state, routines, catalog))
+            if value != state[(name, i)]
+        ]
+        dirty = {}
+        for key, value in updates:
+            old = snapshot.setdefault(key, state[key])
+            differing += (value != old) - (state[key] != old)
+            state[key] = value
+            dirty.update(callers.get(key[0], {}))
+        if period_end:
+            oscillating.update(key for key, _ in updates)
+            if sweep == period_end:
+                break
+        elif updates and not differing:
+            period_end = 2 * sweep - snapshot_sweep
+        elif sweep & (sweep - 1) == 0:
+            snapshot, differing, snapshot_sweep = {}, 0, sweep
+    for key, value in state.items():
+        if value == "unknown" or key in oscillating:
+            state[key] = "inout"
+    return state
+
+
 def _jacobi_run_events(spec, table, routines, catalog) -> List[str]:
     pos = {p: i for i, p in enumerate(spec.params)}
     states = ["unknown"] * len(spec.params)
@@ -1266,7 +1311,7 @@ def frozen_unit_summary(unit) -> Dict[str, object]:
     assigned = {ev[1] for ev in frozen_unit_events(unit, None) if ev[0] == "w"}
     return {
         "name": unit.name, "kind": unit.kind, "parameters": list(unit.params),
-        "file_id": unit.file_id, "span": unit.span, "return_type": unit.return_type,
+        "file_id": unit.file_id, "span": unit.span,
         "pointers": frozen_pointer_segments(unit),
         "declared": frozen_declared_types(unit),
         "implicit_table": frozen_implicit_rule_table(unit),
@@ -1632,8 +1677,8 @@ def frozen_infer_implicit_types(unit, model, scope) -> List[Tuple[str, str, str]
         elif sym in declared:
             out.append((sym, table[sym[0]], _F_IMPLICIT_RULE))
         elif sym in functions:
-            rt = functions[sym].return_type or table[sym[0]]
-            out.append((sym, rt, _F_FUNCTION_RETURN))
+            # the type comes with the use of the function's module; nothing reads it
+            out.append((sym, None, _F_FUNCTION_RETURN))
         elif sym in segment_names or sym in field_owner:
             continue
         else:

@@ -49,6 +49,7 @@ from helpers import (
     frozen_unit_summary,
     frozen_usable_events,
     jacobi_intents,
+    keyed_solve_intents,
     oracle_intents,
     random_program,
 )
@@ -274,10 +275,43 @@ def test_fixpoint_agrees_with_frozen_jacobi_on_recursive_programs():
                 (n, i) for n, spec in routines.items() for i in range(len(spec.params))
             }
             assert set(table.values()) <= {IN, OUT, INOUT}
+            assert table == keyed_solve_intents(routines, catalog)
         else:
             compared += 1
             assert table == reference
     assert compared >= 1900 and cycling >= 1
+
+
+@st.composite
+def intent_programs(draw):
+    """A program for the intent solver: any routine may forward to any
+    other, itself included, at a position beyond its arity too, or to a
+    catalog entry, which may be shorter than the call, or to an unknown
+    external."""
+    names = [f"r{i}" for i in range(draw(st.integers(1, 6)))]
+    catalog = draw(st.dictionaries(st.sampled_from(["ext0", "ext1"]),
+                                   st.lists(st.sampled_from([IN, OUT, INOUT]), max_size=3)))
+    callees = st.sampled_from([*names, *catalog, "unknown"])
+    routines = {}
+    for name in names:
+        params = [f"p{j}" for j in range(draw(st.integers(0, 4)))]
+        events = draw(st.lists(st.one_of(
+            st.tuples(st.sampled_from("rw"), st.sampled_from(params)),
+            st.tuples(st.just("f"), callees, st.integers(0, 4), st.sampled_from(params))),
+            max_size=12)) if params else []
+        routines[name] = RoutineSpec(params, events)
+    return routines, catalog
+
+
+@settings(max_examples=200, deadline=None)
+@example(({"a": RoutineSpec(["x", "y"], [("f", "b", 0, "y"), ("w", "y")]),  # it cycles
+           "b": RoutineSpec(["z"], [("f", "a", 1, "z"), ("r", "z")])}, {}))
+@given(st.one_of(intent_programs(), st.integers(0, 2**32 - 1).map(
+    lambda seed: random_program(random.Random(seed), RoutineSpec, cyclic=True))))
+def test_the_row_solver_agrees_with_the_frozen_keyed_solver(program):
+    # the cycling programs too, on which the frozen Jacobi solver gives up
+    routines, catalog = program
+    assert solve_intents(routines, catalog) == keyed_solve_intents(routines, catalog)
 
 
 @settings(max_examples=300, deadline=None)
@@ -306,10 +340,13 @@ _REC = ["SEGMENT, REC", "  INTEGER V(N)", "END SEGMENT"]
     ([*_REC, "SEGINI, REC", "N = 1", "SEGADJ, REC"], [(SIZED, "rec"), ("w", "n"), (SIZED, "rec")]),
     # no dummy sizes REC: the marker reads no dummy
     (["SEGMENT, REC", "  INTEGER V(M)", "END SEGMENT", "SEGINI, REC"], []),
-    # no segment GHOST here: the model may resolve it, so the marker stays
-    (["POINTEUR P.GHOST", "SEGINI, P"], [(SIZED, "p")]),
+    # no segment GHOST here: the model may resolve it, so the marker stays,
+    # naming the segment, not the pointer
+    (["POINTEUR P.GHOST", "SEGINI, P"], [(SIZED, "ghost")]),
+    # Q is no pointer and names no segment in scope: the marker sizes nothing
+    (["SEGINI, Q"], []),
 ], ids=["repeated read", "local", "forward after read", "after first write", "sizing marker",
-        "dead sizing marker", "unresolved sizing marker"])
+        "dead sizing marker", "unresolved sizing marker", "marker of no segment"])
 def test_a_summary_keeps_only_the_events_the_solver_can_use(body, kept):
     src = "".join(f"      {line}\n" for line in ["SUBROUTINE S(A, N)", *body, "END"])
     units, model = project(src)
@@ -326,7 +363,7 @@ def test_a_sizing_marker_of_a_known_segment_stays_only_if_a_dummy_sizes_it(tmp_p
         "      SUBROUTINE T(P)\n      include 'rec.seg'\n      POINTEUR P.REC\n"
         "      SEGINI, P\n      END\n")
     _, model = load_units(RunConfig(src=tmp_path), discover_sources(tmp_path))
-    assert model.events == {"s": ((SIZED, "p"), ("w", "p")), "t": (("w", "p"),)}
+    assert model.events == {"s": ((SIZED, "rec"), ("w", "p")), "t": (("w", "p"),)}
     assert infer_intents(model)[("s", 1)] == analysis.IN
 
 

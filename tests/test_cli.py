@@ -19,6 +19,7 @@ from segmigrate import analysis, cli, target, workers
 from segmigrate.cli import main, parse_config_file
 from segmigrate.errors import ConfigError, MigrationError
 from segmigrate.frontend.lexer import read_source
+from segmigrate.model import UnitRecord, UnitSummary
 
 from helpers import BOOKSTORE, BOOKSTORE_INTENTS, FIXTURES, PLAIN77, load_corpus_module
 from test_golden import GOLDEN, tree_bytes
@@ -593,21 +594,55 @@ def test_split_runs_agree_on_generated_trees(tmp_path, capsys, monkeypatch, work
 
 @needs_fork
 def test_no_other_unit_s_events_reach_a_worker(tmp_path, capsys, monkeypatch):
-    sent = []
-    send = workers.Pipe.send
+    """Only unit records cross a pipe, each way, and each process holds the
+    summary of the units of its own range alone."""
+    sent, received, migrated = [], [], []
+    send, receive, migrate_project = workers.Pipe.send, workers.Pipe.receive, cli.migrate_project
 
     def spy(pipe, kind, payload):
         if kind == "model":  # in this process only: a worker's list is its own copy
             sent.append(payload)
         send(pipe, kind, payload)
 
+    def receiving(pipe):
+        message = receive(pipe)
+        received.append(message)
+        return message
+
+    def migrating(units, model, *args, **kwargs):
+        migrated.append((units, model))
+        return migrate_project(units, model, *args, **kwargs)
+
     monkeypatch.setattr(workers.Pipe, "send", spy)
+    monkeypatch.setattr(workers.Pipe, "receive", receiving)
+    monkeypatch.setattr(cli, "migrate_project", migrating)
     force_ranges(monkeypatch, 3)
     code, _, err = migrate_bookstore(tmp_path, capsys)
     assert code == 0, err
     assert len(sent) == 2
     for before, after, _segments, _catalog in sent:
-        assert before and all(s.events == () for s in before + after)
+        assert before and all(type(s) is UnitRecord for s in before + after)
+    fronts = [payload for kind, payload in received if kind == "front"]
+    assert len(fronts) == 2
+    for front in fronts:
+        assert front.records and all(type(s) is UnitRecord for s in front.records)
+    # a slotted record holds no other field
+    assert not any(hasattr(s, name) for front in fronts for s in front.records
+                   for name in ("events", "pointers", "declared", "referenced"))
+    [(units, model)] = migrated  # this process's; a worker's call is in its own memory
+    summarized = {name for name, s in model.units.items() if isinstance(s, UnitSummary)}
+    assert summarized == {unit.name for unit in units}
+    assert len(model.units) > len(summarized)
+
+
+@needs_fork
+def test_a_sizing_marker_in_a_worker_s_range_sizes_the_dummy(tmp_path, capsys, monkeypatch):
+    # C is in the third range: the first process solves its intents from its
+    # record and events alone, and SEGINI, P passes N to an intent(in) dummy
+    code, _, err, tree = assert_split_changes_nothing(
+        tmp_path, capsys, monkeypatch, FIXTURES / "sized")
+    assert code == 0, err
+    assert "    integer, intent(in) :: n\n" in tree["c.f90"].decode()
 
 
 def test_split_runs_keep_the_file_order_of_one_run(tmp_path, capsys, monkeypatch):

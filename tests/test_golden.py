@@ -26,8 +26,10 @@ def tree_bytes(root: Path):
     "src, extra",
     [(BOOKSTORE, ["--intent-catalog", str(BOOKSTORE_INTENTS)]), (PLAIN77, []),
      # a default pointer used bare, with no dotted access, is declared
-     (FIXTURES / "handles", [])],
-    ids=["bookstore", "plain77", "handles"],
+     (FIXTURES / "handles", []),
+     # a SEGINI passes the dummy N to an intent(in) dummy, so N is intent(in)
+     (FIXTURES / "sized", [])],
+    ids=["bookstore", "plain77", "handles", "sized"],
 )
 def test_migrated_tree_matches_golden(tmp_path, capsys, src, extra):
     out = tmp_path / "out"

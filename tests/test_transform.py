@@ -222,6 +222,17 @@ def test_implicit_statement_removed_and_replaced():
     assert "real, intent(out) :: k" in text
 
 
+def test_a_subroutine_that_calls_itself_is_recursive():
+    # Fortran 2008 lets only a recursive procedure invoke itself
+    src = ("      SUBROUTINE S(N)\n      INTEGER N\n      IF (N .GT. 0) CALL S(N - 1)\n      END\n"
+           "      SUBROUTINE T(N)\n      INTEGER N\n      CALL S(N)\n      END\n")
+    units, model, intents = setup_unit(src, "s.f")
+    texts = [render_unit(wrap_in_module(make_context(unit, model, intents))) for unit in units]
+    assert "\n  recursive subroutine s(n)\n" in texts[0]
+    assert "    if (n .gt. 0) call s(n - 1)\n" in texts[0]
+    assert "\n  subroutine t(n)\n" in texts[1]
+
+
 def test_internal_external_removed_true_external_gets_interface():
     src = (
         "      SUBROUTINE HELPER(X)\n"
